@@ -93,7 +93,7 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     traj_path = os.path.join(run_dir, TRAJECTORY_FILE)
     _require_artifact("ik", traj_path, "gen")
-    found, traj = logio.read_trajectory(traj_path, fallback_dt=cfg.trajectory.dt)
+    found, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     _check_hash("ik", traj_path, found, digest)
     q = np.empty((len(traj), 12))
     for k in range(len(traj)):
@@ -127,9 +127,9 @@ def stage_post(cfg: Config, run_dir: str) -> list:
     log_path = os.path.join(run_dir, SIM_LOG_FILE)
     _require_artifact("post", traj_path, "gen")
     _require_artifact("post", log_path, "sim")
-    found, traj = logio.read_trajectory(traj_path, fallback_dt=cfg.trajectory.dt)
+    found, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     _check_hash("post", traj_path, found, digest)
-    found, log = logio.read_log(log_path, fallback_dt=cfg.sim.dt)
+    found, log = logio.read_log(log_path, dt=cfg.sim.dt)
     _check_hash("post", log_path, found, digest)
 
     target = differentiate(PoseSeries.from_trajectory(traj))

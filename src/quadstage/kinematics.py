@@ -15,6 +15,7 @@ with angles in radians; zero angles put a leg straight down, foot at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -188,20 +189,35 @@ class WorkspaceReport:
     joint_limit_violations: list = field(default_factory=list)
 
 
-def _planar_foot(q_hip: float, q_knee: float, geom: LegGeometry) -> tuple[float, float]:
+def _planar_foot(q_hip, q_knee, geom: LegGeometry, lib=math):
     # Sagittal-plane foot position; angles measured from straight down
-    # toward +x.
-    xp = geom.l_upper * math.sin(q_hip) + geom.l_lower * math.sin(q_hip + q_knee)
-    zp = -(geom.l_upper * math.cos(q_hip) + geom.l_lower * math.cos(q_hip + q_knee))
+    # toward +x.  lib is math for scalars, numpy for arrays.
+    xp = geom.l_upper * lib.sin(q_hip) + geom.l_lower * lib.sin(q_hip + q_knee)
+    zp = -(geom.l_upper * lib.cos(q_hip) + geom.l_lower * lib.cos(q_hip + q_knee))
     return xp, zp
 
 
 def leg_fk(q_leg, geom: LegGeometry) -> np.ndarray:
-    """Foot (ball-joint) position in the body frame for one leg (mm)."""
-    q_aa, q_hip, q_knee = np.asarray(q_leg, dtype=float)
-    xp, zp = _planar_foot(q_hip, q_knee, geom)
-    local = np.array([xp, geom.side_sign * geom.hip_offset_y, zp])
-    return geom.hip_mount + rot_x(q_aa) @ local
+    """Foot (ball-joint) position in the body frame for one leg (mm).
+
+    Array-first: q_leg is (..., 3) joint angles [hip_aa, hip_fe, knee_fe]
+    in radians and the result is (..., 3).
+    """
+    q = np.asarray(q_leg, dtype=float)
+    # One configuration (the per-pose IK re-check) runs on math scalars,
+    # which is about twice as fast as numpy ufuncs on 0-d values.
+    lib = math if q.ndim == 1 else np
+    q_aa, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
+    xp, zp = _planar_foot(q_hip, q_knee, geom, lib)
+    y = geom.side_sign * geom.hip_offset_y
+    c, s = lib.cos(q_aa), lib.sin(q_aa)
+    # hip_mount + Rx(q_aa) @ (xp, y, zp)
+    foot = np.empty_like(q)
+    foot[..., 0] = xp
+    foot[..., 1] = c * y - s * zp
+    foot[..., 2] = s * y + c * zp
+    foot += geom.hip_mount
+    return foot
 
 
 def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray:
@@ -305,15 +321,34 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
     leg swings away from its home configuration.
     """
     q = np.asarray(q, dtype=float).reshape(4, 3)
-    z_hat = np.array([0.0, 0.0, 1.0])
-    normal = pose.rotation() @ z_hat
+    normal = pose.rotation() @ np.array([0.0, 0.0, 1.0])
     home_corners = platform.home_center + platform.corner_offsets
+    home_axes = _home_socket_axes(
+        tuple(map(tuple, home_corners.tolist())),
+        tuple(
+            (tuple(g.hip_mount.tolist()), g.l_upper, g.l_lower, g.hip_offset_y, g.side, g.knee_sign)
+            for g in robot
+        ),
+    )
     angles = np.empty(4)
-    for i, geom in enumerate(robot):
-        q_home = leg_ik(home_corners[i], geom)
-        socket = _lower_link_rotation(q[i]) @ (_lower_link_rotation(q_home).T @ z_hat)
+    for i in range(4):
+        socket = _lower_link_rotation(q[i]) @ home_axes[i]
         angles[i] = math.degrees(math.acos(min(1.0, max(-1.0, float(socket @ normal)))))
     return angles
+
+
+@functools.lru_cache(maxsize=16)
+def _home_socket_axes(home_corners: tuple, legs: tuple) -> np.ndarray:
+    # Socket axis of each lower link at the home pose, (4, 3) and read-only.
+    # Keyed on geometry values, not objects: LegGeometry and
+    # PlatformGeometry are mutable, so an object key could go stale.
+    z_hat = np.array([0.0, 0.0, 1.0])
+    axes = np.array([
+        _lower_link_rotation(leg_ik(np.array(corner), LegGeometry(*leg))).T @ z_hat
+        for corner, leg in zip(home_corners, legs)
+    ])
+    axes.flags.writeable = False
+    return axes
 
 
 def check_pose_bounds(pose: PlatformPose, limits: WorkspaceLimits):

@@ -26,6 +26,9 @@ from .trajectory import Trajectory
 
 MAGIC = "# quadstage"
 FLOAT_FORMAT = ".9g"
+# One unit in the ninth significant digit: how far a written time may be
+# from the k * dt it was written from.
+TIME_RTOL = 1e-8
 
 TRAJECTORY_KIND = "trajectory"
 JOINT_TARGETS_KIND = "joint_targets"
@@ -56,6 +59,10 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp_path, path)
@@ -123,14 +130,41 @@ def write_trajectory(path, traj: Trajectory, config_hash: str) -> None:
     write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
 
 
-def read_trajectory(path, fallback_dt: float | None = None) -> tuple[str, Trajectory]:
+def _sample_times(path, t: np.ndarray, dt: float | None) -> tuple[float, np.ndarray]:
+    """dt and the exact time column k*dt of a table sampled at t_k = k*dt.
+
+    dt is the configured step; without one it is taken from the first gap.
+    The written t column must match k*dt to the precision it was written
+    with, and is then rebuilt as k*dt, so a dt without a short decimal
+    form (1/240 s) survives the round trip.
+    """
+    if dt is None:
+        if len(t) < 2:
+            raise LogFormatError(f"{path}: fewer than two samples, dt must be given")
+        dt = float(t[1] - t[0])
+    exact = np.arange(len(t)) * dt
+    bad = np.flatnonzero(np.abs(t - exact) > TIME_RTOL * np.abs(exact))
+    if bad.size:
+        k = int(bad[0])
+        raise LogFormatError(
+            f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}"
+        )
+    return dt, exact
+
+
+def read_trajectory(path, dt: float | None = None) -> tuple[str, Trajectory]:
+    """Trajectory artifact at path.
+
+    dt is the configured time step (default: the first gap of the t
+    column).  The t column must equal k*dt to its written precision and is
+    rebuilt as exactly k*dt; LogFormatError names the file and first row
+    that does not match.
+    """
     config_hash, _, data = read_table(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS)
     if len(data) == 0:
         raise LogFormatError(f"{path}: empty trajectory")
-    dt = float(data[1, 0] - data[0, 0]) if len(data) > 1 else fallback_dt
-    if dt is None:
-        raise LogFormatError(f"{path}: single-sample trajectory needs an explicit dt")
-    return config_hash, Trajectory(dt, data[:, 0], data[:, 1:4], data[:, 4:7])
+    dt, t = _sample_times(path, data[:, 0], dt)
+    return config_hash, Trajectory(dt, t, data[:, 1:4], data[:, 4:7])
 
 
 def write_joint_targets(path, t, q, config_hash: str) -> None:
@@ -148,18 +182,14 @@ def write_log(path, log: SimLog, config_hash: str) -> None:
     write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, rows)
 
 
-def read_log(path, fallback_dt: float | None = None) -> tuple[str, SimLog]:
+def read_log(path, dt: float | None = None) -> tuple[str, SimLog]:
+    """Simulation log artifact at path; dt and the t column as in read_trajectory."""
     config_hash, _, data = read_table(path, SIM_LOG_KIND, SIM_LOG_COLUMNS)
     n = NUM_JOINTS
-    if len(data) > 1:
-        dt = float(data[1, 0] - data[0, 0])
-    elif fallback_dt is not None:
-        dt = fallback_dt
-    else:
-        raise LogFormatError(f"{path}: log too short to infer dt")
+    dt, t = _sample_times(path, data[:, 0], dt)
     log = SimLog(
         dt=dt,
-        t=data[:, 0],
+        t=t,
         q_target=data[:, 1 : 1 + n],
         q=data[:, 1 + n : 1 + 2 * n],
         qdot=data[:, 1 + 2 * n : 1 + 3 * n],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import signal
 
-from .geometry import align_vectors, line_closest_midpoint, rotation_to_euler
+from .geometry import align_vectors, cross, line_closest_midpoint, rotation_to_euler
 from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, leg_fk
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
@@ -98,6 +98,34 @@ class JointRmse:
         return self.per_joint_deg.reshape(4, 3).mean(axis=1)
 
 
+def _triad(points) -> np.ndarray:
+    # Corner axis triad (..., 3, 3): FL->BL, FL->FR and their cross product,
+    # from corner points (..., 4, 3) ordered FL/FR/BL/BR.
+    x_axis = points[..., 2, :] - points[..., 0, :]
+    y_axis = points[..., 1, :] - points[..., 0, :]
+    return np.stack([x_axis, y_axis, cross(x_axis, y_axis)], axis=-2)
+
+
+def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str):
+    # Position (..., 3) and Euler angles (..., 3) over the leading axes of
+    # q (..., 12): one call per leg to leg_fk and one per batch to each
+    # geometry function, so a stack is reconstructed in a single pass.
+    if z_offset_mode not in (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM):
+        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
+    feet = np.stack([leg_fk(q[..., 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
+                    axis=-2)
+    fl, fr, bl, br = np.moveaxis(feet, -2, 0)
+    center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
+    # align_vectors unit-normalizes both triads itself.
+    rotation = align_vectors(_triad(platform.corner_offsets), _triad(feet))
+    if z_offset_mode == Z_OFFSET_PLATFORM:
+        offset_dir = rotation[..., 2]  # R @ z_hat
+    else:
+        offset_dir = np.array([0.0, 0.0, 1.0])
+    center = center_corners + platform.z_offset * offset_dir
+    return center - platform.home_center, rotation_to_euler(rotation)
+
+
 def reconstruct_pose(
     q,
     robot,
@@ -112,29 +140,14 @@ def reconstruct_pose(
     tilt) or along the reconstructed platform normal ('platform', exact
     for any attainable pose).  Orientation aligns the nominal corner triad
     (FL->BL, FL->FR, and their cross product) onto the measured one.
+
+    This is the single-sample case of reconstruct_series: both run the
+    same code.
     """
-    if z_offset_mode not in (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM):
-        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
     q = np.asarray(q, dtype=float)
-    feet = np.array([leg_fk(q[3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)])
-    fl, fr, bl, br = feet
-    center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
-
-    def triad(points) -> np.ndarray:
-        p_fl, p_fr, p_bl, _ = points
-        x_axis = p_bl - p_fl
-        y_axis = p_fr - p_fl
-        z_axis = np.cross(x_axis, y_axis)
-        axes = np.stack([x_axis, y_axis, z_axis])
-        return axes / np.linalg.norm(axes, axis=1)[:, None]
-
-    rotation = align_vectors(triad(platform.corner_offsets), triad(feet))
-    if z_offset_mode == Z_OFFSET_PLATFORM:
-        offset_dir = rotation @ np.array([0.0, 0.0, 1.0])
-    else:
-        offset_dir = np.array([0.0, 0.0, 1.0])
-    center = center_corners + platform.z_offset * offset_dir
-    return PlatformPose(center - platform.home_center, rotation_to_euler(rotation))
+    if q.shape != (NUM_JOINTS,):
+        raise ValueError(f"q must be ({NUM_JOINTS},), got {q.shape}")
+    return PlatformPose(*_reconstruct(q, robot, platform, z_offset_mode))
 
 
 def reconstruct_series(
@@ -144,17 +157,19 @@ def reconstruct_series(
     dt: float,
     z_offset_mode: str = Z_OFFSET_WORLD,
 ) -> PoseSeries:
-    """reconstruct_pose applied to every row of an (N, 12) joint log."""
+    """reconstruct_pose applied to every row of an (N, 12) joint log.
+
+    The whole log is reconstructed in one array pass.  A failing check
+    (ValueError for a zero diagonal, ParallelLinesError,
+    DegenerateInputError, a non-rotation) raises the same exception type
+    as reconstruct_pose, with the first offending sample index in its
+    message; a GimbalLockWarning is issued once and names the first
+    locked sample.
+    """
     q_series = np.asarray(q_series, dtype=float)
     if q_series.ndim != 2 or q_series.shape[1] != NUM_JOINTS:
         raise ValueError("q_series must be (N, 12)")
-    positions = np.empty((len(q_series), 3))
-    orientations = np.empty((len(q_series), 3))
-    for k, q in enumerate(q_series):
-        pose = reconstruct_pose(q, robot, platform, z_offset_mode)
-        positions[k] = pose.position
-        orientations[k] = pose.orientation_deg
-    return PoseSeries(dt, positions, orientations)
+    return PoseSeries(dt, *_reconstruct(q_series, robot, platform, z_offset_mode))
 
 
 def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:

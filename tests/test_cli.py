@@ -94,6 +94,16 @@ class TestPipeline:
         text = (runs_root / "slow" / "config_snapshot.cfg").read_text()
         assert f"dt = {1.0 / 240.0!r}" in text
 
+    @pytest.mark.parametrize("flags", [("--profile", "sim"), ("--dt", "0.000333333333333")])
+    def test_non_decimal_rate_runs_end_to_end(self, runs_root, fast_config, flags):
+        # 1/240 s and 1/3 ms are not written exactly with 9 significant
+        # digits; the readers rebuild t = k * dt from the configured dt.
+        assert run_cli("all", "--config", fast_config, "--run-id", "rate", *flags) == 0
+        dt = 1.0 / 240.0 if flags[0] == "--profile" else float(flags[1])
+        _, log = read_log(runs_root / "rate" / "sim_log.csv", dt=dt)
+        assert np.array_equal(log.t, np.arange(len(log)) * dt)
+        assert (runs_root / "rate" / "report.txt").exists()
+
     def test_traj_override(self, runs_root, fast_config):
         assert run_cli(
             "gen", "--config", fast_config, "--run-id", "circ", "--traj", "circular"

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,26 @@ class TestTables:
         assert len(back) == len(traj)
         assert np.max(np.abs(back.positions - traj.positions)) <= 5e-9 * 12.0
         assert abs(back.dt - traj.dt) < 1e-12
+
+    def test_time_column_checked_against_dt(self, tmp_path):
+        dt = 1.0 / 240.0
+        traj = gen_sine(SineParams(0.2, 0.1, frequency=4.0, amplitude=12.0), dt)
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj, "f" * 16)
+        _, back = read_trajectory(path, dt=dt)
+        assert np.array_equal(back.t, traj.t)
+        with pytest.raises(LogFormatError, match=r"traj\.csv: row 1: "):
+            read_trajectory(path, dt=1e-3)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_artifact_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "plot.csv"
+        old = os.umask(umask)
+        try:
+            write_table(path, "plot", "0" * 16, ["t", "target", "actual"], np.zeros((2, 3)))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
     def test_sim_log_columns_schema(self):
         assert len(SIM_LOG_COLUMNS) == 1 + 5 * 12

@@ -51,13 +51,18 @@ class TestEulerRotation:
         assert np.max(np.abs(recovered - np.asarray(angles))) < 1e-9
 
     def test_round_trip_randomized(self, rng):
+        matrices, rows = [], []
         for _ in range(1000):
             angles = rng.uniform([-180, -85, -180], [180, 85, 180])
-            recovered = rotation_to_euler(euler_to_rotation(angles))
+            matrices.append(euler_to_rotation(angles))
+            recovered = rotation_to_euler(matrices[-1])
+            rows.append(recovered)
             err = np.abs(recovered - angles)
             err[0] = min(err[0], 360 - err[0])
             err[2] = min(err[2], 360 - err[2])
             assert np.max(err) < 1e-9
+        stacked = rotation_to_euler(np.reshape(matrices, (10, 100, 3, 3)))
+        assert np.max(np.abs(stacked.reshape(1000, 3) - rows)) < 1e-12
 
     def test_gimbal_lock_flagged(self):
         with pytest.warns(GimbalLockWarning):
@@ -68,6 +73,25 @@ class TestEulerRotation:
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             rotation_to_euler(np.diag([1.0, 2.0, 1.0]))
+
+    def test_batch_names_first_non_rotation(self):
+        stack = np.tile(np.eye(3), (5, 1, 1))
+        stack[3] = np.diag([1.0, 2.0, 1.0])
+        stack[4] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="at sample 3$"):
+            rotation_to_euler(stack)
+
+    def test_batch_gimbal_lock_warns_once(self):
+        inputs = ([0, 0, 0], [25, 90, 0], [0, 10, 0], [5, -90, 0])
+        stack = np.array([euler_to_rotation(a) for a in inputs])
+        with pytest.warns(GimbalLockWarning) as record:
+            angles = rotation_to_euler(stack)
+        assert len(record) == 1
+        assert str(record[0].message).endswith("at sample 1")
+        assert angles[1, 1] == pytest.approx(90.0)
+        assert angles[3, 1] == pytest.approx(-90.0)
+        assert angles[1, 2] == 0.0 and angles[3, 2] == 0.0
+        assert angles[2] == pytest.approx([0.0, 10.0, 0.0])
 
 
 class TestAlignVectors:
@@ -93,6 +117,7 @@ class TestAlignVectors:
             align_vectors([[1, 0, 0]], [[0, 1, 0]])
 
     def test_recovers_random_rotations(self, rng):
+        sources, targets, rows = [], [], []
         for _ in range(1000):
             r = random_rotation(rng)
             source = rng.normal(size=(3, 3))
@@ -100,6 +125,30 @@ class TestAlignVectors:
                 source = rng.normal(size=(3, 3))
             recovered = align_vectors(source, source @ r.T)
             assert np.max(np.abs(recovered - r)) < 1e-9
+            sources.append(source)
+            targets.append(source @ r.T)
+            rows.append(recovered)
+        stacked = align_vectors(sources, targets)
+        assert stacked.shape == (1000, 3, 3)
+        assert np.max(np.abs(stacked - rows)) < 1e-12
+
+    def test_one_source_against_stacked_targets(self, rng):
+        source = rng.normal(size=(4, 3))
+        targets = [source @ random_rotation(rng).T for _ in range(6)]
+        stacked = align_vectors(source, targets)
+        for target, got in zip(targets, stacked):
+            assert np.max(np.abs(got - align_vectors(source, target))) < 1e-12
+
+    def test_batch_names_first_degenerate_sample(self):
+        source = np.tile(np.eye(3), (5, 1, 1))
+        target = source.copy()
+        target[1, 2] = 0.0  # zero vector
+        with pytest.raises(DegenerateInputError, match="zero-length vector.* at sample 1$"):
+            align_vectors(source, target)
+        target = source.copy()
+        target[3] = [[1, 0, 0], [2, 0, 0], [-1, 0, 0]]  # collinear
+        with pytest.raises(DegenerateInputError, match="collinear.* at sample 3$"):
+            align_vectors(source, target)
 
     def test_noisy_output_still_proper(self, rng):
         for _ in range(200):
@@ -131,6 +180,7 @@ class TestLineClosestMidpoint:
             line_closest_midpoint([0, 0, 0], [0, 0, 0], [0, 1, 0], [1, 0, 0])
 
     def test_swap_symmetry(self, rng):
+        lines, rows = [], []
         for _ in range(500):
             p1, p2 = rng.normal(size=(2, 3)) * 10
             d1, d2 = rng.normal(size=(2, 3))
@@ -139,3 +189,18 @@ class TestLineClosestMidpoint:
             a = line_closest_midpoint(p1, d1, p2, d2)
             b = line_closest_midpoint(p2, d2, p1, d1)
             assert np.max(np.abs(a - b)) < 1e-12
+            lines.append((p1, d1, p2, d2))
+            rows.append(a)
+        stacked = line_closest_midpoint(*np.moveaxis(np.array(lines), 1, 0))
+        assert np.max(np.abs(stacked - rows)) < 1e-12
+
+    def test_batch_names_first_bad_sample(self):
+        p = np.zeros((4, 3))
+        d1 = np.tile([1.0, 0.0, 0.0], (4, 1))
+        d2 = np.tile([0.0, 1.0, 0.0], (4, 1))
+        d2[2] = [2.0, 0.0, 0.0]  # parallel to d1
+        with pytest.raises(ParallelLinesError, match="at sample 2$"):
+            line_closest_midpoint(p, d1, p, d2)
+        d1[1] = 0.0
+        with pytest.raises(ValueError, match="nonzero at sample 1$"):
+            line_closest_midpoint(p, d1, p, d2)

@@ -107,10 +107,15 @@ class TestLegIk:
     def test_fk_ik_round_trip(self, rng):
         for side in ("left", "right"):
             geom = sample_leg(side)
+            qs, feet = [], []
             for _ in range(500):
                 p = random_reachable_target(rng, geom)
                 q = leg_ik(p, geom)
                 assert np.max(np.abs(leg_fk(q, geom) - p)) < 1e-6
+                qs.append(q)
+                feet.append(leg_fk(q, geom))
+            stacked = leg_fk(np.reshape(qs, (50, 10, 3)), geom)
+            assert np.max(np.abs(stacked.reshape(500, 3) - feet)) < 1e-12
 
     def test_mirror_symmetry(self, rng):
         left = sample_leg("left")
@@ -237,6 +242,27 @@ class TestWorkspaceCheck:
         assert report.valid
         assert np.max(report.pivot_angles_deg) - np.min(report.pivot_angles_deg) < 1e-9
         assert np.max(report.pivot_angles_deg) < 1e-6  # sockets assembled at home
+
+    def test_pivots_follow_in_place_geometry_edits(self, cfg):
+        # The home socket axes are reused between calls; after an in-place
+        # edit of the (mutable) geometry the sockets must be re-assembled at
+        # the new home, where every pivot is zero again.
+        home = PlatformPose.home()
+
+        def home_q_and_pivots():
+            q = solve_platform_ik(home, cfg.robot, cfg.platform)
+            return q, pivot_angles_deg(q, cfg.robot, cfg.platform, home)
+
+        q_before, pivots = home_q_and_pivots()
+        assert np.max(pivots) < 1e-6
+        cfg.platform.home_center[0] += 40.0
+        q_moved, pivots = home_q_and_pivots()
+        assert np.max(np.abs(q_moved - q_before)) > 1e-3
+        assert np.max(pivots) < 1e-6
+        cfg.robot[1].l_lower += 15.0
+        q_longer, pivots = home_q_and_pivots()
+        assert np.max(np.abs(q_longer - q_moved)) > 1e-3
+        assert np.max(pivots) < 1e-6
 
     def test_roll_bound(self, cfg):
         report = workspace_check(

@@ -1,0 +1,139 @@
+"""Batched pose reconstruction against a per-sample reference loop.
+
+The reference below is the original one-sample-at-a-time reconstruction
+(scalar FK, determinant line midpoint, single-matrix Kabsch and math-module
+Euler extraction).  The batched reconstruct_series reorders float
+operations, so the two agree to a tolerance fixed here from float64
+round-off, not bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from quadstage import default_config
+from quadstage.geometry import DegenerateInputError, rot_x
+from quadstage.kinematics import (
+    PlatformPose,
+    UnreachableError,
+    leg_ik,
+    solve_platform_ik,
+)
+from quadstage.postprocess import reconstruct_pose, reconstruct_series
+
+POSITION_TOL_MM = 1e-9
+ANGLE_TOL_DEG = 1e-9
+
+LIMITS = default_config().limits
+
+
+def reference_leg_fk(q_leg, geom):
+    q_aa, q_hip, q_knee = q_leg
+    xp = geom.l_upper * math.sin(q_hip) + geom.l_lower * math.sin(q_hip + q_knee)
+    zp = -(geom.l_upper * math.cos(q_hip) + geom.l_lower * math.cos(q_hip + q_knee))
+    return geom.hip_mount + rot_x(q_aa) @ np.array([xp, geom.side_sign * geom.hip_offset_y, zp])
+
+
+def reference_midpoint(p1, d1, p2, d2):
+    u1 = d1 / np.linalg.norm(d1)
+    u2 = d2 / np.linalg.norm(d2)
+    n = np.cross(u1, u2)
+    nn = float(n @ n)
+    r = p2 - p1
+    t1 = float(np.linalg.det(np.stack([r, u2, n]))) / nn
+    t2 = float(np.linalg.det(np.stack([r, u1, n]))) / nn
+    return 0.5 * (p1 + t1 * u1 + p2 + t2 * u2)
+
+
+def reference_align(s, t):
+    h = (s / np.linalg.norm(s, axis=1)[:, None]).T @ (t / np.linalg.norm(t, axis=1)[:, None])
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+
+
+def reference_euler(r):
+    ry = math.asin(min(1.0, max(-1.0, r[0, 2])))
+    rx = math.atan2(-r[1, 2], r[2, 2])
+    rz = math.atan2(-r[0, 1], r[0, 0])
+    return np.degrees([rx, ry, rz])
+
+
+def reference_triad(points):
+    p_fl, p_fr, p_bl, _ = points
+    axes = np.stack([p_bl - p_fl, p_fr - p_fl, np.cross(p_bl - p_fl, p_fr - p_fl)])
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+def reference_series(q_series, robot, platform, mode):
+    """The per-sample loop: one reconstruction per row of the joint log."""
+    positions, orientations = [], []
+    for q in q_series:
+        feet = np.array([reference_leg_fk(q[3 * i : 3 * i + 3], g) for i, g in enumerate(robot)])
+        fl, fr, bl, br = feet
+        center = reference_midpoint(fl, br - fl, fr, bl - fr)
+        rotation = reference_align(reference_triad(platform.corner_offsets), reference_triad(feet))
+        offset_dir = rotation @ [0.0, 0.0, 1.0] if mode == "platform" else np.array([0.0, 0.0, 1.0])
+        positions.append(center + platform.z_offset * offset_dir - platform.home_center)
+        orientations.append(reference_euler(rotation))
+    return np.array(positions), np.array(orientations)
+
+
+def wrapped_deg(a, b):
+    return np.abs((a - b + 180.0) % 360.0 - 180.0)
+
+
+@pytest.fixture(scope="module")
+def stage():
+    return default_config()
+
+
+pose_values = st.tuples(
+    *(st.floats(-bound, bound) for bound in (LIMITS.x_max, LIMITS.y_max, LIMITS.z_max)),
+    *(st.floats(-LIMITS.rot_max, LIMITS.rot_max) for _ in range(3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poses=st.lists(pose_values, min_size=1, max_size=12),
+    mode=st.sampled_from(["world", "platform"]),
+    noise_rad=st.sampled_from([0.0, 1e-3, 2e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_series_matches_loop(stage, poses, mode, noise_rad, seed):
+    # Joint noise makes the diagonals skew and the corner triad non-rigid,
+    # as in a tracking log.
+    rows = []
+    for values in poses:
+        pose = PlatformPose(values[:3], values[3:])
+        try:
+            rows.append(solve_platform_ik(pose, stage.robot, stage.platform))
+        except UnreachableError:
+            continue
+    assume(rows)
+    q = np.array(rows) + noise_rad * np.random.default_rng(seed).standard_normal((len(rows), 12))
+    series = reconstruct_series(q, stage.robot, stage.platform, 1e-3, mode)
+    positions, orientations = reference_series(q, stage.robot, stage.platform, mode)
+    assert np.max(np.abs(series.positions - positions)) <= POSITION_TOL_MM
+    assert np.max(wrapped_deg(series.orientations_deg, orientations)) <= ANGLE_TOL_DEG
+    first = reconstruct_pose(q[0], stage.robot, stage.platform, mode)
+    assert np.max(np.abs(first.position - positions[0])) <= POSITION_TOL_MM
+    assert np.max(wrapped_deg(first.orientation_deg, orientations[0])) <= ANGLE_TOL_DEG
+
+
+def test_degenerate_row_names_sample(stage):
+    # Row 2 puts the back-left foot on the front-left one: the FL->BL edge
+    # of the corner triad has zero length.
+    home = solve_platform_ik(PlatformPose.home(), stage.robot, stage.platform)
+    q = np.tile(home, (5, 1))
+    fl_foot = stage.platform.home_center + stage.platform.corner_offsets[0]
+    q[2, 6:9] = leg_ik(fl_foot, stage.robot[2])
+    with pytest.raises(DegenerateInputError, match="at sample 2"):
+        reconstruct_series(q, stage.robot, stage.platform, 1e-3)
+    with pytest.raises(DegenerateInputError) as err:
+        reconstruct_pose(q[2], stage.robot, stage.platform)
+    assert "sample" not in str(err.value)
