@@ -24,7 +24,15 @@ import sys
 import numpy as np
 
 from . import logio
-from .config import Config, apply_profile, config_hash, default_config, dumps_config, load_config
+from .config import (
+    Config,
+    apply_profile,
+    config_hash,
+    default_config,
+    dumps_config,
+    load_config,
+    loads_config,
+)
 from .kinematics import solve_platform_ik
 from .postprocess import (
     PoseSeries,
@@ -70,7 +78,10 @@ def _require_artifact(stage: str, path: str, producer: str) -> None:
         raise StageError(stage, f"missing upstream artifact {path}; run '{producer}' first")
 
 
-def _check_hash(stage: str, path: str, found: str, expected: str) -> None:
+def _check_hash(stage: str, path: str, kind: str, expected: str) -> None:
+    """Compare an artifact's config hash before any of its rows is parsed,
+    so a changed config is reported as such rather than as a row error."""
+    found = logio.read_config_hash(path, kind)
     if found != expected:
         raise StageError(
             stage,
@@ -93,8 +104,8 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     traj_path = os.path.join(run_dir, TRAJECTORY_FILE)
     _require_artifact("ik", traj_path, "gen")
-    found, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
-    _check_hash("ik", traj_path, found, digest)
+    _check_hash("ik", traj_path, logio.TRAJECTORY_KIND, digest)
+    _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     q = np.empty((len(traj), 12))
     for k in range(len(traj)):
         q[k] = solve_platform_ik(traj.pose(k), cfg.robot, cfg.platform, cfg.limits)
@@ -107,15 +118,15 @@ def stage_sim(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     targets_path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     _require_artifact("sim", targets_path, "ik")
-    found, t, q_targets = logio.read_joint_targets(targets_path)
-    _check_hash("sim", targets_path, found, digest)
+    _check_hash("sim", targets_path, logio.JOINT_TARGETS_KIND, digest)
+    _, t, q_targets = logio.read_joint_targets(targets_path)
     if len(t) > 1 and abs((t[1] - t[0]) - cfg.sim.dt) > 1e-9:
         raise StageError(
             "sim",
             f"joint targets sampled at dt={t[1] - t[0]:.6g} s but sim.dt={cfg.sim.dt:.6g} s; "
             "regenerate with matching rates (see --profile)",
         )
-    log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+    log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
     path = os.path.join(run_dir, SIM_LOG_FILE)
     logio.write_log(path, log, digest)
     return [path]
@@ -127,10 +138,10 @@ def stage_post(cfg: Config, run_dir: str) -> list:
     log_path = os.path.join(run_dir, SIM_LOG_FILE)
     _require_artifact("post", traj_path, "gen")
     _require_artifact("post", log_path, "sim")
-    found, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
-    _check_hash("post", traj_path, found, digest)
-    found, log = logio.read_log(log_path, dt=cfg.sim.dt)
-    _check_hash("post", log_path, found, digest)
+    _check_hash("post", traj_path, logio.TRAJECTORY_KIND, digest)
+    _check_hash("post", log_path, logio.SIM_LOG_KIND, digest)
+    _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
+    _, log = logio.read_log(log_path, dt=cfg.sim.dt)
 
     target = differentiate(PoseSeries.from_trajectory(traj))
     recon = reconstruct_series(log.q, cfg.robot, cfg.platform, log.dt,
@@ -190,17 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args) -> Config:
+    """The config file (or the built-in config) with the command-line
+    overrides applied, checked like a config file."""
     cfg = load_config(args.config) if args.config else default_config()
     if args.profile:
         apply_profile(cfg, args.profile)
     if args.traj:
         cfg.trajectory.type = args.traj
     if args.dt is not None:
-        if args.dt <= 0:
-            raise ValueError("--dt must be positive")
         cfg.trajectory.dt = args.dt
         cfg.sim.dt = args.dt
-    return cfg
+    return loads_config(dumps_config(cfg))
 
 
 def main(argv=None) -> int:

@@ -6,20 +6,30 @@ The format is sections and key/value pairs::
     [section]
     key = value
 
+Each section is a dataclass (``_SECTIONS`` names them), and each of its
+fields is the only declaration of a key.  The field order is the file
+order.  The annotation picks the parser and formatter (``float``, ``int``,
+``bool``, ``float | np.ndarray`` for per-joint gains); vectors and choice
+strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
+check lives in its dataclass's ``__post_init__``; the one check across
+sections, the filter cutoff below the Nyquist rate of ``sim.dt``, is in
+``Config.__post_init__``.
+
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
-the offending line number.  Floats are written with shortest round-trip
-precision so write -> load is exact.
+the offending line number.  Every error about a value names it as
+``<section>.<key>: <reason>``.  Floats are written with shortest
+round-trip precision so write -> load is exact.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinematics import LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits
+from .kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits
 from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams
 from .simenv import ActuatorParams, SimParams
 from .trajectory import (
@@ -40,137 +50,9 @@ class ConfigError(ValueError):
     """Config file cannot be parsed or violates an invariant."""
 
 
-@dataclass
-class RobotConfig:
-    hip_mount_fl: np.ndarray = field(default_factory=lambda: np.array([200.0, 150.0, 0.0]))
-    hip_mount_fr: np.ndarray = field(default_factory=lambda: np.array([200.0, -150.0, 0.0]))
-    hip_mount_bl: np.ndarray = field(default_factory=lambda: np.array([-200.0, 150.0, 0.0]))
-    hip_mount_br: np.ndarray = field(default_factory=lambda: np.array([-200.0, -150.0, 0.0]))
-    hip_offset_y: float = 0.0
-    l_upper: float = 375.0
-    l_lower: float = 375.0
-    knee_sign_front: int = 1
-    knee_sign_back: int = -1
-    joint_limit_deg: float = 170.0
-
-
-@dataclass
-class PlatformConfig:
-    length_x: float = 400.0
-    width_y: float = 300.0
-    z_offset: float = 20.0
-    home_height: float = 340.0
-
-
-@dataclass
-class TrajectoryConfig:
-    """Parameters for all four generator types; `type` picks one."""
-
-    type: str = "sine"
-    dt: float = HW_RATE_DT
-    # sine
-    run_time: float = 3.0
-    wait_time: float = 2.0
-    motion: str = "translation"
-    axis: str = "x"
-    frequency: float = 2.0
-    amplitude: float = 20.0
-    offsets: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # step
-    step_time: float = 1.0
-    total_time: float = 4.0
-    step_target: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    # circular
-    radius: float = 20.0
-    rot_angle_deg: float = 10.0
-    rounds: int = 20
-    circle_frequency: float = 2.0
-    direction: str = "cw"
-    translation_enabled: bool = True
-    rotation_enabled: bool = True
-    rotation_mode: str = "oscillate"
-    # arbitrary
-    waypoints: np.ndarray = field(default_factory=lambda: np.zeros((1, 6)))
-    segment_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    interp: str = "linear"
-
-
-@dataclass
-class PostprocessConfig:
-    z_offset_mode: str = Z_OFFSET_WORLD
-
-
-@dataclass
-class Config:
-    """Fully validated configuration for the whole pipeline."""
-
-    robot_config: RobotConfig
-    platform_config: PlatformConfig
-    limits: WorkspaceLimits
-    actuator: ActuatorParams
-    sim: SimParams
-    filter_params: FilterParams
-    trajectory: TrajectoryConfig
-    postprocess: PostprocessConfig
-    robot: list = field(init=False)
-    platform: PlatformGeometry = field(init=False)
-
-    def __post_init__(self):
-        rc = self.robot_config
-        self.robot = [
-            LegGeometry(rc.hip_mount_fl, rc.l_upper, rc.l_lower, rc.hip_offset_y,
-                        side="left", knee_sign=rc.knee_sign_front,
-                        joint_limit_deg=rc.joint_limit_deg),
-            LegGeometry(rc.hip_mount_fr, rc.l_upper, rc.l_lower, rc.hip_offset_y,
-                        side="right", knee_sign=rc.knee_sign_front,
-                        joint_limit_deg=rc.joint_limit_deg),
-            LegGeometry(rc.hip_mount_bl, rc.l_upper, rc.l_lower, rc.hip_offset_y,
-                        side="left", knee_sign=rc.knee_sign_back,
-                        joint_limit_deg=rc.joint_limit_deg),
-            LegGeometry(rc.hip_mount_br, rc.l_upper, rc.l_lower, rc.hip_offset_y,
-                        side="right", knee_sign=rc.knee_sign_back,
-                        joint_limit_deg=rc.joint_limit_deg),
-        ]
-        pc = self.platform_config
-        if pc.length_x <= 0 or pc.width_y <= 0:
-            raise ConfigError("platform.length_x/width_y must be positive")
-        if pc.home_height <= 0:
-            raise ConfigError("platform.home_height must be positive")
-        hx, hy, z0 = pc.length_x / 2.0, pc.width_y / 2.0, pc.z_offset
-        corners = np.array(
-            [[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]]
-        )
-        self.platform = PlatformGeometry(
-            corner_offsets=corners,
-            z_offset=z0,
-            home_center=np.array([0.0, 0.0, -pc.home_height + z0]),
-        )
-
-    def build_trajectory(self) -> Trajectory:
-        """Generate the trajectory described by the [trajectory] block."""
-        tc = self.trajectory
-        if tc.type == "sine":
-            params = SineParams(tc.run_time, tc.wait_time, tc.motion, tc.axis,
-                                tc.frequency, tc.amplitude, tc.offsets)
-            return gen_sine(params, tc.dt, self.limits)
-        if tc.type == "step":
-            target = PlatformPose(tc.step_target[:3], tc.step_target[3:])
-            return gen_step(target, tc.step_time, tc.total_time, tc.dt, self.limits)
-        if tc.type == "circular":
-            params = CircularParams(tc.radius, tc.rot_angle_deg, tc.rounds,
-                                    tc.circle_frequency, tc.direction,
-                                    tc.translation_enabled, tc.rotation_enabled,
-                                    tc.rotation_mode)
-            return gen_circular(params, tc.dt, self.limits)
-        if tc.type == "arbitrary":
-            poses = [PlatformPose(w[:3], w[3:]) for w in np.atleast_2d(tc.waypoints)]
-            return gen_arbitrary(poses, list(tc.segment_times), tc.dt, tc.interp, self.limits)
-        raise ConfigError(f"trajectory.type: unknown type {tc.type!r}")
-
-
 # ---------------------------------------------------------------------------
-# Schema: (section, key) -> (parse, format) plus the dataclass field it maps
-# to.  Parsing is strict; formatting uses repr so floats round-trip exactly.
+# Value codecs: (parse, format) pairs.  Parsing is strict; formatting uses
+# repr so floats round-trip exactly.
 
 
 def _parse_float(text: str) -> float:
@@ -216,19 +98,6 @@ def _parse_pose_rows(text: str) -> np.ndarray:
     return np.array([_parse_floats(row, 6) for row in rows])
 
 
-def _choice(*options):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ConfigError(f"expected one of {', '.join(options)}; got {text!r}")
-        return text
-
-    return parse
-
-
-def _fmt_float(value) -> str:
-    return repr(float(value))
-
-
 def _fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in np.atleast_1d(values))
 
@@ -244,93 +113,183 @@ def _fmt_pose_rows(values) -> str:
     return " ; ".join(_fmt_floats(row) for row in np.atleast_2d(values))
 
 
-def _fmt_bool(value) -> str:
-    return "true" if value else "false"
-
-
-_VEC3 = (lambda s: _parse_floats(s, 3), _fmt_floats)
-_FLOAT = (_parse_float, _fmt_float)
-_INT = (_parse_int, lambda v: repr(int(v)))
-_BOOL = (_parse_bool, _fmt_bool)
-
-_SCHEMA = {
-    "robot": {
-        "hip_mount_fl": _VEC3,
-        "hip_mount_fr": _VEC3,
-        "hip_mount_bl": _VEC3,
-        "hip_mount_br": _VEC3,
-        "hip_offset_y": _FLOAT,
-        "l_upper": _FLOAT,
-        "l_lower": _FLOAT,
-        "knee_sign_front": _INT,
-        "knee_sign_back": _INT,
-        "joint_limit_deg": _FLOAT,
-    },
-    "platform": {
-        "length_x": _FLOAT,
-        "width_y": _FLOAT,
-        "z_offset": _FLOAT,
-        "home_height": _FLOAT,
-    },
-    "workspace": {
-        "x_max": _FLOAT,
-        "y_max": _FLOAT,
-        "z_max": _FLOAT,
-        "rot_max": _FLOAT,
-        "ball_pivot_max": _FLOAT,
-    },
-    "actuator": {
-        "tau_max": _FLOAT,
-        "gear_ratio": _FLOAT,
-        "kt_motor": _FLOAT,
-        "i_max": _FLOAT,
-        "reflected_inertia": _FLOAT,
-    },
-    "sim": {
-        "dt": _FLOAT,
-        "kp": (_parse_gains, _fmt_gains),
-        "kd": (_parse_gains, _fmt_gains),
-        "gravity": _FLOAT,
-        "payload_mass": _FLOAT,
-        "platform_mass": _FLOAT,
-        "gravity_compensation": _BOOL,
-    },
-    "filter": {
-        "cutoff_hz": _FLOAT,
-        "order": _INT,
-        "zero_phase": _BOOL,
-    },
-    "trajectory": {
-        "type": (_choice("sine", "step", "circular", "arbitrary"), str),
-        "dt": _FLOAT,
-        "run_time": _FLOAT,
-        "wait_time": _FLOAT,
-        "motion": (_choice("translation", "rotation"), str),
-        "axis": (_choice("x", "y", "z"), str),
-        "frequency": _FLOAT,
-        "amplitude": _FLOAT,
-        "offsets": _VEC3,
-        "step_time": _FLOAT,
-        "total_time": _FLOAT,
-        "step_target": (lambda s: _parse_floats(s, 6), _fmt_floats),
-        "radius": _FLOAT,
-        "rot_angle_deg": _FLOAT,
-        "rounds": _INT,
-        "circle_frequency": _FLOAT,
-        "direction": (_choice("cw", "ccw"), str),
-        "translation_enabled": _BOOL,
-        "rotation_enabled": _BOOL,
-        "rotation_mode": (_choice("oscillate", "continuous"), str),
-        "waypoints": (_parse_pose_rows, _fmt_pose_rows),
-        "segment_times": (lambda s: _parse_floats(s), _fmt_floats),
-        "interp": (_choice("linear", "cosine"), str),
-    },
-    "postprocess": {
-        "z_offset_mode": (_choice(Z_OFFSET_WORLD, Z_OFFSET_PLATFORM), str),
-    },
+# Codec of a field by its annotation string (every section's module defers
+# annotations), unless the field's metadata names one.
+_CODECS = {
+    "float": (_parse_float, lambda v: repr(float(v))),
+    "int": (_parse_int, lambda v: repr(int(v))),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "float | np.ndarray": (_parse_gains, _fmt_gains),
 }
 
-_SECTION_CLASSES = {
+
+def _floats(default, count: int | None = None):
+    """A float-vector field of `count` numbers (any number when None)."""
+    return field(
+        default_factory=lambda: np.array(default, dtype=float),
+        metadata={"codec": (lambda text: _parse_floats(text, count), _fmt_floats)},
+    )
+
+
+def _choice(*options: str):
+    """A string field holding one of `options`; the first is the default."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ConfigError(f"expected one of {', '.join(options)}; got {text!r}")
+        return text
+
+    return field(default=options[0], metadata={"codec": (parse, str)})
+
+
+def _check_positive(obj, *names: str) -> None:
+    for name in names:
+        if getattr(obj, name) <= 0:
+            raise ValueError(f"{name}: must be positive")
+
+
+# Sections defined here; workspace, actuator, sim and filter are the domain
+# dataclasses of the modules that use them.
+
+
+@dataclass
+class RobotConfig:
+    hip_mount_fl: np.ndarray = _floats([200.0, 150.0, 0.0], 3)
+    hip_mount_fr: np.ndarray = _floats([200.0, -150.0, 0.0], 3)
+    hip_mount_bl: np.ndarray = _floats([-200.0, 150.0, 0.0], 3)
+    hip_mount_br: np.ndarray = _floats([-200.0, -150.0, 0.0], 3)
+    hip_offset_y: float = 0.0
+    l_upper: float = 375.0
+    l_lower: float = 375.0
+    knee_sign_front: int = 1
+    knee_sign_back: int = -1
+    joint_limit_deg: float = 170.0
+
+    def __post_init__(self):
+        _check_positive(self, "l_upper", "l_lower")
+        for name in ("knee_sign_front", "knee_sign_back"):
+            if getattr(self, name) not in (-1, 1):
+                raise ValueError(f"{name}: must be +1 or -1")
+
+
+@dataclass
+class PlatformConfig:
+    length_x: float = 400.0
+    width_y: float = 300.0
+    z_offset: float = 20.0
+    home_height: float = 340.0
+
+    def __post_init__(self):
+        _check_positive(self, "length_x", "width_y", "home_height")
+        if self.z_offset < 0:
+            raise ValueError("z_offset: must be >= 0")
+
+
+@dataclass
+class TrajectoryConfig:
+    """Parameters for all four generator types; `type` picks one."""
+
+    type: str = _choice("sine", "step", "circular", "arbitrary")
+    dt: float = HW_RATE_DT
+    # sine
+    run_time: float = 3.0
+    wait_time: float = 2.0
+    motion: str = _choice("translation", "rotation")
+    axis: str = _choice("x", "y", "z")
+    frequency: float = 2.0
+    amplitude: float = 20.0
+    offsets: np.ndarray = _floats([0.0] * 3, 3)
+    # step
+    step_time: float = 1.0
+    total_time: float = 4.0
+    step_target: np.ndarray = _floats([0.0] * 6, 6)
+    # circular
+    radius: float = 20.0
+    rot_angle_deg: float = 10.0
+    rounds: int = 20
+    circle_frequency: float = 2.0
+    direction: str = _choice("cw", "ccw")
+    translation_enabled: bool = True
+    rotation_enabled: bool = True
+    rotation_mode: str = _choice("oscillate", "continuous")
+    # arbitrary
+    waypoints: np.ndarray = field(
+        default_factory=lambda: np.zeros((1, 6)),
+        metadata={"codec": (_parse_pose_rows, _fmt_pose_rows)},
+    )
+    segment_times: np.ndarray = _floats([])
+    interp: str = _choice("linear", "cosine")
+
+    def __post_init__(self):
+        _check_positive(self, "dt")
+
+
+@dataclass
+class PostprocessConfig:
+    z_offset_mode: str = _choice(Z_OFFSET_WORLD, Z_OFFSET_PLATFORM)
+
+
+@dataclass
+class Config:
+    """Fully validated configuration for the whole pipeline."""
+
+    robot_config: RobotConfig
+    platform_config: PlatformConfig
+    limits: WorkspaceLimits
+    actuator: ActuatorParams
+    sim: SimParams
+    filter_params: FilterParams
+    trajectory: TrajectoryConfig
+    postprocess: PostprocessConfig
+    robot: list = field(init=False)
+    platform: PlatformGeometry = field(init=False)
+
+    def __post_init__(self):
+        if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
+            raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
+        rc = self.robot_config
+        self.robot = [
+            LegGeometry(getattr(rc, f"hip_mount_{leg}"), rc.l_upper, rc.l_lower, rc.hip_offset_y,
+                        side="left" if leg[1] == "l" else "right",
+                        knee_sign=rc.knee_sign_front if leg[0] == "f" else rc.knee_sign_back,
+                        joint_limit_deg=rc.joint_limit_deg)
+            for leg in LEG_NAMES
+        ]
+        pc = self.platform_config
+        hx, hy, z0 = pc.length_x / 2.0, pc.width_y / 2.0, pc.z_offset
+        corners = np.array(
+            [[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]]
+        )
+        self.platform = PlatformGeometry(
+            corner_offsets=corners,
+            z_offset=z0,
+            home_center=np.array([0.0, 0.0, -pc.home_height + z0]),
+        )
+
+    def build_trajectory(self) -> Trajectory:
+        """Generate the trajectory described by the [trajectory] block."""
+        tc = self.trajectory
+        if tc.type == "sine":
+            params = SineParams(tc.run_time, tc.wait_time, tc.motion, tc.axis,
+                                tc.frequency, tc.amplitude, tc.offsets)
+            return gen_sine(params, tc.dt, self.limits)
+        if tc.type == "step":
+            target = PlatformPose(tc.step_target[:3], tc.step_target[3:])
+            return gen_step(target, tc.step_time, tc.total_time, tc.dt, self.limits)
+        if tc.type == "circular":
+            params = CircularParams(tc.radius, tc.rot_angle_deg, tc.rounds,
+                                    tc.circle_frequency, tc.direction,
+                                    tc.translation_enabled, tc.rotation_enabled,
+                                    tc.rotation_mode)
+            return gen_circular(params, tc.dt, self.limits)
+        if tc.type == "arbitrary":
+            poses = [PlatformPose(w[:3], w[3:]) for w in np.atleast_2d(tc.waypoints)]
+            return gen_arbitrary(poses, list(tc.segment_times), tc.dt, tc.interp, self.limits)
+        raise ConfigError(f"trajectory.type: unknown type {tc.type!r}")
+
+
+# Section name -> (Config attribute, dataclass), in file order.
+_SECTIONS = {
     "robot": ("robot_config", RobotConfig),
     "platform": ("platform_config", PlatformConfig),
     "workspace": ("limits", WorkspaceLimits),
@@ -341,18 +300,15 @@ _SECTION_CLASSES = {
     "postprocess": ("postprocess", PostprocessConfig),
 }
 
+# (section, key) -> (parse, format), derived from the section fields.
+_SCHEMA = {
+    section: {f.name: f.metadata.get("codec") or _CODECS[f.type] for f in fields(cls)}
+    for section, (_, cls) in _SECTIONS.items()
+}
+
 
 def default_config() -> Config:
-    return Config(
-        robot_config=RobotConfig(),
-        platform_config=PlatformConfig(),
-        limits=WorkspaceLimits(),
-        actuator=ActuatorParams(),
-        sim=SimParams(),
-        filter_params=FilterParams(),
-        trajectory=TrajectoryConfig(),
-        postprocess=PostprocessConfig(),
-    )
+    return Config(**{attr: cls() for attr, cls in _SECTIONS.values()})
 
 
 def loads_config(text: str) -> Config:
@@ -390,39 +346,15 @@ def loads_config(text: str) -> Config:
 
 def _build_config(raw: dict) -> Config:
     kwargs = {}
-    for section, (attr, cls) in _SECTION_CLASSES.items():
-        values = raw.get(section, {})
+    for section, (attr, cls) in _SECTIONS.items():
         try:
-            kwargs[attr] = cls(**values)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"[{section}] {err}") from None
-    _validate(kwargs)
+            kwargs[attr] = cls(**raw.get(section, {}))
+        except ValueError as err:
+            raise ConfigError(f"{section}.{err}") from None
     try:
         return Config(**kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-
-def _validate(kwargs: dict) -> None:
-    rc: RobotConfig = kwargs["robot_config"]
-    for name in ("l_upper", "l_lower"):
-        if getattr(rc, name) <= 0:
-            raise ConfigError(f"robot.{name}: must be positive")
-    for name in ("knee_sign_front", "knee_sign_back"):
-        if getattr(rc, name) not in (-1, 1):
-            raise ConfigError(f"robot.{name}: must be +1 or -1")
-    pc: PlatformConfig = kwargs["platform_config"]
-    for name in ("length_x", "width_y", "home_height"):
-        if getattr(pc, name) <= 0:
-            raise ConfigError(f"platform.{name}: must be positive")
-    if pc.z_offset < 0:
-        raise ConfigError("platform.z_offset: must be >= 0")
-    fp: FilterParams = kwargs["filter_params"]
-    tc: TrajectoryConfig = kwargs["trajectory"]
-    if tc.dt <= 0:
-        raise ConfigError("trajectory.dt: must be positive")
-    if fp.cutoff_hz >= 0.5 / kwargs["sim"].dt:
-        raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
 
 
 def load_config(path) -> Config:
@@ -439,7 +371,7 @@ def load_config(path) -> Config:
 def dumps_config(cfg: Config) -> str:
     """Serialize a config deterministically; loads_config inverts exactly."""
     lines = []
-    for section, (attr, cls) in _SECTION_CLASSES.items():
+    for section, (attr, _) in _SECTIONS.items():
         lines.append(f"[{section}]")
         obj = getattr(cfg, attr)
         for key, (_, fmt) in _SCHEMA[section].items():

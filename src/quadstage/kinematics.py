@@ -174,7 +174,7 @@ class WorkspaceLimits:
     def __post_init__(self):
         for name in ("x_max", "y_max", "z_max", "rot_max", "ball_pivot_max"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
 
 
 @dataclass

@@ -87,6 +87,21 @@ def write_table(path, kind: str, config_hash: str, columns, rows) -> None:
     atomic_write_text(path, _format_table(kind, config_hash, columns, rows))
 
 
+def _identity_hash(path, line: str, kind: str) -> str:
+    if not line.startswith(MAGIC):
+        raise LogFormatError(f"{path}: missing '{MAGIC}' identity line")
+    head = line.split()
+    if len(head) != 4 or head[2] != kind or not head[3].startswith("config="):
+        raise LogFormatError(f"{path}: expected a '{kind}' artifact, got {line!r}")
+    return head[3].removeprefix("config=")
+
+
+def read_config_hash(path, kind: str) -> str:
+    """Config hash on the identity line of a `kind` artifact; reads no rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _identity_hash(path, fh.readline().rstrip("\r\n"), kind)
+
+
 def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.ndarray]:
     """Parse an artifact table.
 
@@ -99,12 +114,7 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(MAGIC):
-        raise LogFormatError(f"{path}: missing '{MAGIC}' identity line")
-    head = lines[0].split()
-    if len(head) != 4 or head[2] != kind or not head[3].startswith("config="):
-        raise LogFormatError(f"{path}: expected a '{kind}' artifact, got {lines[0]!r}")
-    config_hash = head[3].removeprefix("config=")
+    config_hash = _identity_hash(path, lines[0] if lines else "", kind)
     if len(lines) < 2:
         raise LogFormatError(f"{path}: missing header row")
     columns = lines[1].split(",")

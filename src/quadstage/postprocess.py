@@ -66,9 +66,9 @@ class FilterParams:
 
     def __post_init__(self):
         if self.cutoff_hz <= 0:
-            raise ValueError("cutoff_hz must be positive")
+            raise ValueError("cutoff_hz: must be positive")
         if self.order < 2 or self.order % 2:
-            raise ValueError("order must be a positive even integer")
+            raise ValueError("order: must be a positive even integer")
 
 
 @dataclass

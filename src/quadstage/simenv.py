@@ -34,9 +34,9 @@ def _per_joint(value, name: str) -> np.ndarray:
     if arr.ndim == 0:
         arr = np.full(NUM_JOINTS, float(arr))
     if arr.shape != (NUM_JOINTS,):
-        raise ValueError(f"{name} must be a scalar or a 12-vector")
+        raise ValueError(f"{name}: must be a scalar or a 12-vector")
     if np.any(arr < 0):
-        raise ValueError(f"{name} must be non-negative")
+        raise ValueError(f"{name}: must be non-negative")
     return arr
 
 
@@ -54,7 +54,7 @@ class ActuatorParams:
     def __post_init__(self):
         for name in ("tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
 
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
         return tau / (self.gear_ratio * self.kt_motor)
@@ -81,9 +81,10 @@ class SimParams:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.payload_mass < 0 or self.platform_mass < 0:
-            raise ValueError("masses must be >= 0")
+            raise ValueError("dt: must be positive")
+        for name in ("payload_mass", "platform_mass"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
         self.kp = _per_joint(self.kp, "kp")
         self.kd = _per_joint(self.kd, "kd")
 
@@ -124,7 +125,7 @@ class SimLog:
         return len(self.t)
 
 
-def gravity_torque(q, total_mass: float, robot, platform, g: float = 9.81) -> np.ndarray:
+def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
     """Static joint load (N m) from the supported mass.
 
     The load splits evenly over the four corners as a force of
@@ -179,14 +180,13 @@ def sim_step(
     params: SimParams,
     actuator: ActuatorParams,
     robot,
-    platform,
 ) -> SimState:
     """Advance one control tick.
 
     qddot = (tau_applied - tau_gravity_load) / reflected_inertia, then a
     semi-implicit Euler update of velocity and position.
     """
-    tau_g = gravity_torque(state.q, params.total_mass, robot, platform, params.gravity)
+    tau_g = gravity_torque(state.q, params.total_mass, robot, params.gravity)
     tau, current = pd_control(q_target, state.q, state.qdot, params, actuator, tau_g)
     qddot = (tau - tau_g) / actuator.reflected_inertia
     qdot = state.qdot + params.dt * qddot
@@ -201,7 +201,6 @@ def run_sim(
     params: SimParams,
     actuator: ActuatorParams,
     robot,
-    platform,
 ) -> SimLog:
     """Track a joint-target sequence from rest at the first target.
 
@@ -228,7 +227,7 @@ def run_sim(
     state = SimState.at_rest(targets[0])
     for k in range(n):
         try:
-            new_state = sim_step(state, targets[k], params, actuator, robot, platform)
+            new_state = sim_step(state, targets[k], params, actuator, robot)
         except SimulationUnstableError as err:
             raise SimulationUnstableError(tick=k) from err
         log.q[k] = state.q

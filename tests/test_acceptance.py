@@ -173,14 +173,14 @@ def test_criterion_5_gravity_offset_law():
     cfg.sim.payload_mass = 1.2
     q0 = solve_platform_ik(PlatformPose.home(), cfg.robot, cfg.platform)
     targets = np.tile(q0, (5000, 1))
-    log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+    log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
     q_end = log.q[-1]
-    tau_g = gravity_torque(q_end, cfg.sim.total_mass, cfg.robot, cfg.platform, cfg.sim.gravity)
+    tau_g = gravity_torque(q_end, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
     residual = float(np.max(np.abs((q0 - q_end) - tau_g / cfg.sim.kp)))
     offset = float(np.max(np.abs(q0 - q_end)))
 
     cfg.sim.gravity_compensation = True
-    log_c = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+    log_c = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
     comp_offset = float(np.max(np.abs(q0 - log_c.q[-1])))
     elapsed = time.perf_counter() - start
     ok = residual < 1e-6 and comp_offset < 1e-9 and offset > 1e-4 and elapsed < 5.0
@@ -196,7 +196,7 @@ def test_criterion_6_saturation_invariants():
     start = time.perf_counter()
     cfg = default_config()
     traj = gen_sine(SineParams(run_time=2.0, wait_time=0.5, frequency=10.0, amplitude=10.0), cfg.sim.dt)
-    log = run_sim(solve_trajectory(cfg, traj), cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+    log = run_sim(solve_trajectory(cfg, traj), cfg.sim, cfg.actuator, cfg.robot)
     peak_tau = float(np.max(np.abs(log.tau)))
     peak_current = float(np.max(np.abs(log.current)))
     clamped = int(np.count_nonzero(np.abs(log.tau) >= cfg.actuator.tau_max - 1e-12))

@@ -77,6 +77,22 @@ class TestPipeline:
         assert run_cli("ik", "--config", str(other), "--run-id", "mix") == 1
         assert "config hash mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, upstream", [("ik", ["gen"]), ("post", ["gen", "ik", "sim"])])
+    def test_hash_checked_before_rows(self, runs_root, fast_config, capsys, stage, upstream):
+        # A 2 ms step does not match the 1 ms t column, but the changed
+        # config is the cause the stage must name.
+        for name in upstream:
+            assert run_cli(name, "--config", fast_config, "--run-id", "rows") == 0
+        capsys.readouterr()
+        assert run_cli(stage, "--config", fast_config, "--run-id", "rows", "--dt", "0.002") == 1
+        assert "config hash mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt, field", [("0.02", "filter.cutoff_hz"), ("-1", "sim.dt")])
+    def test_overrides_checked_like_a_file(self, runs_root, fast_config, capsys, dt, field):
+        assert run_cli("all", "--config", fast_config, "--run-id", "flags", "--dt", dt) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (runs_root / "flags").exists()
+
     def test_report_structure(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "rep") == 0
         lines = (runs_root / "rep" / "report.txt").read_text().splitlines()

@@ -1,10 +1,15 @@
+import dataclasses
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadstage.config import (
+    Config,
     ConfigError,
     apply_profile,
     config_hash,
@@ -36,6 +41,154 @@ l_lower = 375.0
 [platform]
 home_height = 340.0
 """
+
+
+# dumps_config(default_config()), byte for byte; the empty segment_times
+# line keeps the space after "=".
+DEFAULT_SNAPSHOT = """\
+[robot]
+hip_mount_fl = 200.0 150.0 0.0
+hip_mount_fr = 200.0 -150.0 0.0
+hip_mount_bl = -200.0 150.0 0.0
+hip_mount_br = -200.0 -150.0 0.0
+hip_offset_y = 0.0
+l_upper = 375.0
+l_lower = 375.0
+knee_sign_front = 1
+knee_sign_back = -1
+joint_limit_deg = 170.0
+
+[platform]
+length_x = 400.0
+width_y = 300.0
+z_offset = 20.0
+home_height = 340.0
+
+[workspace]
+x_max = 255.0
+y_max = 105.0
+z_max = 105.0
+rot_max = 30.0
+ball_pivot_max = 30.0
+
+[actuator]
+tau_max = 2.7
+gear_ratio = 9.0
+kt_motor = 0.025
+i_max = 15.0
+reflected_inertia = 0.035
+
+[sim]
+dt = 0.001
+kp = 180.0
+kd = 3.6
+gravity = 9.81
+payload_mass = 0.3
+platform_mass = 0.3
+gravity_compensation = false
+
+[filter]
+cutoff_hz = 50.0
+order = 4
+zero_phase = true
+
+[trajectory]
+type = sine
+dt = 0.001
+run_time = 3.0
+wait_time = 2.0
+motion = translation
+axis = x
+frequency = 2.0
+amplitude = 20.0
+offsets = 0.0 0.0 0.0
+step_time = 1.0
+total_time = 4.0
+step_target = 0.0 0.0 0.0 0.0 0.0 0.0
+radius = 20.0
+rot_angle_deg = 10.0
+rounds = 20
+circle_frequency = 2.0
+direction = cw
+translation_enabled = true
+rotation_enabled = true
+rotation_mode = oscillate
+waypoints = 0.0 0.0 0.0 0.0 0.0 0.0
+segment_times =\x20
+interp = linear
+
+[postprocess]
+z_offset_mode = world
+"""
+
+README_OVERRIDE = """
+[trajectory]
+type = circular
+radius = 20.0
+rot_angle_deg = 10.0
+rounds = 20
+circle_frequency = 2.0
+direction = cw
+
+[sim]
+payload_mass = 1.2
+gravity_compensation = true
+"""
+
+CHOICES = {
+    "type": ["sine", "step", "circular", "arbitrary"],
+    "motion": ["translation", "rotation"],
+    "axis": ["x", "y", "z"],
+    "direction": ["cw", "ccw"],
+    "rotation_mode": ["oscillate", "continuous"],
+    "interp": ["linear", "cosine"],
+    "z_offset_mode": ["world", "platform"],
+}
+INTS = {
+    "knee_sign_front": st.sampled_from([-1, 1]),
+    "knee_sign_back": st.sampled_from([-1, 1]),
+    "order": st.sampled_from([2, 4, 6, 8]),
+    "rounds": st.integers(1, 1000),
+}
+POSITIVE = st.floats(1e-3, 1e4)
+
+
+def _value(name, default, sim_dt):
+    """Strategy for a valid value of one config key, chosen by its default."""
+    if name == "cutoff_hz":
+        return st.floats(1e-3, 0.49 / sim_dt)
+    if name in ("kp", "kd"):
+        return st.one_of(st.floats(0.0, 1e4), st.lists(st.floats(0.0, 1e4), min_size=12, max_size=12))
+    if name in CHOICES:
+        return st.sampled_from(CHOICES[name])
+    if name in INTS:
+        return INTS[name]
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, float):
+        return st.floats(1e-4, 1.0) if name == "dt" else POSITIVE
+    if name == "waypoints":
+        return st.lists(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6), min_size=1, max_size=4)
+    if name == "segment_times":
+        return st.lists(POSITIVE, max_size=4)
+    return st.lists(st.floats(-1e3, 1e3), min_size=default.size, max_size=default.size)
+
+
+@st.composite
+def configs(draw):
+    base, sections, sim_dt = default_config(), {}, None
+    for section in dataclasses.fields(Config):
+        if not section.init:
+            continue
+        obj = getattr(base, section.name)
+        values = {}
+        for f in dataclasses.fields(obj):
+            value = draw(_value(f.name, getattr(obj, f.name), sim_dt))
+            values[f.name] = np.array(value) if isinstance(value, list) else value
+        sections[section.name] = dataclasses.replace(obj, **values)
+        if section.name == "sim":
+            sim_dt = sections["sim"].dt
+    return Config(**sections)
 
 
 class TestConfig:
@@ -84,6 +237,43 @@ class TestConfig:
         assert config_hash(cfg) == config_hash(cfg2)
         assert np.array_equal(cfg.sim.kp, cfg2.sim.kp)
         assert cfg2.trajectory.frequency == cfg.trajectory.frequency
+
+    def test_default_snapshot_is_pinned(self):
+        cfg = default_config()
+        assert dumps_config(cfg) == DEFAULT_SNAPSHOT
+        assert config_hash(cfg) == "a47327923402679d"
+        assert config_hash(loads_config(README_OVERRIDE)) == "227ec69fd4c2f9b3"
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs())
+    def test_snapshot_round_trip_keeps_hash(self, cfg):
+        text = dumps_config(cfg)
+        back = loads_config(text)
+        assert dumps_config(back) == text
+        assert config_hash(back) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("robot", "l_lower", "0"),
+            ("robot", "knee_sign_back", "2"),
+            ("platform", "width_y", "-1"),
+            ("platform", "z_offset", "-0.5"),
+            ("workspace", "x_max", "0"),
+            ("actuator", "tau_max", "-2.7"),
+            ("sim", "dt", "0"),
+            ("sim", "kd", "-1"),
+            ("sim", "payload_mass", "-0.1"),
+            ("filter", "order", "3"),
+            ("filter", "cutoff_hz", "600"),
+            ("trajectory", "dt", "-0.001"),
+            ("trajectory", "axis", "w"),
+            ("postprocess", "z_offset_mode", "body"),
+        ],
+    )
+    def test_bad_value_names_section_and_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"(^|: ){re.escape(section)}\.{key}: "):
+            loads_config(f"[{section}]\n{key} = {value}\n")
 
     def test_hash_tracks_content(self):
         cfg = default_config()

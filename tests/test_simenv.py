@@ -33,12 +33,12 @@ def sine_targets(cfg, params, dt):
 class TestGravityTorque:
     def test_zero_mass(self, cfg):
         q = home_targets(cfg, 1)[0]
-        assert np.array_equal(gravity_torque(q, 0.0, cfg.robot, cfg.platform), np.zeros(12))
+        assert np.array_equal(gravity_torque(q, 0.0, cfg.robot), np.zeros(12))
 
     def test_straight_vertical_leg_unloaded_joints(self, cfg):
         # A vertical force through both planar joints has no moment arm.
         q = np.zeros(12)
-        tau = gravity_torque(q, 2.0, cfg.robot, cfg.platform)
+        tau = gravity_torque(q, 2.0, cfg.robot)
         assert np.max(np.abs(tau)) < 1e-12
 
     def test_matches_potential_energy_gradient(self, cfg, rng):
@@ -49,7 +49,7 @@ class TestGravityTorque:
         mass, g, h = 1.5, 9.81, 1e-6
         for _ in range(50):
             q = rng.uniform(-1.2, 1.2, 12)
-            tau = gravity_torque(q, mass, cfg.robot, cfg.platform, g)
+            tau = gravity_torque(q, mass, cfg.robot, g)
             for i, geom in enumerate(cfg.robot):
                 for j in range(3):
                     dq = np.zeros(3)
@@ -110,7 +110,7 @@ class TestSimStep:
         cfg.sim.platform_mass = 0.0
         q0 = home_targets(cfg, 1)[0]
         state = SimState.at_rest(q0)
-        new = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        new = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot)
         assert np.array_equal(new.q, q0)
         assert np.array_equal(new.qdot, np.zeros(12))
         assert new.t == pytest.approx(cfg.sim.dt)
@@ -126,7 +126,7 @@ class TestSimStep:
         state = SimState.at_rest(q0)
         prev = q0.copy()
         for _ in range(3000):
-            state = sim_step(state, target, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+            state = sim_step(state, target, cfg.sim, cfg.actuator, cfg.robot)
             assert np.all(state.q - prev >= -1e-12)
             prev = state.q
         assert np.max(np.abs(state.q - target)) < 1e-6
@@ -137,8 +137,8 @@ class TestSimStep:
         q0 = home_targets(cfg, 1)[0]
         state = SimState.at_rest(q0)
         for _ in range(6000):
-            state = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
-        tau_g = gravity_torque(state.q, cfg.sim.total_mass, cfg.robot, cfg.platform, cfg.sim.gravity)
+            state = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot)
+        tau_g = gravity_torque(state.q, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
         assert np.max(np.abs((q0 - state.q) - tau_g / cfg.sim.kp)) < 1e-6
 
 
@@ -147,20 +147,20 @@ class TestRunSim:
         cfg.sim.payload_mass = 0.0
         cfg.sim.platform_mass = 0.0
         targets = home_targets(cfg, 500)
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert np.max(np.abs(log.q - targets)) == 0.0
 
     def test_all_home_with_gravity_stays_in_offset_band(self, cfg):
         targets = home_targets(cfg, 2000)
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
-        tau_g0 = gravity_torque(targets[0], cfg.sim.total_mass, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        tau_g0 = gravity_torque(targets[0], cfg.sim.total_mass, cfg.robot)
         band = 2.5 * np.max(np.abs(tau_g0 / cfg.sim.kp))
         assert np.max(np.abs(log.q - targets)) < band
 
     def test_log_shape_and_determinism(self, cfg):
         targets = sine_targets(cfg, SineParams(0.5, 0.1, frequency=2.0, amplitude=20.0), cfg.sim.dt)
-        log1 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
-        log2 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log1 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        log2 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert len(log1) == len(targets)
         assert np.max(np.abs(np.diff(log1.t) - cfg.sim.dt)) < 1e-12
         for name in ("q", "qdot", "tau", "current"):
@@ -168,14 +168,14 @@ class TestRunSim:
 
     def test_tracking_with_lag_and_finite_rmse(self, cfg):
         targets = sine_targets(cfg, SineParams(1.5, 0.2, frequency=2.0, amplitude=20.0), cfg.sim.dt)
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         rmse = np.sqrt(np.mean((log.q_target - log.q) ** 2))
         assert 0.0 < rmse < 0.2
         assert np.all(np.isfinite(log.q))
 
     def test_clamp_invariants(self, cfg):
         targets = sine_targets(cfg, SineParams(1.0, 0.2, frequency=10.0, amplitude=10.0), cfg.sim.dt)
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert np.max(np.abs(log.tau)) <= cfg.actuator.tau_max + 1e-12
         assert np.max(np.abs(log.current)) <= cfg.actuator.i_max + 1e-12
 
@@ -183,7 +183,7 @@ class TestRunSim:
         cfg.sim.payload_mass = 0.0
         cfg.sim.platform_mass = 0.0
         targets = home_targets(cfg, 300)
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         ke = 0.5 * cfg.actuator.reflected_inertia * np.sum(log.qdot**2, axis=1)
         assert np.all(np.diff(ke[1:]) <= 1e-18)
 
@@ -193,7 +193,7 @@ class TestRunSim:
         q0 = home_targets(cfg, 1)[0]
         targets = np.tile(q0 + 0.05, (4000, 1))
         targets[0] = q0  # run starts at rest on the first sample
-        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert np.max(np.abs(log.q[-1] - targets[-1])) < 1e-9
         assert 0.5 * cfg.actuator.reflected_inertia * np.sum(log.qdot[-1] ** 2) < 1e-20
 
@@ -204,9 +204,9 @@ class TestRunSim:
         targets = np.tile(q0, (100, 1))
         targets[40, 3] = np.nan  # corrupted sample poisons the state
         with pytest.raises(SimulationUnstableError) as err:
-            run_sim(targets, cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+            run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert err.value.tick == 40
 
     def test_rejects_empty_trajectory(self, cfg):
         with pytest.raises(ValueError):
-            run_sim(np.empty((0, 12)), cfg.sim, cfg.actuator, cfg.robot, cfg.platform)
+            run_sim(np.empty((0, 12)), cfg.sim, cfg.actuator, cfg.robot)
