@@ -67,7 +67,6 @@ from .simenv import (
 from .trajectory import (
     CircularParams,
     SineParams,
-    Trajectory,
     TrajectoryBoundsWarning,
     gen_arbitrary,
     gen_circular,

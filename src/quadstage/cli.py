@@ -35,7 +35,6 @@ from .config import (
 )
 from .kinematics import solve_platform_ik
 from .postprocess import (
-    PoseSeries,
     differentiate,
     filter_series,
     joint_rmse,
@@ -119,13 +118,7 @@ def stage_sim(cfg: Config, run_dir: str) -> list:
     targets_path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     _require_artifact("sim", targets_path, "ik")
     _check_hash("sim", targets_path, logio.JOINT_TARGETS_KIND, digest)
-    _, t, q_targets = logio.read_joint_targets(targets_path)
-    if len(t) > 1 and abs((t[1] - t[0]) - cfg.sim.dt) > 1e-9:
-        raise StageError(
-            "sim",
-            f"joint targets sampled at dt={t[1] - t[0]:.6g} s but sim.dt={cfg.sim.dt:.6g} s; "
-            "regenerate with matching rates (see --profile)",
-        )
+    _, q_targets = logio.read_joint_targets(targets_path, dt=cfg.sim.dt)
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
     path = os.path.join(run_dir, SIM_LOG_FILE)
     logio.write_log(path, log, digest)
@@ -143,7 +136,7 @@ def stage_post(cfg: Config, run_dir: str) -> list:
     _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     _, log = logio.read_log(log_path, dt=cfg.sim.dt)
 
-    target = differentiate(PoseSeries.from_trajectory(traj))
+    target = differentiate(traj)
     recon = reconstruct_series(log.q, cfg.robot, cfg.platform, log.dt,
                                cfg.postprocess.z_offset_mode)
     smoothed = differentiate(filter_series(recon, cfg.filter_params))

@@ -11,36 +11,31 @@ fields is the only declaration of a key.  The field order is the file
 order.  The annotation picks the parser and formatter (``float``, ``int``,
 ``bool``, ``float | np.ndarray`` for per-joint gains); vectors and choice
 strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
-check lives in its dataclass's ``__post_init__``; the one check across
-sections, the filter cutoff below the Nyquist rate of ``sim.dt``, is in
-``Config.__post_init__``.
+check lives in its dataclass's ``__post_init__``; the checks across
+sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole pipeline runs on
+one sample clock) and the filter cutoff below the Nyquist rate of
+``sim.dt``, are in ``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
-the offending line number.  Every error about a value names it as
-``<section>.<key>: <reason>``.  Floats are written with shortest
-round-trip precision so write -> load is exact.
+the offending line number, and so are non-finite numbers (nan, inf).
+Every error about a value names it as ``<section>.<key>: <reason>``.
+Floats are written with shortest round-trip precision so write -> load
+is exact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits
-from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams
+from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
-from .trajectory import (
-    CircularParams,
-    SineParams,
-    Trajectory,
-    gen_arbitrary,
-    gen_circular,
-    gen_sine,
-    gen_step,
-)
+from .trajectory import CircularParams, SineParams, gen_arbitrary, gen_circular, gen_sine, gen_step
 
 SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
@@ -57,9 +52,12 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -245,6 +243,8 @@ class Config:
     platform: PlatformGeometry = field(init=False)
 
     def __post_init__(self):
+        if self.trajectory.dt != self.sim.dt:
+            raise ConfigError("trajectory.dt: must equal sim.dt")
         if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
         rc = self.robot_config
@@ -266,7 +266,7 @@ class Config:
             home_center=np.array([0.0, 0.0, -pc.home_height + z0]),
         )
 
-    def build_trajectory(self) -> Trajectory:
+    def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""
         tc = self.trajectory
         if tc.type == "sine":

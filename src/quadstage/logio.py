@@ -20,9 +20,8 @@ import tempfile
 import numpy as np
 
 from .kinematics import NUM_JOINTS
-from .postprocess import JointRmse, RmseReport
+from .postprocess import JointRmse, PoseSeries, RmseReport
 from .simenv import SimLog
-from .trajectory import Trajectory
 
 MAGIC = "# quadstage"
 FLOAT_FORMAT = ".9g"
@@ -135,18 +134,14 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
     return config_hash, columns, data
 
 
-def write_trajectory(path, traj: Trajectory, config_hash: str) -> None:
-    rows = np.column_stack([traj.t, traj.positions, traj.orientations_deg])
-    write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
-
-
-def _sample_times(path, t: np.ndarray, dt: float | None) -> tuple[float, np.ndarray]:
-    """dt and the exact time column k*dt of a table sampled at t_k = k*dt.
+def _sample_dt(path, t: np.ndarray, dt: float | None) -> float:
+    """The step of a table sampled at t_k = k*dt, after checking its t column.
 
     dt is the configured step; without one it is taken from the first gap.
     The written t column must match k*dt to the precision it was written
-    with, and is then rebuilt as k*dt, so a dt without a short decimal
-    form (1/240 s) survives the round trip.
+    with (LogFormatError names the file and the first row that does not);
+    readers then derive t from dt, so a dt without a short decimal form
+    (1/240 s) survives the round trip.
     """
     if dt is None:
         if len(t) < 2:
@@ -159,22 +154,25 @@ def _sample_times(path, t: np.ndarray, dt: float | None) -> tuple[float, np.ndar
         raise LogFormatError(
             f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}"
         )
-    return dt, exact
+    return dt
 
 
-def read_trajectory(path, dt: float | None = None) -> tuple[str, Trajectory]:
+def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
+    rows = np.column_stack([traj.t, traj.positions, traj.orientations_deg])
+    write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
+
+
+def read_trajectory(path, dt: float | None = None) -> tuple[str, PoseSeries]:
     """Trajectory artifact at path.
 
     dt is the configured time step (default: the first gap of the t
-    column).  The t column must equal k*dt to its written precision and is
-    rebuilt as exactly k*dt; LogFormatError names the file and first row
-    that does not match.
+    column); the t column is checked against it as in _sample_dt.
     """
     config_hash, _, data = read_table(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS)
     if len(data) == 0:
         raise LogFormatError(f"{path}: empty trajectory")
-    dt, t = _sample_times(path, data[:, 0], dt)
-    return config_hash, Trajectory(dt, t, data[:, 1:4], data[:, 4:7])
+    dt = _sample_dt(path, data[:, 0], dt)
+    return config_hash, PoseSeries(dt, data[:, 1:4], data[:, 4:7])
 
 
 def write_joint_targets(path, t, q, config_hash: str) -> None:
@@ -182,9 +180,12 @@ def write_joint_targets(path, t, q, config_hash: str) -> None:
                 np.column_stack([t, q]))
 
 
-def read_joint_targets(path) -> tuple[str, np.ndarray, np.ndarray]:
+def read_joint_targets(path, dt: float | None = None) -> tuple[str, np.ndarray]:
+    """(config_hash, q) of a joint-target artifact, q shaped (N, 12); dt
+    and the t column as in read_trajectory."""
     config_hash, _, data = read_table(path, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS)
-    return config_hash, data[:, 0], data[:, 1:]
+    _sample_dt(path, data[:, 0], dt)
+    return config_hash, data[:, 1:]
 
 
 def write_log(path, log: SimLog, config_hash: str) -> None:
@@ -196,10 +197,8 @@ def read_log(path, dt: float | None = None) -> tuple[str, SimLog]:
     """Simulation log artifact at path; dt and the t column as in read_trajectory."""
     config_hash, _, data = read_table(path, SIM_LOG_KIND, SIM_LOG_COLUMNS)
     n = NUM_JOINTS
-    dt, t = _sample_times(path, data[:, 0], dt)
     log = SimLog(
-        dt=dt,
-        t=t,
+        dt=_sample_dt(path, data[:, 0], dt),
         q_target=data[:, 1 : 1 + n],
         q=data[:, 1 + n : 1 + 2 * n],
         qdot=data[:, 1 + 2 * n : 1 + 3 * n],

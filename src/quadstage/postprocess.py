@@ -25,9 +25,10 @@ Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform norma
 class PoseSeries:
     """Uniformly sampled pose sequence with optional derivatives.
 
-    positions in mm, orientations in degrees; derivatives, when present,
-    are per-sample arrays of the same length (mm/s, deg/s, mm/s^2,
-    deg/s^2).
+    Sample k is at t = k * dt.  positions are mm relative to the home
+    center, orientations intrinsic x-y-z Euler angles in degrees, both
+    (N, 3) and finite; derivatives, when present, are per-sample arrays of
+    the same shape (mm/s, deg/s, mm/s^2, deg/s^2).
     """
 
     dt: float
@@ -41,8 +42,10 @@ class PoseSeries:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.orientations_deg = np.asarray(self.orientations_deg, dtype=float)
-        if self.positions.shape != self.orientations_deg.shape or self.positions.ndim != 2:
+        if self.positions.shape[1:] != (3,) or self.orientations_deg.shape != self.positions.shape:
             raise ValueError("positions and orientations must both be (N, 3)")
+        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.orientations_deg))):
+            raise ValueError("pose samples must be finite")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
             value = getattr(self, name)
             if value is not None and np.asarray(value).shape != self.positions.shape:
@@ -51,8 +54,20 @@ class PoseSeries:
     def __len__(self) -> int:
         return len(self.positions)
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self)) * self.dt
+
+    @property
+    def duration(self) -> float:
+        return max(len(self) - 1, 0) * self.dt
+
+    def pose(self, i: int) -> PlatformPose:
+        return PlatformPose(self.positions[i].copy(), self.orientations_deg[i].copy())
+
     @classmethod
     def from_trajectory(cls, traj) -> "PoseSeries":
+        """A copy of the poses of traj, without its derivatives."""
         return cls(traj.dt, traj.positions.copy(), traj.orientations_deg.copy())
 
 

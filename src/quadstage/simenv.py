@@ -59,9 +59,6 @@ class ActuatorParams:
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
         return tau / (self.gear_ratio * self.kt_motor)
 
-    def torque_from_current(self, current: np.ndarray) -> np.ndarray:
-        return current * self.gear_ratio * self.kt_motor
-
 
 @dataclass
 class SimParams:
@@ -111,10 +108,10 @@ class SimState:
 
 @dataclass
 class SimLog:
-    """One record per target sample: time, target, state, and actuation."""
+    """One record per target sample: target, state, and actuation; record k
+    is at t = k * dt."""
 
     dt: float
-    t: np.ndarray
     q_target: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
@@ -122,7 +119,11 @@ class SimLog:
     current: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.q_target)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self)) * self.dt
 
 
 def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
@@ -155,9 +156,9 @@ def pd_control(
     """PD torque and motor current with torque/current clamps.
 
     tau = kp (q_target - q) - kd qdot, plus the gravity feed-forward when
-    params.gravity_compensation is set.  Torque is clamped to +/-tau_max;
-    the implied motor current is clamped to +/-i_max with the torque
-    reduced consistently when the current clamp binds first.
+    params.gravity_compensation is set.  Torque is clamped to +/-tau_max,
+    or to the torque of the +/-i_max current clamp when that binds first;
+    the motor current follows from the clamped torque.
     """
     q_target = np.asarray(q_target, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -165,12 +166,9 @@ def pd_control(
     tau = params.kp * (q_target - q) - params.kd * qdot
     if params.gravity_compensation:
         tau = tau + np.asarray(tau_gravity, dtype=float)
-    tau = np.clip(tau, -actuator.tau_max, actuator.tau_max)
-    current = actuator.current_from_torque(tau)
-    clipped = np.abs(current) > actuator.i_max
-    if np.any(clipped):
-        current = np.clip(current, -actuator.i_max, actuator.i_max)
-        tau = np.where(clipped, actuator.torque_from_current(current), tau)
+    tau_limit = min(actuator.tau_max, actuator.i_max * actuator.gear_ratio * actuator.kt_motor)
+    tau = np.clip(tau, -tau_limit, tau_limit)
+    current = np.clip(actuator.current_from_torque(tau), -actuator.i_max, actuator.i_max)
     return tau, current
 
 
@@ -217,7 +215,6 @@ def run_sim(
     n = len(targets)
     log = SimLog(
         dt=params.dt,
-        t=np.arange(n) * params.dt,
         q_target=targets.copy(),
         q=np.empty((n, NUM_JOINTS)),
         qdot=np.empty((n, NUM_JOINTS)),
@@ -226,10 +223,7 @@ def run_sim(
     )
     state = SimState.at_rest(targets[0])
     for k in range(n):
-        try:
-            new_state = sim_step(state, targets[k], params, actuator, robot)
-        except SimulationUnstableError as err:
-            raise SimulationUnstableError(tick=k) from err
+        new_state = sim_step(state, targets[k], params, actuator, robot)
         log.q[k] = state.q
         log.qdot[k] = state.qdot
         log.tau[k] = new_state.tau

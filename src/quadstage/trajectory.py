@@ -1,9 +1,9 @@
 """Target trajectory generators for the stage.
 
-All generators produce uniformly sampled pose sequences with timestamps
-t_k = k * dt and N = round(duration / dt) + 1 samples.  When workspace
-limits are passed, samples falling outside the box raise a
-TrajectoryBoundsWarning but are kept (the caller decides what to do).
+All generators return a PoseSeries of N = round(duration / dt) + 1
+samples, sample k at t = k * dt.  When workspace limits are passed,
+samples falling outside the box raise a TrajectoryBoundsWarning but are
+kept (the caller decides what to do).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import PlatformPose, WorkspaceLimits
+from .postprocess import PoseSeries
 
 TRANSLATION = "translation"
 ROTATION = "rotation"
@@ -22,44 +23,6 @@ ROTATION = "rotation"
 
 class TrajectoryBoundsWarning(UserWarning):
     """Generated samples exceed the configured workspace box."""
-
-
-@dataclass
-class Trajectory:
-    """Uniformly sampled 6-DoF target sequence.
-
-    positions are mm relative to the home center, orientations are
-    intrinsic x-y-z Euler angles in degrees, both shaped (N, 3).
-    """
-
-    dt: float
-    t: np.ndarray
-    positions: np.ndarray
-    orientations_deg: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.orientations_deg = np.asarray(self.orientations_deg, dtype=float)
-        n = len(self.t)
-        if self.positions.shape != (n, 3) or self.orientations_deg.shape != (n, 3):
-            raise ValueError("positions and orientations must be (N, 3)")
-        if n > 1:
-            gaps = np.diff(self.t)
-            if np.any(gaps <= 0) or np.max(np.abs(gaps - self.dt)) > 1e-12:
-                raise ValueError("timestamps must increase in constant steps of dt")
-        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.orientations_deg))):
-            raise ValueError("trajectory samples must be finite")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def pose(self, i: int) -> PlatformPose:
-        return PlatformPose(self.positions[i].copy(), self.orientations_deg[i].copy())
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1]) if len(self.t) else 0.0
 
 
 @dataclass
@@ -145,7 +108,7 @@ def _warn_if_outside(positions, orientations, limits: WorkspaceLimits | None):
         )
 
 
-def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = None) -> Trajectory:
+def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Sine trajectory: home (plus offsets) during wait_time, then a zero
     phase sinusoid on the selected axis for run_time."""
     t = _time_grid(params.wait_time + params.run_time, dt)
@@ -162,7 +125,7 @@ def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = Non
     else:
         orientations[:, axis] = value
     _warn_if_outside(positions, orientations, limits)
-    return Trajectory(dt, t, positions, orientations)
+    return PoseSeries(dt, positions, orientations)
 
 
 def gen_step(
@@ -171,7 +134,7 @@ def gen_step(
     total_time: float,
     dt: float,
     limits: WorkspaceLimits | None = None,
-) -> Trajectory:
+) -> PoseSeries:
     """Home pose before step_time, target pose from step_time on
     (right-continuous)."""
     if not 0.0 <= step_time <= total_time:
@@ -181,7 +144,7 @@ def gen_step(
     positions = np.where(after[:, None], target.position, 0.0)
     orientations = np.where(after[:, None], target.orientation_deg, 0.0)
     _warn_if_outside(positions, orientations, limits)
-    return Trajectory(dt, t, positions, orientations)
+    return PoseSeries(dt, positions, orientations)
 
 
 def gen_arbitrary(
@@ -190,7 +153,7 @@ def gen_arbitrary(
     dt: float,
     mode: str = "linear",
     limits: WorkspaceLimits | None = None,
-) -> Trajectory:
+) -> PoseSeries:
     """Piecewise interpolation through waypoints.
 
     segment_times[i] is the duration from waypoint i to i+1, so it must
@@ -230,10 +193,10 @@ def gen_arbitrary(
         values[k] = channels[j] + u * (channels[j + 1] - channels[j])
     positions, orientations = values[:, :3], values[:, 3:]
     _warn_if_outside(positions, orientations, limits)
-    return Trajectory(dt, t, positions, orientations)
+    return PoseSeries(dt, positions, orientations)
 
 
-def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | None = None) -> Trajectory:
+def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Circular trajectory: rounds/frequency seconds of circle tracing,
     starting at (radius, 0) offset, with the configured yaw motion."""
     duration = params.rounds / params.frequency
@@ -252,4 +215,4 @@ def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | No
             wrapped = np.degrees(np.mod(phase + math.pi, 2.0 * math.pi) - math.pi)
             orientations[:, 2] = wrapped
     _warn_if_outside(positions, orientations, limits)
-    return Trajectory(dt, t, positions, orientations)
+    return PoseSeries(dt, positions, orientations)

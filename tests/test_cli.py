@@ -93,6 +93,18 @@ class TestPipeline:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not (runs_root / "flags").exists()
 
+    def test_non_finite_dt_rejected(self, runs_root, fast_config, capsys):
+        assert run_cli("all", "--config", fast_config, "--run-id", "nan", "--dt", "nan") == 2
+        assert "sim.dt: expected a finite number, got 'nan'" in capsys.readouterr().err
+        assert not (runs_root / "nan").exists()
+
+    def test_mismatched_sample_clocks_rejected(self, runs_root, tmp_path, capsys):
+        path = tmp_path / "clocks.cfg"
+        path.write_text(FAST_CFG + "\n[sim]\ndt = 0.002\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "clocks") == 2
+        assert "config error: trajectory.dt: must equal sim.dt" in capsys.readouterr().err
+        assert not (runs_root / "clocks").exists()
+
     def test_report_structure(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "rep") == 0
         lines = (runs_root / "rep" / "report.txt").read_text().splitlines()

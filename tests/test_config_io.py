@@ -154,7 +154,10 @@ POSITIVE = st.floats(1e-3, 1e4)
 
 
 def _value(name, default, sim_dt):
-    """Strategy for a valid value of one config key, chosen by its default."""
+    """Strategy for a valid value of one config key, chosen by its default;
+    once the sim dt is drawn, the trajectory dt equals it."""
+    if name == "dt" and sim_dt is not None:
+        return st.just(sim_dt)
     if name == "cutoff_hz":
         return st.floats(1e-3, 0.49 / sim_dt)
     if name in ("kp", "kd"):
@@ -275,6 +278,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"(^|: ){re.escape(section)}\.{key}: "):
             loads_config(f"[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("sim", "dt", "{}"), ("robot", "hip_mount_fl", "200 {} 0"), ("sim", "kp", "{}")],
+    )
+    def test_non_finite_number_rejected(self, section, key, value, number):
+        message = rf"^line 2: {section}\.{key}: expected a finite number, got '{re.escape(number)}'$"
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[{section}]\n{key} = {value.format(number)}\n")
+
+    def test_one_sample_clock(self):
+        with pytest.raises(ConfigError, match=r"^trajectory\.dt: must equal sim\.dt$"):
+            loads_config("[sim]\ndt = 0.002\n")
+
     def test_hash_tracks_content(self):
         cfg = default_config()
         base = config_hash(cfg)
@@ -334,7 +351,6 @@ class TestTables:
         n = 1000
         log = SimLog(
             dt=1e-3,
-            t=np.arange(n) * 1e-3,
             q_target=rng.uniform(-3, 3, (n, 12)),
             q=rng.uniform(-3, 3, (n, 12)),
             qdot=rng.uniform(-20, 20, (n, 12)),

@@ -127,6 +127,24 @@ class TestButterworthFilter:
             FilterParams(order=3)
 
 
+class TestPoseSeries:
+    def test_sample_clock(self):
+        dt = 1.0 / 240.0
+        series = PoseSeries(dt, np.ones((5, 3)), np.zeros((5, 3)))
+        assert np.array_equal(series.t, np.arange(5) * dt)
+        assert series.duration == 4 * dt
+        pose = series.pose(3)
+        pose.position[0] = 7.0
+        assert series.positions[3, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        positions = np.zeros((4, 3))
+        positions[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PoseSeries(1e-3, positions, np.zeros((4, 3)))
+
+
 class TestDifferentiate:
     def test_linear_ramp(self):
         dt = 1e-3
