@@ -21,8 +21,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import logio
 from .config import (
     Config,
@@ -33,7 +31,7 @@ from .config import (
     load_config,
     loads_config,
 )
-from .kinematics import solve_platform_ik
+from .kinematics import PlatformPose, solve_platform_ik
 from .postprocess import (
     differentiate,
     filter_series,
@@ -105,9 +103,8 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
     _require_artifact("ik", traj_path, "gen")
     _check_hash("ik", traj_path, logio.TRAJECTORY_KIND, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
-    q = np.empty((len(traj), 12))
-    for k in range(len(traj)):
-        q[k] = solve_platform_ik(traj.pose(k), cfg.robot, cfg.platform, cfg.limits)
+    poses = PlatformPose(traj.positions, traj.orientations_deg)
+    q = solve_platform_ik(poses, cfg.robot, cfg.platform, cfg.limits)
     path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     logio.write_joint_targets(path, traj.t, q, digest)
     return [path]

@@ -142,8 +142,14 @@ def _choice(*options: str):
 
 def _check_positive(obj, *names: str) -> None:
     for name in names:
-        if getattr(obj, name) <= 0:
+        if not getattr(obj, name) > 0:
             raise ValueError(f"{name}: must be positive")
+
+
+def _check_non_negative(obj, *names: str) -> None:
+    for name in names:
+        if not getattr(obj, name) >= 0:
+            raise ValueError(f"{name}: must be >= 0")
 
 
 # Sections defined here; workspace, actuator, sim and filter are the domain
@@ -179,8 +185,7 @@ class PlatformConfig:
 
     def __post_init__(self):
         _check_positive(self, "length_x", "width_y", "home_height")
-        if self.z_offset < 0:
-            raise ValueError("z_offset: must be >= 0")
+        _check_non_negative(self, "z_offset")
 
 
 @dataclass
@@ -220,6 +225,17 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         _check_positive(self, "dt")
+        # The SineParams/CircularParams conditions on the selected type's
+        # keys, so that gen cannot fail on them after the run directory
+        # exists; the other types' keys may hold anything.
+        if self.type == "sine":
+            _check_positive(self, "frequency")
+            _check_non_negative(self, "run_time", "wait_time")
+        elif self.type == "circular":
+            _check_non_negative(self, "radius")
+            _check_positive(self, "circle_frequency")
+            if not self.rounds >= 1:
+                raise ValueError("rounds: must be >= 1")
 
 
 @dataclass

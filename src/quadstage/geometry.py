@@ -56,24 +56,54 @@ def rot_z(angle_rad: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _plane_rotations(angle_rad, i: int, j: int) -> np.ndarray:
+    # Stack (..., 3, 3) of rotations by angle_rad in the (i, j) coordinate
+    # plane, positive from axis i toward axis j: rot_x is (1, 2), rot_y
+    # (2, 0), rot_z (0, 1).
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    r = np.zeros(c.shape + (3, 3))
+    r[..., 3 - i - j, 3 - i - j] = 1.0
+    r[..., i, i] = r[..., j, j] = c
+    r[..., i, j] = -s
+    r[..., j, i] = s
+    return r
+
+
 def euler_to_rotation(euler_deg) -> np.ndarray:
-    """Rotation matrix from intrinsic x-y-z Euler angles in degrees."""
+    """Rotation matrix from intrinsic x-y-z Euler angles in degrees.
+
+    Array-first: euler_deg is (..., 3) and the result is (..., 3, 3), each
+    matrix rot_x @ rot_y @ rot_z computed by the same matrix products as
+    for one 3-vector.  On a stack, the non-finite check names the first
+    offending sample index.
+    """
     e = np.asarray(euler_deg, dtype=float)
-    if e.shape != (3,):
+    if e.shape[-1:] != (3,):
         raise ValueError(f"expected 3 Euler angles, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("Euler angles must be finite")
-    rx, ry, rz = np.radians(e)
-    return rot_x(rx) @ rot_y(ry) @ rot_z(rz)
+    if e.ndim == 1:
+        if not np.all(np.isfinite(e)):
+            raise ValueError("Euler angles must be finite")
+        rx, ry, rz = np.radians(e)
+        return rot_x(rx) @ rot_y(ry) @ rot_z(rz)
+    _check(np.logical_not(np.all(np.isfinite(e), axis=-1)), ValueError,
+           "Euler angles must be finite")
+    rad = np.radians(e)
+    return (_plane_rotations(rad[..., 0], 1, 2) @ _plane_rotations(rad[..., 1], 2, 0)
+            @ _plane_rotations(rad[..., 2], 0, 1))
+
+
+def at_sample(k) -> str:
+    """The suffix naming sample k of a stack in an error message."""
+    return f" at sample {k}"
 
 
 def _where(mask) -> str:
-    # " at sample <i>" naming the first set entry of a batched mask; "" if unbatched.
+    # at_sample of the first set entry of a batched mask; "" if unbatched.
     mask = np.asarray(mask)
     if mask.ndim == 0:
         return ""
     first = np.argwhere(mask)[0]
-    return f" at sample {int(first[0]) if mask.ndim == 1 else tuple(int(i) for i in first)}"
+    return at_sample(int(first[0]) if mask.ndim == 1 else tuple(int(i) for i in first))
 
 
 def _check(bad, error: type, message: str) -> None:

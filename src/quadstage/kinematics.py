@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import euler_to_rotation, rot_x, rot_y
+from .geometry import at_sample, euler_to_rotation, rot_x, rot_y
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -93,7 +93,7 @@ class LegGeometry:
         self.hip_mount = np.asarray(self.hip_mount, dtype=float)
         if self.hip_mount.shape != (3,):
             raise ValueError("hip_mount must be a 3-vector")
-        if self.l_upper <= 0 or self.l_lower <= 0:
+        if not (self.l_upper > 0 and self.l_lower > 0):
             raise ValueError("link lengths must be positive")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
@@ -139,7 +139,12 @@ class PlatformGeometry:
 @dataclass
 class PlatformPose:
     """Stage pose: center position (mm, relative to home) and intrinsic
-    x-y-z Euler orientation (degrees)."""
+    x-y-z Euler orientation (degrees).
+
+    position and orientation_deg are 3-vectors for one pose, or both
+    (N, 3) for a stacked pose of N samples (which solve_platform_ik solves
+    in one array pass).
+    """
 
     position: np.ndarray
     orientation_deg: np.ndarray
@@ -147,8 +152,9 @@ class PlatformPose:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.orientation_deg = np.asarray(self.orientation_deg, dtype=float)
-        if self.position.shape != (3,) or self.orientation_deg.shape != (3,):
-            raise ValueError("position and orientation_deg must be 3-vectors")
+        if (self.position.shape[-1:] != (3,) or self.position.ndim > 2
+                or self.orientation_deg.shape != self.position.shape):
+            raise ValueError("position and orientation_deg must be 3-vectors or (N, 3) stacks")
         if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.orientation_deg))):
             raise ValueError("pose must be finite")
 
@@ -173,7 +179,7 @@ class WorkspaceLimits:
 
     def __post_init__(self):
         for name in ("x_max", "y_max", "z_max", "rot_max", "ball_pivot_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be positive")
 
 
@@ -282,6 +288,33 @@ def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray
     return np.array([q_aa, q_hip, q_knee])
 
 
+def _leg_ik_stack(p, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
+    # leg_ik over (N, 3) finite targets in one array pass, with leg_ik's
+    # formulas and thresholds: returns the (N, 3) joint angles and the (N,)
+    # mask of the targets leg_ik rejects as unreachable (their angles are
+    # clamped stand-ins).
+    v = p - geom.hip_mount
+    d = geom.side_sign * geom.hip_offset_y
+    rho = np.hypot(v[:, 1], v[:, 2])
+    unreachable = rho < abs(d)
+    ratio = np.divide(d, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    q_aa = np.arctan2(v[:, 2], v[:, 1]) + np.arccos(np.clip(ratio, -1.0, 1.0))
+    q_aa = np.where(q_aa > math.pi, q_aa - 2.0 * math.pi, q_aa)
+
+    xp = v[:, 0]
+    zp = -np.sqrt(np.maximum(rho * rho - d * d, 0.0))
+    r2 = xp * xp + zp * zp
+    r = np.sqrt(r2)
+    lu, ll = geom.l_upper, geom.l_lower
+    cos_knee = (r2 - lu * lu - ll * ll) / (2.0 * lu * ll)
+    reach, inner = lu + ll, abs(lu - ll)
+    unreachable |= (cos_knee > 1.0) & (r - reach > 1e-12 * reach)
+    unreachable |= (cos_knee < -1.0) & (inner - r > 1e-12 * max(inner, 1.0))
+    q_knee = geom.knee_sign * np.arccos(np.clip(cos_knee, -1.0, 1.0))
+    q_hip = np.arctan2(xp, -zp) - np.arctan2(ll * np.sin(q_knee), lu + ll * np.cos(q_knee))
+    return np.stack([q_aa, q_hip, q_knee], axis=-1), unreachable
+
+
 def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
     """Analytic 3x3 Jacobian d(foot position)/d(joint angles) in mm/rad."""
     q_aa, q_hip, q_knee = np.asarray(q_leg, dtype=float)
@@ -299,9 +332,13 @@ def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
 
 
 def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
-    """Body-frame positions (4, 3) of the corner ball joints for a pose."""
+    """Body-frame positions of the corner ball joints for a pose: (4, 3)
+    for one pose, (N, 4, 3) for a stacked pose of N samples."""
     r = pose.rotation()
-    return geom.home_center + pose.position + geom.corner_offsets @ r.T
+    if pose.position.ndim == 1:
+        return geom.home_center + pose.position + geom.corner_offsets @ r.T
+    return ((geom.home_center + pose.position)[:, None, :]
+            + geom.corner_offsets @ np.swapaxes(r, -1, -2))
 
 
 def _lower_link_rotation(q_leg) -> np.ndarray:
@@ -349,6 +386,18 @@ def _home_socket_axes(home_corners: tuple, legs: tuple) -> np.ndarray:
     ])
     axes.flags.writeable = False
     return axes
+
+
+def outside_box(positions, orientations_deg, limits: WorkspaceLimits) -> np.ndarray:
+    """Mask over the leading axes of (..., 3) positions and orientations:
+    True where a pose is outside the translation/rotation box.
+
+    Same comparisons as check_pose_bounds, which lists the violations of
+    one pose and is cheaper on one pose than this array test.
+    """
+    bounds = np.array([limits.x_max, limits.y_max, limits.z_max])
+    return (np.any(np.abs(positions) > bounds, axis=-1)
+            | np.any(np.abs(orientations_deg) > limits.rot_max, axis=-1))
 
 
 def check_pose_bounds(pose: PlatformPose, limits: WorkspaceLimits):
@@ -414,11 +463,21 @@ def solve_platform_ik(
     (routine poses inside the box can exceed it, so by default pivot
     angles are reported through workspace_check instead of rejected here).
 
+    A stacked pose (position and orientation_deg (N, 3)) gives (N, 12) in
+    one array pass: one box mask, an (N, 3, 3) rotation stack, (N, 4, 3)
+    corners, one closed-form IK pass and one leg_fk re-check per leg.  The
+    samples these checks flag (with check_pivot, every sample) are solved
+    again one at a time by the one-pose path, in sample order: a stack
+    raises what its first failing sample raises alone, with " at sample k"
+    added to the message, and a flagged sample that solves keeps that q.
+
     Raises:
         WorkspaceViolationError: pose outside the box (limits given).
         UnreachableError: some corner is out of a leg's reach; .leg names it.
         BallPivotError: pivot cone exceeded (check_pivot=True only).
     """
+    if pose.position.ndim == 2:
+        return _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot)
     if limits is not None:
         trans, rot = check_pose_bounds(pose, limits)
         if trans or rot:
@@ -441,4 +500,28 @@ def solve_platform_ik(
         worst = int(np.argmax(angles))
         if angles[worst] > limits.ball_pivot_max:
             raise BallPivotError(worst, float(angles[worst]), limits.ball_pivot_max)
+    return q
+
+
+def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.ndarray:
+    # The stacked case of solve_platform_ik.
+    n = len(pose.position)
+    flagged = np.full(n, bool(check_pivot and limits is not None))
+    if limits is not None:
+        flagged |= outside_box(pose.position, pose.orientation_deg, limits)
+    corners = platform_corners(pose, platform)
+    q = np.empty((n, NUM_JOINTS))
+    for i, geom in enumerate(robot):
+        q_leg, unreachable = _leg_ik_stack(corners[:, i], geom)
+        err = np.linalg.norm(leg_fk(q_leg, geom) - corners[:, i], axis=-1)
+        # not (err <= bound) also flags a NaN error
+        flagged |= unreachable | np.logical_not(err <= 1e-6)
+        q[:, 3 * i : 3 * i + 3] = q_leg
+    for k in np.flatnonzero(flagged):
+        one = PlatformPose(pose.position[k], pose.orientation_deg[k])
+        try:
+            q[k] = solve_platform_ik(one, robot, platform, limits, check_pivot)
+        except ValueError as err:
+            err.args = (f"{err}{at_sample(int(k))}",)
+            raise
     return q

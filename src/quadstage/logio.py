@@ -74,8 +74,11 @@ def atomic_write_text(path, text: str) -> None:
 def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray) -> str:
     lines = [f"{MAGIC} {kind} config={config_hash}", ",".join(columns)]
     if rows.size:
-        for row in np.atleast_2d(rows):
-            lines.append(",".join(format(v, FLOAT_FORMAT) for v in row))
+        rows = np.atleast_2d(rows)
+        # One %-template per table, filled row by row: the same digits as
+        # format(v, FLOAT_FORMAT), without a whole-table list of floats.
+        template = ",".join(["%" + FLOAT_FORMAT] * rows.shape[1])
+        lines += [template % tuple(row.tolist()) for row in rows]
     return "\n".join(lines) + "\n"
 
 

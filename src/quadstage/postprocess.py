@@ -80,7 +80,7 @@ class FilterParams:
     zero_phase: bool = True
 
     def __post_init__(self):
-        if self.cutoff_hz <= 0:
+        if not self.cutoff_hz > 0:
             raise ValueError("cutoff_hz: must be positive")
         if self.order < 2 or self.order % 2:
             raise ValueError("order: must be a positive even integer")

@@ -35,7 +35,7 @@ def _per_joint(value, name: str) -> np.ndarray:
         arr = np.full(NUM_JOINTS, float(arr))
     if arr.shape != (NUM_JOINTS,):
         raise ValueError(f"{name}: must be a scalar or a 12-vector")
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError(f"{name}: must be non-negative")
     return arr
 
@@ -53,7 +53,7 @@ class ActuatorParams:
 
     def __post_init__(self):
         for name in ("tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be positive")
 
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
@@ -77,10 +77,10 @@ class SimParams:
     gravity_compensation: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt: must be positive")
         for name in ("payload_mass", "platform_mass"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name}: must be >= 0")
         self.kp = _per_joint(self.kp, "kp")
         self.kd = _per_joint(self.kd, "kd")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import PlatformPose, WorkspaceLimits
+from .kinematics import PlatformPose, WorkspaceLimits, outside_box
 from .postprocess import PoseSeries
 
 TRANSLATION = "translation"
@@ -44,9 +44,9 @@ class SineParams:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
-        if self.run_time < 0 or self.wait_time < 0:
+        if not (self.run_time >= 0 and self.wait_time >= 0):
             raise ValueError("run_time and wait_time must be >= 0")
         if self.motion not in (TRANSLATION, ROTATION):
             raise ValueError(f"motion must be '{TRANSLATION}' or '{ROTATION}'")
@@ -74,11 +74,11 @@ class CircularParams:
     rotation_mode: str = "oscillate"
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ValueError("radius must be >= 0")
-        if self.rounds < 1:
+        if not self.rounds >= 1:
             raise ValueError("rounds must be >= 1")
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
         if self.direction not in ("cw", "ccw"):
             raise ValueError("direction must be 'cw' or 'ccw'")
@@ -87,7 +87,7 @@ class CircularParams:
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     n = int(round(duration / dt)) + 1
     return np.arange(n) * dt
@@ -96,10 +96,7 @@ def _time_grid(duration: float, dt: float) -> np.ndarray:
 def _warn_if_outside(positions, orientations, limits: WorkspaceLimits | None):
     if limits is None:
         return
-    bounds = np.array([limits.x_max, limits.y_max, limits.z_max])
-    bad = np.any(np.abs(positions) > bounds, axis=1)
-    bad |= np.any(np.abs(orientations) > limits.rot_max, axis=1)
-    count = int(np.count_nonzero(bad))
+    count = int(np.count_nonzero(outside_box(positions, orientations, limits)))
     if count:
         warnings.warn(
             f"{count} of {len(positions)} samples exceed the workspace box",
@@ -170,7 +167,7 @@ def gen_arbitrary(
             f"need {len(waypoints) - 1} segment times for {len(waypoints)} waypoints, "
             f"got {len(segment_times)}"
         )
-    if any(s <= 0 for s in segment_times):
+    if not all(s > 0 for s in segment_times):
         raise ValueError("segment times must be positive")
     if mode not in ("linear", "cosine"):
         raise ValueError("mode must be 'linear' or 'cosine'")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadstage.cli import main
-from quadstage.logio import REPORT_POSE_KEYS, read_log
+from quadstage.logio import REPORT_POSE_KEYS, read_log, read_trajectory, write_trajectory
 
 FAST_CFG = """
 [trajectory]
@@ -104,6 +104,29 @@ class TestPipeline:
         assert run_cli("all", "--config", str(path), "--run-id", "clocks") == 2
         assert "config error: trajectory.dt: must equal sim.dt" in capsys.readouterr().err
         assert not (runs_root / "clocks").exists()
+
+    def test_generator_parameters_checked_before_run_dir(self, runs_root, tmp_path, capsys):
+        path = tmp_path / "freq.cfg"
+        path.write_text(FAST_CFG.replace("frequency = 2.0", "frequency = -1"))
+        assert run_cli("all", "--config", str(path), "--run-id", "freq") == 2
+        assert "config error: trajectory.frequency: must be positive" in capsys.readouterr().err
+        assert not (runs_root / "freq").exists()
+
+    def test_ik_names_unreachable_sample(self, runs_root, tmp_path, capsys):
+        # A 600 mm box lets a pose 500 mm below home through to the legs,
+        # which reach 750 mm from a hip 340 mm above the corners.
+        path = tmp_path / "tall.cfg"
+        path.write_text(FAST_CFG + "\n[workspace]\nz_max = 600.0\n")
+        assert run_cli("gen", "--config", str(path), "--run-id", "far") == 0
+        traj_path = runs_root / "far" / "trajectory.csv"
+        digest, traj = read_trajectory(traj_path)
+        traj.positions[3, 2] = -500.0
+        write_trajectory(traj_path, traj, digest)
+        capsys.readouterr()
+        assert run_cli("ik", "--config", str(path), "--run-id", "far") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage ik: UnreachableError: leg fl: ")
+        assert err.rstrip().endswith(" at sample 3")
 
     def test_report_structure(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "rep") == 0

@@ -288,6 +288,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[{section}]\n{key} = {value.format(number)}\n")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("frequency = -1", "frequency: must be positive"),
+            ("run_time = -0.5", "run_time: must be >= 0"),
+            ("type = circular\ncircle_frequency = 0", "circle_frequency: must be positive"),
+            ("type = circular\nradius = -1", "radius: must be >= 0"),
+            ("type = circular\nrounds = 0", "rounds: must be >= 1"),
+        ],
+    )
+    def test_selected_generator_checked_at_load(self, body, message):
+        with pytest.raises(ConfigError, match=rf"^trajectory\.{re.escape(message)}$"):
+            loads_config(f"[trajectory]\n{body}\n")
+
+    def test_other_generators_not_checked(self):
+        cfg = loads_config("[trajectory]\ntype = circular\nfrequency = -1\n")
+        assert cfg.trajectory.frequency == -1.0
+        cfg = loads_config("[trajectory]\nrounds = 0\ncircle_frequency = -2\n")
+        assert cfg.trajectory.rounds == 0
+
     def test_one_sample_clock(self):
         with pytest.raises(ConfigError, match=r"^trajectory\.dt: must equal sim\.dt$"):
             loads_config("[sim]\ndt = 0.002\n")

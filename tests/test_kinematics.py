@@ -297,3 +297,12 @@ class TestWorkspaceCheck:
     def test_limits_validate(self):
         with pytest.raises(ValueError):
             WorkspaceLimits(x_max=-1.0)
+
+    def test_limits_reject_nan(self):
+        with pytest.raises(ValueError, match="^x_max: must be positive$"):
+            WorkspaceLimits(x_max=float("nan"))
+
+
+def test_leg_geometry_rejects_nan_length():
+    with pytest.raises(ValueError, match="^link lengths must be positive$"):
+        LegGeometry([0.0, 0.0, 0.0], float("nan"), 100.0)

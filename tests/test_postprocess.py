@@ -126,6 +126,10 @@ class TestButterworthFilter:
         with pytest.raises(ValueError):
             FilterParams(order=3)
 
+    def test_cutoff_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="^cutoff_hz: must be positive$"):
+            FilterParams(cutoff_hz=float("nan"))
+
 
 class TestPoseSeries:
     def test_sample_clock(self):

@@ -210,3 +210,14 @@ class TestRunSim:
     def test_rejects_empty_trajectory(self, cfg):
         with pytest.raises(ValueError):
             run_sim(np.empty((0, 12)), cfg.sim, cfg.actuator, cfg.robot)
+
+
+class TestParams:
+    # NaN fails every comparison, so each check is written to fail on it.
+    def test_sim_params_reject_nan_dt(self):
+        with pytest.raises(ValueError, match="^dt: must be positive$"):
+            SimParams(dt=float("nan"))
+
+    def test_actuator_params_reject_nan_clamp(self):
+        with pytest.raises(ValueError, match="^tau_max: must be positive$"):
+            ActuatorParams(tau_max=float("nan"))

@@ -74,6 +74,12 @@ class TestSine:
             warnings.simplefilter("error")
             gen_sine(SineParams(1.0, 0.0, frequency=2.0, amplitude=20.0), DT, limits)
 
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError, match="^frequency must be positive$"):
+            SineParams(1.0, 0.0, frequency=float("nan"))
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            gen_sine(SineParams(1.0, 0.0), float("nan"))
+
 
 class TestStep:
     def test_pre_and_post_step(self):
@@ -170,6 +176,10 @@ class TestCircular:
         traj = gen_circular(params, DT)
         assert np.allclose(traj.positions, 0.0)
         assert np.allclose(traj.orientations_deg, 0.0)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+            CircularParams(radius=float("nan"))
 
     def test_uniform_timestamps(self):
         traj = gen_circular(CircularParams(radius=10.0, rounds=2, frequency=3.0), DT)
