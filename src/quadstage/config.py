@@ -225,17 +225,29 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         _check_positive(self, "dt")
-        # The SineParams/CircularParams conditions on the selected type's
-        # keys, so that gen cannot fail on them after the run directory
-        # exists; the other types' keys may hold anything.
+        # Build the selected type's parameters now, so that gen cannot fail
+        # on them after the run directory exists; the other types' keys may
+        # hold anything.
+        try:
+            self.generator_params()
+        except ValueError as err:
+            msg = str(err)
+            if self.type == "circular" and msg.startswith("frequency:"):
+                msg = "circle_" + msg
+            raise ValueError(msg) from None
+
+    def generator_params(self) -> SineParams | CircularParams | None:
+        """The sine or circular generator's parameters; None for the
+        other types."""
         if self.type == "sine":
-            _check_positive(self, "frequency")
-            _check_non_negative(self, "run_time", "wait_time")
-        elif self.type == "circular":
-            _check_non_negative(self, "radius")
-            _check_positive(self, "circle_frequency")
-            if not self.rounds >= 1:
-                raise ValueError("rounds: must be >= 1")
+            return SineParams(self.run_time, self.wait_time, self.motion, self.axis,
+                              self.frequency, self.amplitude, self.offsets)
+        if self.type == "circular":
+            return CircularParams(self.radius, self.rot_angle_deg, self.rounds,
+                                  self.circle_frequency, self.direction,
+                                  self.translation_enabled, self.rotation_enabled,
+                                  self.rotation_mode)
+        return None
 
 
 @dataclass
@@ -286,18 +298,12 @@ class Config:
         """Generate the trajectory described by the [trajectory] block."""
         tc = self.trajectory
         if tc.type == "sine":
-            params = SineParams(tc.run_time, tc.wait_time, tc.motion, tc.axis,
-                                tc.frequency, tc.amplitude, tc.offsets)
-            return gen_sine(params, tc.dt, self.limits)
+            return gen_sine(tc.generator_params(), tc.dt, self.limits)
         if tc.type == "step":
             target = PlatformPose(tc.step_target[:3], tc.step_target[3:])
             return gen_step(target, tc.step_time, tc.total_time, tc.dt, self.limits)
         if tc.type == "circular":
-            params = CircularParams(tc.radius, tc.rot_angle_deg, tc.rounds,
-                                    tc.circle_frequency, tc.direction,
-                                    tc.translation_enabled, tc.rotation_enabled,
-                                    tc.rotation_mode)
-            return gen_circular(params, tc.dt, self.limits)
+            return gen_circular(tc.generator_params(), tc.dt, self.limits)
         if tc.type == "arbitrary":
             poses = [PlatformPose(w[:3], w[3:]) for w in np.atleast_2d(tc.waypoints)]
             return gen_arbitrary(poses, list(tc.segment_times), tc.dt, tc.interp, self.limits)

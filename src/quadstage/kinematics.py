@@ -335,9 +335,7 @@ def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
     """Body-frame positions of the corner ball joints for a pose: (4, 3)
     for one pose, (N, 4, 3) for a stacked pose of N samples."""
     r = pose.rotation()
-    if pose.position.ndim == 1:
-        return geom.home_center + pose.position + geom.corner_offsets @ r.T
-    return ((geom.home_center + pose.position)[:, None, :]
+    return ((geom.home_center + pose.position)[..., None, :]
             + geom.corner_offsets @ np.swapaxes(r, -1, -2))
 
 

@@ -45,13 +45,14 @@ class SineParams:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
         if not self.frequency > 0:
-            raise ValueError("frequency must be positive")
-        if not (self.run_time >= 0 and self.wait_time >= 0):
-            raise ValueError("run_time and wait_time must be >= 0")
+            raise ValueError("frequency: must be positive")
+        for name in ("run_time", "wait_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must be >= 0")
         if self.motion not in (TRANSLATION, ROTATION):
-            raise ValueError(f"motion must be '{TRANSLATION}' or '{ROTATION}'")
+            raise ValueError(f"motion: must be '{TRANSLATION}' or '{ROTATION}'")
         if self.axis not in ("x", "y", "z"):
-            raise ValueError("axis must be one of x, y, z")
+            raise ValueError("axis: must be one of x, y, z")
 
 
 @dataclass
@@ -75,15 +76,15 @@ class CircularParams:
 
     def __post_init__(self):
         if not self.radius >= 0:
-            raise ValueError("radius must be >= 0")
+            raise ValueError("radius: must be >= 0")
         if not self.rounds >= 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValueError("rounds: must be >= 1")
         if not self.frequency > 0:
-            raise ValueError("frequency must be positive")
+            raise ValueError("frequency: must be positive")
         if self.direction not in ("cw", "ccw"):
-            raise ValueError("direction must be 'cw' or 'ccw'")
+            raise ValueError("direction: must be 'cw' or 'ccw'")
         if self.rotation_mode not in ("oscillate", "continuous"):
-            raise ValueError("rotation_mode must be 'oscillate' or 'continuous'")
+            raise ValueError("rotation_mode: must be 'oscillate' or 'continuous'")
 
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:

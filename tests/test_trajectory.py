@@ -75,7 +75,7 @@ class TestSine:
             gen_sine(SineParams(1.0, 0.0, frequency=2.0, amplitude=20.0), DT, limits)
 
     def test_nan_parameters_rejected(self):
-        with pytest.raises(ValueError, match="^frequency must be positive$"):
+        with pytest.raises(ValueError, match="^frequency: must be positive$"):
             SineParams(1.0, 0.0, frequency=float("nan"))
         with pytest.raises(ValueError, match="^dt must be positive$"):
             gen_sine(SineParams(1.0, 0.0), float("nan"))
@@ -178,7 +178,7 @@ class TestCircular:
         assert np.allclose(traj.orientations_deg, 0.0)
 
     def test_nan_radius_rejected(self):
-        with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        with pytest.raises(ValueError, match="^radius: must be >= 0$"):
             CircularParams(radius=float("nan"))
 
     def test_uniform_timestamps(self):
