@@ -57,7 +57,6 @@ from .simenv import (
     ActuatorParams,
     SimLog,
     SimParams,
-    SimState,
     SimulationUnstableError,
     gravity_torque,
     pd_control,

@@ -32,10 +32,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits
+from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits,
+                         check_non_negative, check_positive)
 from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
-from .trajectory import CircularParams, SineParams, gen_arbitrary, gen_circular, gen_sine, gen_step
+from .trajectory import (CircularParams, SineParams, check_segment_times, check_step_time, gen_arbitrary,
+                         gen_circular, gen_sine, gen_step)
 
 SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
@@ -140,18 +142,6 @@ def _choice(*options: str):
     return field(default=options[0], metadata={"codec": (parse, str)})
 
 
-def _check_positive(obj, *names: str) -> None:
-    for name in names:
-        if not getattr(obj, name) > 0:
-            raise ValueError(f"{name}: must be positive")
-
-
-def _check_non_negative(obj, *names: str) -> None:
-    for name in names:
-        if not getattr(obj, name) >= 0:
-            raise ValueError(f"{name}: must be >= 0")
-
-
 # Sections defined here; workspace, actuator, sim and filter are the domain
 # dataclasses of the modules that use them.
 
@@ -170,7 +160,7 @@ class RobotConfig:
     joint_limit_deg: float = 170.0
 
     def __post_init__(self):
-        _check_positive(self, "l_upper", "l_lower")
+        check_positive(self, "l_upper", "l_lower")
         for name in ("knee_sign_front", "knee_sign_back"):
             if getattr(self, name) not in (-1, 1):
                 raise ValueError(f"{name}: must be +1 or -1")
@@ -184,8 +174,8 @@ class PlatformConfig:
     home_height: float = 340.0
 
     def __post_init__(self):
-        _check_positive(self, "length_x", "width_y", "home_height")
-        _check_non_negative(self, "z_offset")
+        check_positive(self, "length_x", "width_y", "home_height")
+        check_non_negative(self, "z_offset")
 
 
 @dataclass
@@ -224,12 +214,16 @@ class TrajectoryConfig:
     interp: str = _choice("linear", "cosine")
 
     def __post_init__(self):
-        _check_positive(self, "dt")
-        # Build the selected type's parameters now, so that gen cannot fail
+        check_positive(self, "dt")
+        # Check the selected type's parameters now, so that gen cannot fail
         # on them after the run directory exists; the other types' keys may
         # hold anything.
         try:
             self.generator_params()
+            if self.type == "step":
+                check_step_time(self.step_time, self.total_time)
+            elif self.type == "arbitrary":
+                check_segment_times(len(np.atleast_2d(self.waypoints)), self.segment_times)
         except ValueError as err:
             msg = str(err)
             if self.type == "circular" and msg.startswith("frequency:"):

@@ -28,6 +28,20 @@ JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
 NUM_JOINTS = 12
 
 
+def check_positive(obj, *names: str) -> None:
+    """ValueError "<name>: must be positive" for the first field not > 0 (NaN included)."""
+    for name in names:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name}: must be positive")
+
+
+def check_non_negative(obj, *names: str) -> None:
+    """ValueError "<name>: must be >= 0" for the first field not >= 0 (NaN included)."""
+    for name in names:
+        if not getattr(obj, name) >= 0:
+            raise ValueError(f"{name}: must be >= 0")
+
+
 class KinematicsError(ValueError):
     """Base class for kinematics failures."""
 
@@ -178,9 +192,7 @@ class WorkspaceLimits:
     ball_pivot_max: float = 30.0
 
     def __post_init__(self):
-        for name in ("x_max", "y_max", "z_max", "rot_max", "ball_pivot_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be positive")
+        check_positive(self, "x_max", "y_max", "z_max", "rot_max", "ball_pivot_max")
 
 
 @dataclass
@@ -226,6 +238,47 @@ def leg_fk(q_leg, geom: LegGeometry) -> np.ndarray:
     return foot
 
 
+# The clamp into [-1, 1] ahead of acos, for each lib of _leg_ik_core.
+_CLIP_UNIT = {math: lambda x: min(1.0, max(-1.0, x)), np: lambda x: np.clip(x, -1.0, 1.0)}
+
+
+def _leg_ik_core(x, y, z, geom: LegGeometry, sign, lib):
+    # leg_ik's closed form for a target (x, y, z) from the hip mount, math
+    # scalars for one target or numpy arrays for a stack: the joint angles
+    # (clamped stand-ins when unreachable), then rho, r and the unclamped
+    # cos_knee for _reach_tests.
+    clip = _CLIP_UNIT[lib]
+    d = geom.side_sign * geom.hip_offset_y
+    rho = lib.hypot(y, z)
+    # d / rho, or 0 on the hip axis (where only d = 0 is reachable)
+    q_aa = lib.atan2(z, y) + lib.acos(clip(d / (rho + (rho == 0.0))))
+    q_aa = q_aa - 2.0 * math.pi * (q_aa > math.pi)
+    zp = -lib.sqrt((rho * rho - d * d) * (rho * rho > d * d))
+    r2 = x * x + zp * zp
+    lu, ll = geom.l_upper, geom.l_lower
+    cos_knee = (r2 - lu * lu - ll * ll) / (2.0 * lu * ll)
+    q_knee = sign * lib.acos(clip(cos_knee))
+    q_hip = lib.atan2(x, -zp) - lib.atan2(ll * lib.sin(q_knee), lu + ll * lib.cos(q_knee))
+    return q_aa, q_hip, q_knee, rho, lib.sqrt(r2), cos_knee
+
+
+def _reach_tests(rho, r, cos_knee, geom: LegGeometry):
+    # leg_ik's unreachability tests in its order (lateral offset, full
+    # extension within 1e-12 relative, fold radius), as (failed, deficit_mm,
+    # message, distance, limit); failed is a bool, or a mask for a stack.
+    offset = abs(geom.hip_offset_y)
+    lu, ll = geom.l_upper, geom.l_lower
+    reach, inner = lu + ll, abs(lu - ll)
+    return (
+        (rho < offset, offset - rho,
+         "target only {:.3f} mm from the hip axis, lateral offset needs {:.3f} mm", rho, offset),
+        ((cos_knee > 1.0) & (r - reach > 1e-12 * reach), r - reach,
+         "target {:.3f} mm from hip exceeds reach {:.3f} mm", r, reach),
+        ((cos_knee < -1.0) & (inner - r > 1e-12 * max(inner, 1.0)), inner - r,
+         "target {:.3f} mm from hip is inside the fold radius {:.3f} mm", r, inner),
+    )
+
+
 def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray:
     """Closed-form joint angles placing the foot at p_target (body frame).
 
@@ -236,99 +289,59 @@ def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray
 
     Raises:
         UnreachableError: with the distance still missing (deficit_mm) when
-            the target is beyond full extension, inside the fold limit, or
-            closer to the hip axis than the lateral offset allows.
+            the target is closer to the hip axis than the lateral offset
+            allows, beyond full extension, or inside the fold radius
+            (tested in that order).
     """
     p = np.asarray(p_target, dtype=float)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("target must be finite")
     sign = geom.knee_sign if branch is None else branch
     if sign not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
-    v = p - geom.hip_mount
-    d = geom.side_sign * geom.hip_offset_y
-
-    rho = math.hypot(v[1], v[2])
-    if rho < abs(d):
-        raise UnreachableError(
-            f"target only {rho:.3f} mm from the hip axis, lateral offset needs {abs(d):.3f} mm",
-            deficit_mm=abs(d) - rho,
-        )
-    cos_lateral = min(1.0, max(-1.0, d / rho)) if rho > 0.0 else 0.0
-    q_aa = math.atan2(v[2], v[1]) + math.acos(cos_lateral)
-    if q_aa > math.pi:
-        q_aa -= 2.0 * math.pi
-
-    xp = v[0]
-    zp = -math.sqrt(max(rho * rho - d * d, 0.0))
-    r2 = xp * xp + zp * zp
-    r = math.sqrt(r2)
-    lu, ll = geom.l_upper, geom.l_lower
-    cos_knee = (r2 - lu * lu - ll * ll) / (2.0 * lu * ll)
-    if cos_knee > 1.0:
-        reach = lu + ll
-        if r - reach > 1e-12 * reach:
-            raise UnreachableError(
-                f"target {r:.3f} mm from hip exceeds reach {reach:.3f} mm",
-                deficit_mm=r - reach,
-            )
-        cos_knee = 1.0
-    elif cos_knee < -1.0:
-        inner = abs(lu - ll)
-        if inner - r > 1e-12 * max(inner, 1.0):
-            raise UnreachableError(
-                f"target {r:.3f} mm from hip is inside the fold radius {inner:.3f} mm",
-                deficit_mm=inner - r,
-            )
-        cos_knee = -1.0
-    q_knee = sign * math.acos(cos_knee)
-    q_hip = math.atan2(xp, -zp) - math.atan2(
-        ll * math.sin(q_knee), lu + ll * math.cos(q_knee)
-    )
+    x, y, z = (p - geom.hip_mount).tolist()
+    q_aa, q_hip, q_knee, rho, r, cos_knee = _leg_ik_core(x, y, z, geom, sign, math)
+    for failed, deficit, message, distance, limit in _reach_tests(rho, r, cos_knee, geom):
+        if failed:
+            raise UnreachableError(message.format(distance, limit), deficit_mm=deficit)
     return np.array([q_aa, q_hip, q_knee])
 
 
 def _leg_ik_stack(p, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
-    # leg_ik over (N, 3) finite targets in one array pass, with leg_ik's
-    # formulas and thresholds: returns the (N, 3) joint angles and the (N,)
-    # mask of the targets leg_ik rejects as unreachable (their angles are
-    # clamped stand-ins).
+    # leg_ik over (N, 3) finite targets in one array pass: returns the
+    # (N, 3) joint angles and the (N,) mask of the targets leg_ik rejects
+    # as unreachable (their angles are clamped stand-ins).
     v = p - geom.hip_mount
-    d = geom.side_sign * geom.hip_offset_y
-    rho = np.hypot(v[:, 1], v[:, 2])
-    unreachable = rho < abs(d)
-    ratio = np.divide(d, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    q_aa = np.arctan2(v[:, 2], v[:, 1]) + np.arccos(np.clip(ratio, -1.0, 1.0))
-    q_aa = np.where(q_aa > math.pi, q_aa - 2.0 * math.pi, q_aa)
-
-    xp = v[:, 0]
-    zp = -np.sqrt(np.maximum(rho * rho - d * d, 0.0))
-    r2 = xp * xp + zp * zp
-    r = np.sqrt(r2)
-    lu, ll = geom.l_upper, geom.l_lower
-    cos_knee = (r2 - lu * lu - ll * ll) / (2.0 * lu * ll)
-    reach, inner = lu + ll, abs(lu - ll)
-    unreachable |= (cos_knee > 1.0) & (r - reach > 1e-12 * reach)
-    unreachable |= (cos_knee < -1.0) & (inner - r > 1e-12 * max(inner, 1.0))
-    q_knee = geom.knee_sign * np.arccos(np.clip(cos_knee, -1.0, 1.0))
-    q_hip = np.arctan2(xp, -zp) - np.arctan2(ll * np.sin(q_knee), lu + ll * np.cos(q_knee))
-    return np.stack([q_aa, q_hip, q_knee], axis=-1), unreachable
+    *q, rho, r, cos_knee = _leg_ik_core(v[:, 0], v[:, 1], v[:, 2], geom, geom.knee_sign, np)
+    lateral, extension, fold = (test[0] for test in _reach_tests(rho, r, cos_knee, geom))
+    return np.stack(q, axis=-1), lateral | extension | fold
 
 
 def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
-    """Analytic 3x3 Jacobian d(foot position)/d(joint angles) in mm/rad."""
-    q_aa, q_hip, q_knee = np.asarray(q_leg, dtype=float)
-    lu, ll = geom.l_upper, geom.l_lower
-    xp, zp = _planar_foot(q_hip, q_knee, geom)
-    rx = rot_x(q_aa)
-    p_rel = rx @ np.array([xp, geom.side_sign * geom.hip_offset_y, zp])
-    # d/dq_aa of Rx(q_aa) w  =  x_hat x (Rx w)
-    col_aa = np.array([0.0, -p_rel[2], p_rel[1]])
-    c_h, s_h = math.cos(q_hip), math.sin(q_hip)
-    c_hk, s_hk = math.cos(q_hip + q_knee), math.sin(q_hip + q_knee)
-    col_hip = rx @ np.array([lu * c_h + ll * c_hk, 0.0, lu * s_h + ll * s_hk])
-    col_knee = rx @ np.array([ll * c_hk, 0.0, ll * s_hk])
-    return np.column_stack([col_aa, col_hip, col_knee])
+    """Analytic Jacobian d(foot position)/d(joint angles) in mm/rad.
+
+    Array-first like leg_fk: q_leg is (..., 3) joint angles and the result
+    is (..., 3, 3), column j the foot velocity per unit rate of joint j.
+    """
+    q = np.asarray(q_leg, dtype=float)
+    lib = math if q.ndim == 1 else np
+    q_aa, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
+    xp, zp = _planar_foot(q_hip, q_knee, geom, lib)
+    y = geom.side_sign * geom.hip_offset_y
+    c, s = lib.cos(q_aa), lib.sin(q_aa)
+    kx, kz = geom.l_lower * lib.cos(q_hip + q_knee), geom.l_lower * lib.sin(q_hip + q_knee)
+    jac = np.zeros(q.shape + (3,))
+    # d/dq_aa of Rx(q_aa) (xp, y, zp) is x_hat x (Rx (xp, y, zp)); the hip
+    # and knee columns are Rx (-zp, 0, xp) and Rx (kx, 0, kz).
+    jac[..., 1, 0] = -(s * y + c * zp)
+    jac[..., 2, 0] = c * y - s * zp
+    jac[..., 0, 1] = -zp
+    jac[..., 1, 1] = -s * xp
+    jac[..., 2, 1] = c * xp
+    jac[..., 0, 2] = kx
+    jac[..., 1, 2] = -s * kz
+    jac[..., 2, 2] = c * kz
+    return jac
 
 
 def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:

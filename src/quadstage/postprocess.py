@@ -15,7 +15,7 @@ import numpy as np
 from scipy import signal
 
 from .geometry import align_vectors, cross, line_closest_midpoint, rotation_to_euler
-from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, leg_fk
+from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, check_positive, leg_fk
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
@@ -80,8 +80,7 @@ class FilterParams:
     zero_phase: bool = True
 
     def __post_init__(self):
-        if not self.cutoff_hz > 0:
-            raise ValueError("cutoff_hz: must be positive")
+        check_positive(self, "cutoff_hz")
         if self.order < 2 or self.order % 2:
             raise ValueError("order: must be a positive even integer")
 

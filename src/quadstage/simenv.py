@@ -9,6 +9,9 @@ the leg Jacobian transpose.  Integration is semi-implicit Euler (velocity
 first, then position), which keeps stiff PD gains stable at 1 kHz without
 a solver.
 
+run_sim owns the loop: it holds the joint state as two 12-vectors and
+calls sim_step once per target sample, which maps (q, qdot) at tick k to
+the state at tick k + 1 and the torque and current applied over the tick.
 Two runs over the same inputs produce bit-identical logs.
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, leg_jacobian
+from .kinematics import NUM_JOINTS, check_non_negative, check_positive, leg_jacobian
 
 
 class SimulationUnstableError(RuntimeError):
@@ -52,9 +55,7 @@ class ActuatorParams:
     reflected_inertia: float = 0.035
 
     def __post_init__(self):
-        for name in ("tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be positive")
+        check_positive(self, "tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia")
 
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
         return tau / (self.gear_ratio * self.kt_motor)
@@ -77,33 +78,14 @@ class SimParams:
     gravity_compensation: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt: must be positive")
-        for name in ("payload_mass", "platform_mass"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name}: must be >= 0")
+        check_positive(self, "dt")
+        check_non_negative(self, "payload_mass", "platform_mass")
         self.kp = _per_joint(self.kp, "kp")
         self.kd = _per_joint(self.kd, "kd")
 
     @property
     def total_mass(self) -> float:
         return self.payload_mass + self.platform_mass
-
-
-@dataclass
-class SimState:
-    """Per-joint state at one control tick."""
-
-    q: np.ndarray
-    qdot: np.ndarray
-    tau: np.ndarray
-    current: np.ndarray
-    t: float
-
-    @classmethod
-    def at_rest(cls, q) -> "SimState":
-        q = np.asarray(q, dtype=float).copy()
-        return cls(q, np.zeros(NUM_JOINTS), np.zeros(NUM_JOINTS), np.zeros(NUM_JOINTS), 0.0)
 
 
 @dataclass
@@ -173,25 +155,26 @@ def pd_control(
 
 
 def sim_step(
-    state: SimState,
-    q_target,
-    params: SimParams,
-    actuator: ActuatorParams,
-    robot,
-) -> SimState:
-    """Advance one control tick.
+    q, qdot, q_target, params: SimParams, actuator: ActuatorParams, robot, tick: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance one control tick from joint angles q and rates qdot (12-vectors).
 
     qddot = (tau_applied - tau_gravity_load) / reflected_inertia, then a
-    semi-implicit Euler update of velocity and position.
+    semi-implicit Euler update of velocity and position.  Returns the new
+    (q, qdot) and the (tau, current) applied over the tick, as new arrays.
+
+    Raises:
+        SimulationUnstableError: the new state is not finite; .tick is the
+            tick index passed in.
     """
-    tau_g = gravity_torque(state.q, params.total_mass, robot, params.gravity)
-    tau, current = pd_control(q_target, state.q, state.qdot, params, actuator, tau_g)
+    tau_g = gravity_torque(q, params.total_mass, robot, params.gravity)
+    tau, current = pd_control(q_target, q, qdot, params, actuator, tau_g)
     qddot = (tau - tau_g) / actuator.reflected_inertia
-    qdot = state.qdot + params.dt * qddot
-    q = state.q + params.dt * qdot
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
-        raise SimulationUnstableError(tick=int(round(state.t / params.dt)))
-    return SimState(q=q, qdot=qdot, tau=tau, current=current, t=state.t + params.dt)
+    qdot = qdot + params.dt * qddot
+    q = q + params.dt * qdot
+    if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
+        raise SimulationUnstableError(tick)
+    return q, qdot, tau, current
 
 
 def run_sim(
@@ -202,8 +185,9 @@ def run_sim(
 ) -> SimLog:
     """Track a joint-target sequence from rest at the first target.
 
-    Returns one log record per target sample; record k holds the state at
-    t_k together with the torque and current applied over that tick.
+    Returns one log record per target sample: record k holds the state at
+    t_k together with the torque and current that sim_step applies over
+    tick k.
 
     Raises:
         SimulationUnstableError: a state went non-finite; .tick names the
@@ -221,12 +205,11 @@ def run_sim(
         tau=np.empty((n, NUM_JOINTS)),
         current=np.empty((n, NUM_JOINTS)),
     )
-    state = SimState.at_rest(targets[0])
+    q, qdot = log.q_target[0], np.zeros(NUM_JOINTS)
     for k in range(n):
-        new_state = sim_step(state, targets[k], params, actuator, robot)
-        log.q[k] = state.q
-        log.qdot[k] = state.qdot
-        log.tau[k] = new_state.tau
-        log.current[k] = new_state.current
-        state = new_state
+        log.q[k] = q
+        log.qdot[k] = qdot
+        q, qdot, log.tau[k], log.current[k] = sim_step(
+            q, qdot, targets[k], params, actuator, robot, k
+        )
     return log

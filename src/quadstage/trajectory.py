@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import PlatformPose, WorkspaceLimits, outside_box
+from .kinematics import PlatformPose, WorkspaceLimits, check_non_negative, check_positive, outside_box
 from .postprocess import PoseSeries
 
 TRANSLATION = "translation"
@@ -44,11 +44,8 @@ class SineParams:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
-        if not self.frequency > 0:
-            raise ValueError("frequency: must be positive")
-        for name in ("run_time", "wait_time"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name}: must be >= 0")
+        check_positive(self, "frequency")
+        check_non_negative(self, "run_time", "wait_time")
         if self.motion not in (TRANSLATION, ROTATION):
             raise ValueError(f"motion: must be '{TRANSLATION}' or '{ROTATION}'")
         if self.axis not in ("x", "y", "z"):
@@ -75,12 +72,10 @@ class CircularParams:
     rotation_mode: str = "oscillate"
 
     def __post_init__(self):
-        if not self.radius >= 0:
-            raise ValueError("radius: must be >= 0")
+        check_non_negative(self, "radius")
         if not self.rounds >= 1:
             raise ValueError("rounds: must be >= 1")
-        if not self.frequency > 0:
-            raise ValueError("frequency: must be positive")
+        check_positive(self, "frequency")
         if self.direction not in ("cw", "ccw"):
             raise ValueError("direction: must be 'cw' or 'ccw'")
         if self.rotation_mode not in ("oscillate", "continuous"):
@@ -92,6 +87,23 @@ def _time_grid(duration: float, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive")
     n = int(round(duration / dt)) + 1
     return np.arange(n) * dt
+
+
+def check_step_time(step_time: float, total_time: float) -> None:
+    """The step generator's condition 0 <= step_time <= total_time."""
+    if not 0.0 <= step_time <= total_time:
+        raise ValueError("step_time: must be within [0, total_time]")
+
+
+def check_segment_times(n_waypoints: int, segment_times) -> None:
+    """The arbitrary generator's segments: one positive duration per waypoint gap."""
+    if n_waypoints < 1:
+        raise ValueError("waypoints: need at least one waypoint")
+    if len(segment_times) != n_waypoints - 1:
+        raise ValueError(f"segment_times: need {n_waypoints - 1} segment times for "
+                         f"{n_waypoints} waypoints, got {len(segment_times)}")
+    if not all(s > 0 for s in segment_times):
+        raise ValueError("segment_times: must be positive")
 
 
 def _warn_if_outside(positions, orientations, limits: WorkspaceLimits | None):
@@ -135,8 +147,7 @@ def gen_step(
 ) -> PoseSeries:
     """Home pose before step_time, target pose from step_time on
     (right-continuous)."""
-    if not 0.0 <= step_time <= total_time:
-        raise ValueError("need 0 <= step_time <= total_time")
+    check_step_time(step_time, total_time)
     t = _time_grid(total_time, dt)
     after = t >= step_time - 1e-12
     positions = np.where(after[:, None], target.position, 0.0)
@@ -161,15 +172,7 @@ def gen_arbitrary(
     """
     waypoints = list(waypoints)
     segment_times = [float(s) for s in segment_times]
-    if not waypoints:
-        raise ValueError("need at least one waypoint")
-    if len(segment_times) != len(waypoints) - 1:
-        raise ValueError(
-            f"need {len(waypoints) - 1} segment times for {len(waypoints)} waypoints, "
-            f"got {len(segment_times)}"
-        )
-    if not all(s > 0 for s in segment_times):
-        raise ValueError("segment times must be positive")
+    check_segment_times(len(waypoints), segment_times)
     if mode not in ("linear", "cosine"):
         raise ValueError("mode must be 'linear' or 'cosine'")
 

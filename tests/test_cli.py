@@ -112,6 +112,13 @@ class TestPipeline:
         assert "config error: trajectory.frequency: must be positive" in capsys.readouterr().err
         assert not (runs_root / "freq").exists()
 
+    def test_step_time_checked_before_run_dir(self, runs_root, tmp_path, capsys):
+        path = tmp_path / "step.cfg"
+        path.write_text("[trajectory]\ntype = step\nstep_time = 5.0\ntotal_time = 4.0\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "step") == 2
+        assert "config error: trajectory.step_time: must be within [0, total_time]" in capsys.readouterr().err
+        assert not (runs_root / "step").exists()
+
     def test_ik_names_unreachable_sample(self, runs_root, tmp_path, capsys):
         # A 600 mm box lets a pose 500 mm below home through to the legs,
         # which reach 750 mm from a hip 340 mm above the corners.

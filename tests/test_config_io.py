@@ -188,6 +188,12 @@ def configs(draw):
         for f in dataclasses.fields(obj):
             value = draw(_value(f.name, getattr(obj, f.name), sim_dt))
             values[f.name] = np.array(value) if isinstance(value, list) else value
+        if section.name == "trajectory":
+            # The step and arbitrary keys are checked together at load.
+            values["step_time"] = draw(st.floats(0.0, values["total_time"]))
+            segments = len(values["waypoints"]) - 1
+            segment_times = draw(st.lists(POSITIVE, min_size=segments, max_size=segments))
+            values["segment_times"] = np.array(segment_times)
         sections[section.name] = dataclasses.replace(obj, **values)
         if section.name == "sim":
             sim_dt = sections["sim"].dt
@@ -296,6 +302,12 @@ class TestConfig:
             ("type = circular\ncircle_frequency = 0", "circle_frequency: must be positive"),
             ("type = circular\nradius = -1", "radius: must be >= 0"),
             ("type = circular\nrounds = 0", "rounds: must be >= 1"),
+            ("type = step\nstep_time = 5\ntotal_time = 4", "step_time: must be within [0, total_time]"),
+            ("type = step\nstep_time = -1", "step_time: must be within [0, total_time]"),
+            ("type = arbitrary\nsegment_times = 1.0",
+             "segment_times: need 0 segment times for 1 waypoints, got 1"),
+            ("type = arbitrary\nwaypoints = 0 0 0 0 0 0 ; 1 0 0 0 0 0\nsegment_times = -1",
+             "segment_times: must be positive"),
         ],
     )
     def test_selected_generator_checked_at_load(self, body, message):
@@ -307,6 +319,8 @@ class TestConfig:
         assert cfg.trajectory.frequency == -1.0
         cfg = loads_config("[trajectory]\nrounds = 0\ncircle_frequency = -2\n")
         assert cfg.trajectory.rounds == 0
+        cfg = loads_config("[trajectory]\nstep_time = 5\ntotal_time = 4\nsegment_times = -1 2\n")
+        assert cfg.trajectory.step_time == 5.0
 
     def test_one_sample_clock(self):
         with pytest.raises(ConfigError, match=r"^trajectory\.dt: must equal sim\.dt$"):

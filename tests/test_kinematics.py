@@ -104,6 +104,15 @@ class TestLegIk:
             leg_ik(geom.hip_mount + [10.0, 0.0, 0.0], geom)
         assert err.value.deficit_mm == pytest.approx(50.0, abs=1e-9)
 
+    def test_target_on_hip_axis(self):
+        # rho = 0: every leg-plane roll reaches the target, and leg_ik takes
+        # d / rho as 0.  pytest turns a RuntimeWarning into an error.
+        geom = sample_leg(offset=0.0)
+        target = geom.hip_mount + [100.0, 0.0, 0.0]
+        q = leg_ik(target, geom)
+        assert q[0] == pytest.approx(math.pi / 2, abs=1e-12)
+        assert np.max(np.abs(leg_fk(q, geom) - target)) < 1e-9
+
     def test_fk_ik_round_trip(self, rng):
         for side in ("left", "right"):
             geom = sample_leg(side)
@@ -145,10 +154,14 @@ class TestLegJacobian:
         return jac
 
     def test_matches_finite_differences(self, rng):
-        geom = sample_leg()
-        for _ in range(200):
-            q = rng.uniform(-1.5, 1.5, 3)
-            assert np.max(np.abs(leg_jacobian(q, geom) - self.finite_difference(q, geom))) < 1e-4
+        for side in ("left", "right"):
+            geom = sample_leg(side)
+            qs = rng.uniform(-1.5, 1.5, (200, 3))
+            stacked = leg_jacobian(qs, geom)
+            assert stacked.shape == (200, 3, 3)
+            for q, jac in zip(qs, stacked):
+                assert np.array_equal(leg_jacobian(q, geom), jac)
+                assert np.max(np.abs(jac - self.finite_difference(q, geom))) < 1e-4
 
     def test_zero_velocity_maps_to_zero(self):
         geom = sample_leg()

@@ -7,7 +7,6 @@ from quadstage.kinematics import PlatformPose, solve_platform_ik
 from quadstage.simenv import (
     ActuatorParams,
     SimParams,
-    SimState,
     SimulationUnstableError,
     gravity_torque,
     pd_control,
@@ -109,11 +108,9 @@ class TestSimStep:
         cfg.sim.payload_mass = 0.0
         cfg.sim.platform_mass = 0.0
         q0 = home_targets(cfg, 1)[0]
-        state = SimState.at_rest(q0)
-        new = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot)
-        assert np.array_equal(new.q, q0)
-        assert np.array_equal(new.qdot, np.zeros(12))
-        assert new.t == pytest.approx(cfg.sim.dt)
+        q, qdot, _, _ = sim_step(q0, np.zeros(12), q0, cfg.sim, cfg.actuator, cfg.robot, 0)
+        assert np.array_equal(q, q0)
+        assert np.array_equal(qdot, np.zeros(12))
 
     def test_overdamped_convergence_is_monotone(self, cfg):
         # Scalar oracle: kd >= 2 sqrt(kp I) gives a non-oscillating approach.
@@ -123,23 +120,30 @@ class TestSimStep:
         cfg.sim.kd[:] = 2.5 * math.sqrt(20.0 * cfg.actuator.reflected_inertia)
         q0 = home_targets(cfg, 1)[0]
         target = q0 + 0.1
-        state = SimState.at_rest(q0)
-        prev = q0.copy()
-        for _ in range(3000):
-            state = sim_step(state, target, cfg.sim, cfg.actuator, cfg.robot)
-            assert np.all(state.q - prev >= -1e-12)
-            prev = state.q
-        assert np.max(np.abs(state.q - target)) < 1e-6
+        q, qdot = q0, np.zeros(12)
+        for k in range(3000):
+            prev = q
+            q, qdot, _, _ = sim_step(q, qdot, target, cfg.sim, cfg.actuator, cfg.robot, k)
+            assert np.all(q - prev >= -1e-12)
+        assert np.max(np.abs(q - target)) < 1e-6
 
     def test_gravity_offset_at_equilibrium(self, cfg):
         cfg.sim.payload_mass = 1.2
         cfg.sim.platform_mass = 0.3
         q0 = home_targets(cfg, 1)[0]
-        state = SimState.at_rest(q0)
-        for _ in range(6000):
-            state = sim_step(state, q0, cfg.sim, cfg.actuator, cfg.robot)
-        tau_g = gravity_torque(state.q, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
-        assert np.max(np.abs((q0 - state.q) - tau_g / cfg.sim.kp)) < 1e-6
+        q, qdot = q0, np.zeros(12)
+        for k in range(6000):
+            q, qdot, _, _ = sim_step(q, qdot, q0, cfg.sim, cfg.actuator, cfg.robot, k)
+        tau_g = gravity_torque(q, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
+        assert np.max(np.abs((q0 - q) - tau_g / cfg.sim.kp)) < 1e-6
+
+    def test_unstable_error_names_the_tick_passed_in(self, cfg):
+        q0 = home_targets(cfg, 1)[0]
+        target = q0.copy()
+        target[5] = np.nan
+        with pytest.raises(SimulationUnstableError, match="^simulation diverged at tick 1234$") as err:
+            sim_step(q0, np.zeros(12), target, cfg.sim, cfg.actuator, cfg.robot, 1234)
+        assert err.value.tick == 1234
 
 
 class TestRunSim:
