@@ -13,8 +13,8 @@ order.  The annotation picks the parser and formatter (``float``, ``int``,
 strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
 check lives in its dataclass's ``__post_init__``; the checks across
 sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole pipeline runs on
-one sample clock) and the filter cutoff below the Nyquist rate of
-``sim.dt``, are in ``Config.__post_init__``.
+one sample clock), the filter cutoff below the Nyquist rate of ``sim.dt``
+and a trajectory long enough to filter, are in ``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
@@ -37,7 +37,7 @@ from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose,
 from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
 from .trajectory import (CircularParams, SineParams, check_segment_times, check_step_time, gen_arbitrary,
-                         gen_circular, gen_sine, gen_step)
+                         gen_circular, gen_sine, gen_step, sample_count)
 
 SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
@@ -243,6 +243,14 @@ class TrajectoryConfig:
                                   self.rotation_mode)
         return None
 
+    def duration(self) -> tuple[str, float]:
+        """The selected type's duration key and its duration in seconds."""
+        if self.type == "step":
+            return "total_time", self.total_time
+        if self.type == "arbitrary":
+            return "segment_times", sum(self.segment_times, 0.0)
+        return ("run_time" if self.type == "sine" else "rounds"), self.generator_params().duration
+
 
 @dataclass
 class PostprocessConfig:
@@ -269,6 +277,12 @@ class Config:
             raise ConfigError("trajectory.dt: must equal sim.dt")
         if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
+        # post filters the reconstruction (filtfilt pads 3 * order samples)
+        key, duration = self.trajectory.duration()
+        samples, least = sample_count(duration, self.sim.dt), 3 * self.filter_params.order
+        if not samples > least:
+            raise ConfigError(f"trajectory.{key}: too short to filter: sample count {samples} "
+                              f"at sim.dt, need more than {least} (3 * filter.order)")
         rc = self.robot_config
         self.robot = [
             LegGeometry(getattr(rc, f"hip_mount_{leg}"), rc.l_upper, rc.l_lower, rc.hip_offset_y,

@@ -81,7 +81,7 @@ def euler_to_rotation(euler_deg) -> np.ndarray:
     if e.shape[-1:] != (3,):
         raise ValueError(f"expected 3 Euler angles, got shape {e.shape}")
     if e.ndim == 1:
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError("Euler angles must be finite")
         rx, ry, rz = np.radians(e)
         return rot_x(rx) @ rot_y(ry) @ rot_z(rz)

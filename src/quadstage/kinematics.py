@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import at_sample, euler_to_rotation, rot_x, rot_y
+from .geometry import _plane_rotations, at_sample, euler_to_rotation
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -169,7 +169,7 @@ class PlatformPose:
         if (self.position.shape[-1:] != (3,) or self.position.ndim > 2
                 or self.orientation_deg.shape != self.position.shape):
             raise ValueError("position and orientation_deg must be 3-vectors or (N, 3) stacks")
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.orientation_deg))):
+        if not (np.isfinite(self.position).all() and np.isfinite(self.orientation_deg).all()):
             raise ValueError("pose must be finite")
 
     @classmethod
@@ -353,10 +353,10 @@ def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
 
 
 def _lower_link_rotation(q_leg) -> np.ndarray:
-    # Body-frame orientation of the lower link (the foot that carries the
-    # ball-joint socket).
-    q_aa, q_hip, q_knee = q_leg
-    return rot_x(q_aa) @ rot_y(-(q_hip + q_knee))
+    # Body-frame orientation (..., 3, 3) of the lower link (the foot that carries
+    # the ball-joint socket) for (..., 3) joint angles: rot_x(q_aa) @ rot_y(-(q_hip + q_knee)).
+    q_aa, q_hip, q_knee = q_leg[..., 0], q_leg[..., 1], q_leg[..., 2]
+    return _plane_rotations(q_aa, 1, 2) @ _plane_rotations(-(q_hip + q_knee), 2, 0)
 
 
 def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -> np.ndarray:
@@ -367,9 +367,10 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
     pose (the press-fit assembly orientation).  The pivot is the angle
     between the two: zero at home, growing as the platform tilts or the
     leg swings away from its home configuration.
+
+    Array-first: q is (12,) with one pose or (N, 12) with a stacked pose of
+    N samples, and the result is (4,) or (N, 4).
     """
-    q = np.asarray(q, dtype=float).reshape(4, 3)
-    normal = pose.rotation() @ np.array([0.0, 0.0, 1.0])
     home_corners = platform.home_center + platform.corner_offsets
     home_axes = _home_socket_axes(
         tuple(map(tuple, home_corners.tolist())),
@@ -378,23 +379,21 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
             for g in robot
         ),
     )
-    angles = np.empty(4)
-    for i in range(4):
-        socket = _lower_link_rotation(q[i]) @ home_axes[i]
-        angles[i] = math.degrees(math.acos(min(1.0, max(-1.0, float(socket @ normal)))))
-    return angles
+    legs = np.asarray(q, dtype=float).reshape(*np.shape(q)[:-1], 4, 3)
+    sockets = (_lower_link_rotation(legs) @ home_axes[:, :, None])[..., 0]
+    normal = pose.rotation()[..., None, :, 2]  # R @ z, once per corner
+    return np.degrees(np.arccos(np.clip(np.sum(sockets * normal, axis=-1), -1.0, 1.0)))
 
 
 @functools.lru_cache(maxsize=16)
 def _home_socket_axes(home_corners: tuple, legs: tuple) -> np.ndarray:
-    # Socket axis of each lower link at the home pose, (4, 3) and read-only.
-    # Keyed on geometry values, not objects: LegGeometry and
-    # PlatformGeometry are mutable, so an object key could go stale.
-    z_hat = np.array([0.0, 0.0, 1.0])
-    axes = np.array([
-        _lower_link_rotation(leg_ik(np.array(corner), LegGeometry(*leg))).T @ z_hat
-        for corner, leg in zip(home_corners, legs)
-    ])
+    # Socket axis of each lower link at the home pose, (4, 3) and read-only:
+    # row 2 of its home orientation, R^T z.  Keyed on geometry values, not
+    # objects: LegGeometry and PlatformGeometry are mutable, so an object
+    # key could go stale.
+    q_home = np.array([leg_ik(np.array(corner), LegGeometry(*leg))
+                       for corner, leg in zip(home_corners, legs)])
+    axes = _lower_link_rotation(q_home)[:, 2]
     axes.flags.writeable = False
     return axes
 
@@ -443,18 +442,15 @@ def workspace_check(
     if q is None or robot is None or platform is None:
         return report
     q = np.asarray(q, dtype=float)
-    report.pivot_angles_deg = pivot_angles_deg(q, robot, platform, pose)
-    for i, angle in enumerate(report.pivot_angles_deg):
-        if angle > limits.ball_pivot_max:
-            report.pivot_violations.append((LEG_NAMES[i], float(angle), limits.ball_pivot_max))
-    for i, geom in enumerate(robot):
-        limit = math.radians(geom.joint_limit_deg)
-        for j in range(3):
-            value = q.reshape(4, 3)[i, j]
-            if abs(value) > limit:
-                report.joint_limit_violations.append(
-                    (f"{LEG_NAMES[i]}_{JOINT_NAMES[j]}", math.degrees(value), geom.joint_limit_deg)
-                )
+    angles = report.pivot_angles_deg = pivot_angles_deg(q, robot, platform, pose)
+    for i in np.flatnonzero(angles > limits.ball_pivot_max):
+        report.pivot_violations.append((LEG_NAMES[i], float(angles[i]), limits.ball_pivot_max))
+    legs = q.reshape(4, 3)
+    limit = np.radians([geom.joint_limit_deg for geom in robot])
+    for i, j in np.argwhere(np.abs(legs) > limit[:, None]):
+        report.joint_limit_violations.append(
+            (f"{LEG_NAMES[i]}_{JOINT_NAMES[j]}", math.degrees(legs[i, j]), robot[i].joint_limit_deg)
+        )
     if report.pivot_violations or report.joint_limit_violations:
         report.valid = False
     return report
@@ -476,11 +472,12 @@ def solve_platform_ik(
 
     A stacked pose (position and orientation_deg (N, 3)) gives (N, 12) in
     one array pass: one box mask, an (N, 3, 3) rotation stack, (N, 4, 3)
-    corners, one closed-form IK pass and one leg_fk re-check per leg.  The
-    samples these checks flag (with check_pivot, every sample) are solved
-    again one at a time by the one-pose path, in sample order: a stack
-    raises what its first failing sample raises alone, with " at sample k"
-    added to the message, and a flagged sample that solves keeps that q.
+    corners, one closed-form IK pass and one leg_fk re-check per leg, and
+    with check_pivot one (N, 4) pivot_angles_deg pass.  The samples these
+    masks flag (NaN included) are solved again one at a time by the
+    one-pose path, in sample order: a stack raises what its first failing
+    sample raises alone, with " at sample k" added to the message, and a
+    flagged sample that solves keeps that q.
 
     Raises:
         WorkspaceViolationError: pose outside the box (limits given).
@@ -517,7 +514,7 @@ def solve_platform_ik(
 def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.ndarray:
     # The stacked case of solve_platform_ik.
     n = len(pose.position)
-    flagged = np.full(n, bool(check_pivot and limits is not None))
+    flagged = np.zeros(n, dtype=bool)
     if limits is not None:
         flagged |= outside_box(pose.position, pose.orientation_deg, limits)
     corners = platform_corners(pose, platform)
@@ -528,6 +525,9 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
         # not (err <= bound) also flags a NaN error
         flagged |= unreachable | np.logical_not(err <= 1e-6)
         q[:, 3 * i : 3 * i + 3] = q_leg
+    if check_pivot and limits is not None:
+        pivot = pivot_angles_deg(q, robot, platform, pose)
+        flagged |= np.logical_not(pivot.max(axis=-1) <= limits.ball_pivot_max)
     for k in np.flatnonzero(flagged):
         one = PlatformPose(pose.position[k], pose.orientation_deg[k])
         try:

@@ -44,7 +44,7 @@ class PoseSeries:
         self.orientations_deg = np.asarray(self.orientations_deg, dtype=float)
         if self.positions.shape[1:] != (3,) or self.orientations_deg.shape != self.positions.shape:
             raise ValueError("positions and orientations must both be (N, 3)")
-        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.orientations_deg))):
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.orientations_deg).all()):
             raise ValueError("pose samples must be finite")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
             value = getattr(self, name)

@@ -1,6 +1,6 @@
 """Target trajectory generators for the stage.
 
-All generators return a PoseSeries of N = round(duration / dt) + 1
+All generators return a PoseSeries of N = sample_count(duration, dt)
 samples, sample k at t = k * dt.  When workspace limits are passed,
 samples falling outside the box raise a TrajectoryBoundsWarning but are
 kept (the caller decides what to do).
@@ -51,6 +51,10 @@ class SineParams:
         if self.axis not in ("x", "y", "z"):
             raise ValueError("axis: must be one of x, y, z")
 
+    @property
+    def duration(self) -> float:
+        return self.wait_time + self.run_time
+
 
 @dataclass
 class CircularParams:
@@ -81,12 +85,20 @@ class CircularParams:
         if self.rotation_mode not in ("oscillate", "continuous"):
             raise ValueError("rotation_mode: must be 'oscillate' or 'continuous'")
 
+    @property
+    def duration(self) -> float:
+        return self.rounds / self.frequency
+
+
+def sample_count(duration: float, dt: float) -> int:
+    """Samples of a trajectory lasting duration seconds at step dt, both ends included."""
+    return int(round(duration / dt)) + 1
+
 
 def _time_grid(duration: float, dt: float) -> np.ndarray:
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n = int(round(duration / dt)) + 1
-    return np.arange(n) * dt
+    return np.arange(sample_count(duration, dt)) * dt
 
 
 def check_step_time(step_time: float, total_time: float) -> None:
@@ -121,7 +133,7 @@ def _warn_if_outside(positions, orientations, limits: WorkspaceLimits | None):
 def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Sine trajectory: home (plus offsets) during wait_time, then a zero
     phase sinusoid on the selected axis for run_time."""
-    t = _time_grid(params.wait_time + params.run_time, dt)
+    t = _time_grid(params.duration, dt)
     positions = np.tile(params.offsets, (len(t), 1))
     orientations = np.zeros((len(t), 3))
     running = t >= params.wait_time - 1e-12
@@ -200,8 +212,7 @@ def gen_arbitrary(
 def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Circular trajectory: rounds/frequency seconds of circle tracing,
     starting at (radius, 0) offset, with the configured yaw motion."""
-    duration = params.rounds / params.frequency
-    t = _time_grid(duration, dt)
+    t = _time_grid(params.duration, dt)
     sign = 1.0 if params.direction == "ccw" else -1.0
     phase = sign * 2.0 * math.pi * params.frequency * t
     positions = np.zeros((len(t), 3))

@@ -119,6 +119,12 @@ class TestPipeline:
         assert "config error: trajectory.step_time: must be within [0, total_time]" in capsys.readouterr().err
         assert not (runs_root / "step").exists()
 
+    def test_short_trajectory_checked_before_run_dir(self, runs_root, capsys):
+        # The built-in arbitrary trajectory is one waypoint: one sample.
+        assert run_cli("all", "--traj", "arbitrary", "--run-id", "short") == 2
+        assert "config error: trajectory.segment_times: too short to filter" in capsys.readouterr().err
+        assert not (runs_root / "short").exists()
+
     def test_ik_names_unreachable_sample(self, runs_root, tmp_path, capsys):
         # A 600 mm box lets a pose 500 mm below home through to the legs,
         # which reach 750 mm from a hip 340 mm above the corners.

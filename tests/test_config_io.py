@@ -189,10 +189,17 @@ def configs(draw):
             value = draw(_value(f.name, getattr(obj, f.name), sim_dt))
             values[f.name] = np.array(value) if isinstance(value, list) else value
         if section.name == "trajectory":
-            # The step and arbitrary keys are checked together at load.
+            # The step and arbitrary keys are checked together at load, and
+            # the selected type must last more than 3 * filter.order samples.
+            long = st.floats(3 * sections["filter_params"].order * sim_dt, 1e4)
+            values["run_time"] = draw(long)
+            values["total_time"] = draw(long)
+            values["circle_frequency"] = values["rounds"] / draw(long)
             values["step_time"] = draw(st.floats(0.0, values["total_time"]))
+            if values["type"] == "arbitrary" and len(values["waypoints"]) == 1:
+                values["waypoints"] = np.repeat(values["waypoints"], 2, axis=0)
             segments = len(values["waypoints"]) - 1
-            segment_times = draw(st.lists(POSITIVE, min_size=segments, max_size=segments))
+            segment_times = draw(st.lists(long, min_size=segments, max_size=segments))
             values["segment_times"] = np.array(segment_times)
         sections[section.name] = dataclasses.replace(obj, **values)
         if section.name == "sim":
@@ -313,6 +320,31 @@ class TestConfig:
     def test_selected_generator_checked_at_load(self, body, message):
         with pytest.raises(ConfigError, match=rf"^trajectory\.{re.escape(message)}$"):
             loads_config(f"[trajectory]\n{body}\n")
+
+    @pytest.mark.parametrize(
+        "body, key, samples",
+        [
+            ("run_time = 0.005\nwait_time = 0", "run_time", 6),
+            ("run_time = 0.011\nwait_time = 0", "run_time", 12),
+            ("type = step\nstep_time = 0\ntotal_time = 0.01", "total_time", 11),
+            ("type = circular\nrounds = 1\ncircle_frequency = 100", "rounds", 11),
+            ("type = arbitrary", "segment_times", 1),
+            ("type = arbitrary\nwaypoints = 0 0 0 0 0 0 ; 1 0 0 0 0 0\nsegment_times = 0.004",
+             "segment_times", 5),
+        ],
+    )
+    def test_trajectory_too_short_to_filter(self, body, key, samples):
+        # post filters with filtfilt, which needs more than 3 * order samples.
+        message = (rf"^trajectory\.{key}: too short to filter: sample count {samples} at sim\.dt, "
+                   rf"need more than 12 \(3 \* filter\.order\)$")
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[trajectory]\n{body}\n")
+
+    def test_trajectory_just_long_enough(self):
+        cfg = loads_config("[trajectory]\nrun_time = 0.012\nwait_time = 0\n")
+        assert len(cfg.build_trajectory()) == 13
+        cfg = loads_config("[filter]\norder = 2\n[trajectory]\nrun_time = 0.006\nwait_time = 0\n")
+        assert len(cfg.build_trajectory()) == 7
 
     def test_other_generators_not_checked(self):
         cfg = loads_config("[trajectory]\ntype = circular\nfrequency = -1\n")

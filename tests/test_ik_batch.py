@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from quadstage import default_config
 from quadstage.geometry import euler_to_rotation
 from quadstage.kinematics import (
+    BallPivotError,
     PlatformPose,
     UnreachableError,
+    WorkspaceLimits,
     check_pose_bounds,
     outside_box,
     platform_corners,
@@ -41,27 +43,27 @@ def robot_with(knee_front=1, knee_back=-1, l_lower=None, hip_offset_y=None):
     return cfg
 
 
-def loop_solve(positions, orientations, robot, platform, limits):
+def loop_solve(positions, orientations, robot, platform, limits, check_pivot=False):
     """(q, k, error): the per-pose loop up to its first failing sample k."""
     q = np.empty((len(positions), 12))
     for k, (p, o) in enumerate(zip(positions, orientations)):
         try:
-            q[k] = solve_platform_ik(PlatformPose(p, o), robot, platform, limits)
+            q[k] = solve_platform_ik(PlatformPose(p, o), robot, platform, limits, check_pivot)
         except ValueError as err:
             return q, k, err
     return q, None, None
 
 
-def assert_matches_loop(positions, orientations, cfg, limits):
-    q_ref, k, err = loop_solve(positions, orientations, cfg.robot, cfg.platform, limits)
+def assert_matches_loop(positions, orientations, cfg, limits, check_pivot=False):
+    q_ref, k, err = loop_solve(positions, orientations, cfg.robot, cfg.platform, limits, check_pivot)
     stacked = PlatformPose(positions, orientations)
     if err is None:
-        q = solve_platform_ik(stacked, cfg.robot, cfg.platform, limits)
+        q = solve_platform_ik(stacked, cfg.robot, cfg.platform, limits, check_pivot)
         assert q.shape == (len(positions), 12)
         assert np.max(np.abs(q - q_ref), initial=0.0) <= ANGLE_TOL_RAD
         return
     with pytest.raises(ValueError) as got:
-        solve_platform_ik(stacked, cfg.robot, cfg.platform, limits)
+        solve_platform_ik(stacked, cfg.robot, cfg.platform, limits, check_pivot)
     assert type(got.value) is type(err)
     assert str(got.value) == f"{err} at sample {k}"
     assert getattr(got.value, "leg", None) == getattr(err, "leg", None)
@@ -99,6 +101,52 @@ class TestStackedSolve:
         cfg = robot_with(knee_front, knee_back, l_lower, hip_offset_y)
         positions, orientations = poses
         assert_matches_loop(positions, orientations, cfg, LIMITS if with_limits else None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        poses=pose_stacks(),
+        knee_front=st.sampled_from([-1, 1]),
+        knee_back=st.sampled_from([-1, 1]),
+        hip_offset_y=st.sampled_from([0.0, 40.0]),
+        rot_max=st.sampled_from([30.0, 45.0]),
+        ball_pivot_max=st.sampled_from([10.0, 20.0, 30.0]),
+    )
+    def test_check_pivot_matches_per_pose_loop(self, poses, knee_front, knee_back, hip_offset_y,
+                                               rot_max, ball_pivot_max):
+        # Narrow cones and a wide rotation box put cone violations among
+        # box, reach and valid samples.
+        cfg = robot_with(knee_front, knee_back, hip_offset_y=hip_offset_y)
+        limits = WorkspaceLimits(rot_max=rot_max, ball_pivot_max=ball_pivot_max)
+        positions, orientations = poses
+        assert_matches_loop(positions, orientations, cfg, limits, check_pivot=True)
+
+    def test_check_pivot_solves_only_flagged_samples(self, cfg, monkeypatch):
+        # Inside the cone no sample goes through the one-pose path; past it,
+        # only the first flagged sample does, and raises as it does alone.
+        one_pose = []
+
+        def counting(pose, *args):
+            one_pose.append(pose)
+            return solve_platform_ik(pose, *args)
+
+        monkeypatch.setattr("quadstage.kinematics.solve_platform_ik", counting)
+        limits = default_config().limits
+        limits.rot_max = 40.0
+        inside = np.zeros((12, 3))
+        inside[:, 2] = np.linspace(-20.0, 20.0, 12)
+        poses = PlatformPose(np.zeros((12, 3)), inside)
+        q = solve_platform_ik(poses, cfg.robot, cfg.platform, limits, check_pivot=True)
+        assert one_pose == []
+        assert np.array_equal(q, solve_platform_ik(poses, cfg.robot, cfg.platform))
+        tilted = inside.copy()
+        tilted[[7, 9], 0] = 35.0
+        with pytest.raises(BallPivotError, match=r"exceeds 30\.00 deg at sample 7$") as err:
+            solve_platform_ik(PlatformPose(np.zeros((12, 3)), tilted), cfg.robot, cfg.platform,
+                              limits, check_pivot=True)
+        assert len(one_pose) == 1 and np.array_equal(one_pose[0].orientation_deg, tilted[7])
+        with pytest.raises(BallPivotError) as alone:
+            solve_platform_ik(one_pose[0], cfg.robot, cfg.platform, limits, check_pivot=True)
+        assert err.value.leg == alone.value.leg
 
     @settings(max_examples=60, deadline=None)
     @given(poses=pose_stacks())

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quadstage.geometry import euler_to_rotation, rot_z
+from quadstage import default_config
+from quadstage.geometry import euler_to_rotation, rot_x, rot_y, rot_z
 from quadstage.kinematics import (
     BallPivotError,
+    KinematicsError,
     LegGeometry,
     PlatformGeometry,
     PlatformPose,
@@ -246,6 +250,61 @@ class TestPlatformIk:
         solve_platform_ik(pose, cfg.robot, cfg.platform, cfg.limits)  # lenient default
         with pytest.raises(BallPivotError):
             solve_platform_ik(pose, cfg.robot, cfg.platform, cfg.limits, check_pivot=True)
+
+
+LIMITS = default_config().limits
+BOX_POSES = st.tuples(
+    *(st.floats(-bound, bound) for bound in (LIMITS.x_max, LIMITS.y_max, LIMITS.z_max)),
+    *(st.floats(-LIMITS.rot_max, LIMITS.rot_max) for _ in range(3)),
+)
+
+
+def loop_pivot_angles(q, robot, platform, pose):
+    """Pivot angles the per-corner way: one rot_x @ rot_y matrix and one
+    math.acos per corner, the home socket axis from that corner's leg_ik."""
+    z_hat = np.array([0.0, 0.0, 1.0])
+    normal = pose.rotation() @ z_hat
+    home = platform.home_center + platform.corner_offsets
+    angles = np.empty(4)
+    for i, (q_leg, geom) in enumerate(zip(np.reshape(q, (4, 3)), robot)):
+        q_home = leg_ik(home[i], geom)
+        axis = (rot_x(q_home[0]) @ rot_y(-(q_home[1] + q_home[2]))).T @ z_hat
+        socket = rot_x(q_leg[0]) @ rot_y(-(q_leg[1] + q_leg[2])) @ axis
+        angles[i] = math.degrees(math.acos(min(1.0, max(-1.0, float(socket @ normal)))))
+    return angles
+
+
+class TestPivotAngles:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        poses=st.lists(BOX_POSES, min_size=1, max_size=12),
+        knee_front=st.sampled_from([-1, 1]),
+        knee_back=st.sampled_from([-1, 1]),
+        hip_offset_y=st.sampled_from([0.0, 40.0]),
+    )
+    def test_matches_corner_loop_and_stacks(self, poses, knee_front, knee_back, hip_offset_y):
+        # arccos is ill-conditioned near 0 deg, so the array path and the
+        # loop agree to 1e-6 deg there; a stacked call repeats its rows.
+        cfg = default_config()
+        for i, geom in enumerate(cfg.robot):
+            geom.knee_sign = knee_front if i < 2 else knee_back
+            geom.hip_offset_y = hip_offset_y
+        solved = []
+        for values in poses:
+            pose = PlatformPose(values[:3], values[3:])
+            try:
+                solved.append((pose, solve_platform_ik(pose, cfg.robot, cfg.platform)))
+            except KinematicsError:
+                continue
+        assume(solved)
+        one = np.array([pivot_angles_deg(q, cfg.robot, cfg.platform, pose) for pose, q in solved])
+        loop = np.array([loop_pivot_angles(q, cfg.robot, cfg.platform, pose) for pose, q in solved])
+        assert one.shape == (len(solved), 4)
+        assert np.max(np.abs(one - loop)) <= 1e-6
+        stacked = PlatformPose(np.array([pose.position for pose, _ in solved]),
+                               np.array([pose.orientation_deg for pose, _ in solved]))
+        q = np.array([q for _, q in solved])
+        assert np.array_equal(pivot_angles_deg(q, cfg.robot, cfg.platform, stacked), one)
 
 
 class TestWorkspaceCheck:

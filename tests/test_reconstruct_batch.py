@@ -137,3 +137,22 @@ def test_degenerate_row_names_sample(stage):
     with pytest.raises(DegenerateInputError) as err:
         reconstruct_pose(q[2], stage.robot, stage.platform)
     assert "sample" not in str(err.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poses=st.lists(pose_values, min_size=1, max_size=12),
+    knee_front=st.sampled_from([-1, 1]),
+    knee_back=st.sampled_from([-1, 1]),
+)
+def test_series_of_stacked_solve_recovers_poses(poses, knee_front, knee_back):
+    # Every pose of the workspace box is reachable by the default legs, on
+    # either knee branch, and platform mode recovers it to float round-off.
+    cfg = default_config()
+    for i, geom in enumerate(cfg.robot):
+        geom.knee_sign = knee_front if i < 2 else knee_back
+    values = np.array(poses)
+    q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), cfg.robot, cfg.platform)
+    series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, "platform")
+    assert np.max(np.abs(series.positions - values[:, :3])) <= POSITION_TOL_MM
+    assert np.max(wrapped_deg(series.orientations_deg, values[:, 3:])) <= ANGLE_TOL_DEG
