@@ -125,8 +125,20 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
             f"{path}: header mismatch: expected {len(expected_columns)} columns "
             f"{list(expected_columns)}, got {len(columns)} columns {columns}"
         )
-    data = np.empty((len(lines) - 2, len(columns)))
-    for i, line in enumerate(lines[2:]):
+    rows = lines[2:]
+    # One loadtxt call parses a well-formed table.  loadtxt skips blank
+    # lines (and warns when none are left), so a table with one goes to the
+    # per-line loop, as does a table it rejects or reads into another
+    # shape: the loop names the row at fault.
+    if rows and "" not in rows:
+        try:
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            if data.shape == (len(rows), len(columns)):
+                return config_hash, columns, data
+        except ValueError:
+            pass
+    data = np.empty((len(rows), len(columns)))
+    for i, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != len(columns):
             raise LogFormatError(f"{path}: row {i}: expected {len(columns)} fields, got {len(parts)}")

@@ -5,9 +5,11 @@ controller with torque and current clamps.  The stage weight enters as a
 static load: the supported mass pulls each corner toward the hip plane
 (the mount hangs the stage upside down relative to the model frame, where
 legs point to -z), and the per-corner force maps to joint torques through
-the leg Jacobian transpose.  Integration is semi-implicit Euler (velocity
-first, then position), which keeps stiff PD gains stable at 1 kHz without
-a solver.
+the leg Jacobian transpose.  As that force acts along -z, only the z row
+of each leg Jacobian (d foot_z / d q) enters; gravity_torque evaluates that
+row in closed form, and the tests hold it to leg_jacobian's J^T f.
+Integration is semi-implicit Euler (velocity first, then position), which
+keeps stiff PD gains stable at 1 kHz without a solver.
 
 run_sim owns the loop: it holds the joint state as two 12-vectors and
 calls sim_step once per target sample, which maps (q, qdot) at tick k to
@@ -17,11 +19,13 @@ Two runs over the same inputs produce bit-identical logs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, check_non_negative, check_positive, leg_jacobian
+from .kinematics import NUM_JOINTS, _planar_foot, check_non_negative, check_positive
+from .kinematics import leg_jacobian  # not called here: perfbench/layers.py wraps simenv.leg_jacobian
 
 
 class SimulationUnstableError(RuntimeError):
@@ -111,20 +115,33 @@ class SimLog:
 def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
     """Static joint load (N m) from the supported mass.
 
-    The load splits evenly over the four corners as a force of
-    total_mass * g / 4 along -z and maps through each leg's Jacobian
-    transpose.  This is the torque the controller must supply to hold the
-    configuration; the integrator subtracts it from the applied torque.
+    The load splits evenly over the four corners as a force
+    f = (0, 0, -F), F = total_mass * g / 4, and maps through each leg's
+    Jacobian transpose: J^T f = -F J[2, :], so only the z row of
+    leg_jacobian is needed.  That row, d(foot_z)/dq of
+    foot_z = s y + c zp, is (c y - s zp, c xp, c kz), with c, s the cosine
+    and sine of q_aa, y the signed lateral offset, kz = l_lower
+    sin(q_hip + q_knee) and xp, zp the planar foot of _planar_foot.  It is
+    evaluated on math scalars in leg_jacobian's order of operations, and
+    the tests hold the result to leg_jacobian's J^T f bit for bit.  This is
+    the torque the controller must supply to hold the configuration; the
+    integrator subtracts it from the applied torque.
     """
-    q = np.asarray(q, dtype=float)
-    tau = np.zeros(NUM_JOINTS)
+    q = np.asarray(q, dtype=float).tolist()
     if total_mass == 0.0:
-        return tau
-    f = np.array([0.0, 0.0, -total_mass * g / 4.0])
+        return np.zeros(NUM_JOINTS)
+    fz = -total_mass * g / 4.0
+    z_rows = []
     for i, geom in enumerate(robot):
-        jac_m = leg_jacobian(q[3 * i : 3 * i + 3], geom) * 1e-3  # mm/rad -> m/rad
-        tau[3 * i : 3 * i + 3] = jac_m.T @ f
-    return tau
+        q_aa, q_hip, q_knee = q[3 * i : 3 * i + 3]
+        xp, zp = _planar_foot(q_hip, q_knee, geom)
+        kz = geom.l_lower * math.sin(q_hip + q_knee)
+        y = geom.side_sign * geom.hip_offset_y
+        c, s = math.cos(q_aa), math.sin(q_aa)
+        z_rows += (c * y - s * zp, c * xp, c * kz)
+    # mm/rad -> m/rad, then times fz.  The matmul J^T f sums from +0, so an
+    # entry that is zero comes out +0 whatever its sign; so does + 0.0.
+    return np.array([(row * 1e-3) * fz + 0.0 for row in z_rows])
 
 
 def pd_control(
@@ -140,17 +157,18 @@ def pd_control(
     tau = kp (q_target - q) - kd qdot, plus the gravity feed-forward when
     params.gravity_compensation is set.  Torque is clamped to +/-tau_max,
     or to the torque of the +/-i_max current clamp when that binds first;
-    the motor current follows from the clamped torque.
+    the motor current follows from the clamped torque.  The joint vectors
+    are float arrays; both results are new arrays.
     """
-    q_target = np.asarray(q_target, dtype=float)
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
     tau = params.kp * (q_target - q) - params.kd * qdot
     if params.gravity_compensation:
-        tau = tau + np.asarray(tau_gravity, dtype=float)
+        tau += tau_gravity
+    # The clamps as np.maximum / np.minimum in place: np.clip's values,
+    # without its Python-level argument handling on every tick.
     tau_limit = min(actuator.tau_max, actuator.i_max * actuator.gear_ratio * actuator.kt_motor)
-    tau = np.clip(tau, -tau_limit, tau_limit)
-    current = np.clip(actuator.current_from_torque(tau), -actuator.i_max, actuator.i_max)
+    np.minimum(np.maximum(tau, -tau_limit, out=tau), tau_limit, out=tau)
+    current = actuator.current_from_torque(tau)
+    np.minimum(np.maximum(current, -actuator.i_max, out=current), actuator.i_max, out=current)
     return tau, current
 
 

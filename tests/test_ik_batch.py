@@ -175,7 +175,7 @@ class TestStackedSolve:
             solve_platform_ik(PlatformPose(positions, positions), cfg.robot, cfg.platform)
         assert err.value.leg == 0
 
-    def test_check_pivot_solves_every_sample_alone(self, cfg):
+    def test_check_pivot_names_first_cone_violation(self, cfg):
         # A 35 deg roll is inside a 40 deg box but exceeds the 30 deg cone.
         limits = default_config().limits
         limits.rot_max = 40.0

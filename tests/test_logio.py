@@ -112,3 +112,89 @@ def test_joint_targets_time_column_names_first_bad_row(tmp_path):
         read_joint_targets(path, dt=1e-3)
     with pytest.raises(LogFormatError, match=r"targets\.csv: row 1: "):
         read_joint_targets(path, dt=2e-3)
+
+
+def read_rows_by_loop(path, n_columns):
+    """read_table's per-line parse, kept as the reference for its one
+    np.loadtxt call: the data of a well-formed table, or the LogFormatError
+    that names the first bad row."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    data = np.empty((len(lines) - 2, n_columns))
+    for i, line in enumerate(lines[2:]):
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise LogFormatError(f"{path}: row {i}: expected {n_columns} fields, got {len(parts)}")
+        try:
+            data[i] = [float(p) for p in parts]
+        except ValueError:
+            raise LogFormatError(f"{path}: row {i}: non-numeric field") from None
+    return data
+
+
+def write_raw_table(path, columns, rows):
+    path.write_text(f"# quadstage {PLOT_KIND} config={DIGEST}\n" + "\n".join([",".join(columns)] + rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "columns, rows",
+    [
+        (["a", "b", "c"], ["1,2,3", "", "4,5,6"]),  # blank line mid-table
+        (["a", "b", "c"], ["1,2,3", "4,5,6", ""]),  # blank line at the end
+        (["a", "b", "c"], [""]),  # nothing but a blank line
+        (["t"], ["1", "", "2"]),  # a blank line in a one-column table is an empty field
+        (["a", "b", "c"], ["1,2#5,3"]),  # '#' inside a field
+        (["a", "b", "c"], ["#1,2,3"]),
+        (["a", "b", "c"], [" 1 ,\t2, 3 ", "4,5 ,6"]),  # whitespace around a field
+        (["a", "b", "c"], ["nan,inf,-0", "-inf,-nan,1_0", "+0,-0.0,1e400"]),
+        (["a", "b", "c"], ["0.1000000000000000055511151231257827,1e-320,1.7976931348623157e308"]),
+        (["a", "b", "c"], ["1,2,3", "1,,3"]),  # empty field
+        (["a", "b", "c"], ["1,2,3", "1,2,3,4"]),  # extra field
+        (["a", "b", "c"], ["1,2,3,4", "1,2,3,4"]),  # extra field on every row
+        (["a", "b", "c"], ["1,2,3", "1,2"]),  # missing field
+        (["a", "b", "c"], ["1,2,3", "1,x,3"]),  # non-numeric field
+        (["a", "b", "c"], ["1,2,0x10"]),
+        (["a", "b", "c"], ["١٢,2,3"]),  # float() reads Arabic-Indic digits
+        (["a", "b", "c"], []),  # no data rows
+    ],
+)
+def test_read_table_matches_per_line_loop(tmp_path, columns, rows):
+    # Same accept/reject outcome, the same values bit for bit (sign of zero
+    # and of NaN included) and the same message as the per-line loop.
+    path = tmp_path / "table.csv"
+    write_raw_table(path, columns, rows)
+    try:
+        expected = read_rows_by_loop(path, len(columns))
+    except LogFormatError as error:
+        with pytest.raises(LogFormatError) as raised:
+            read_table(path, PLOT_KIND)
+        assert str(raised.value) == str(error)
+        return
+    _, header, data = read_table(path, PLOT_KIND)
+    assert header == columns
+    assert data.shape == expected.shape
+    assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
+
+
+def test_read_table_calls_loadtxt_only_on_rows_without_blank_lines(tmp_path, monkeypatch):
+    # A well-formed table is parsed by one np.loadtxt call.  An empty table
+    # or one with a blank line never reaches it: loadtxt skips blank lines
+    # and warns when no row is left.
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    path = tmp_path / "table.csv"
+    for rows, parsed_by_loadtxt in ((["1,2,3", "4,5,6"], True), ([], False), ([""], False),
+                                    (["1,2,3", ""], False)):
+        calls.clear()
+        write_raw_table(path, ["a", "b", "c"], rows)
+        try:
+            read_table(path, PLOT_KIND)
+        except LogFormatError:
+            pass
+        assert len(calls) == parsed_by_loadtxt, rows

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadstage.kinematics import PlatformPose, solve_platform_ik
+from quadstage.kinematics import LegGeometry, PlatformPose, leg_jacobian, solve_platform_ik
 from quadstage.simenv import (
     ActuatorParams,
     SimParams,
@@ -58,6 +58,26 @@ class TestGravityTorque:
                         leg_fk(q_leg + dq, geom)[2] - leg_fk(q_leg - dq, geom)[2]
                     ) / (2 * h) * 1e-3 * mass * g / 4.0
                     assert tau[3 * i + j] == pytest.approx(-du, abs=1e-6)
+
+    @pytest.mark.parametrize("hip_offset_y", [0.0, 40.0, -12.5])
+    def test_equals_leg_jacobian_transpose_bit_for_bit(self, cfg, rng, hip_offset_y):
+        # leg_jacobian is the oracle for the closed-form z row: the load
+        # must equal J^T f with f = (0, 0, -m g / 4) exactly, sign of zero
+        # included.  The fixed configurations put zeros in the z row
+        # (q_aa = 0 with no offset, q_hip + q_knee = 0).
+        robot = [LegGeometry(geom.hip_mount, geom.l_upper, geom.l_lower, hip_offset_y, geom.side)
+                 for geom in cfg.robot]
+        assert {geom.side for geom in robot} == {"left", "right"}
+        fixed = [np.zeros(12), np.tile([0.0, 0.4, -0.4], 4), np.tile([-0.0, -0.3, 0.3], 4)]
+        for k in range(1000):
+            q = fixed[k] if k < len(fixed) else rng.uniform(-3.0, 3.0, 12)
+            mass = rng.uniform(0.01, 5.0)
+            f = np.array([0.0, 0.0, -mass * cfg.sim.gravity / 4.0])
+            expected = np.concatenate(
+                [(leg_jacobian(q[3 * i : 3 * i + 3], geom) * 1e-3).T @ f for i, geom in enumerate(robot)]
+            )
+            tau = gravity_torque(q, mass, robot, cfg.sim.gravity)
+            assert np.array_equal(tau.view(np.uint64), expected.view(np.uint64)), (q, mass)
 
 
 class TestPdControl:
