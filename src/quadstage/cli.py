@@ -23,6 +23,7 @@ import sys
 
 from . import logio
 from .config import (
+    PROFILES,
     Config,
     apply_profile,
     config_hash,
@@ -40,6 +41,7 @@ from .postprocess import (
     rmse_report,
 )
 from .simenv import run_sim
+from .trajectory import TYPES
 
 RUNS_ROOT_ENV = "QUADSTAGE_RUNS_ROOT"
 
@@ -70,21 +72,23 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _require_artifact(stage: str, path: str, producer: str) -> None:
+# Upstream artifact -> (its kind, the stage that writes it).
+UPSTREAM = {TRAJECTORY_FILE: (logio.TRAJECTORY_KIND, "gen"), JOINT_TARGETS_FILE: (logio.JOINT_TARGETS_KIND, "ik"),
+            SIM_LOG_FILE: (logio.SIM_LOG_KIND, "sim")}
+
+
+def _upstream(stage: str, run_dir: str, name: str, digest: str) -> str:
+    """Path of upstream artifact `name`, once it exists and carries config
+    hash `digest`; no row is parsed, so a changed config is reported as such."""
+    path = os.path.join(run_dir, name)
+    kind, producer = UPSTREAM[name]
     if not os.path.exists(path):
         raise StageError(stage, f"missing upstream artifact {path}; run '{producer}' first")
-
-
-def _check_hash(stage: str, path: str, kind: str, expected: str) -> None:
-    """Compare an artifact's config hash before any of its rows is parsed,
-    so a changed config is reported as such rather than as a row error."""
     found = logio.read_config_hash(path, kind)
-    if found != expected:
-        raise StageError(
-            stage,
-            f"config hash mismatch for {path}: artifact was produced under "
-            f"{found}, current config is {expected}",
-        )
+    if found != digest:
+        raise StageError(stage, f"config hash mismatch for {path}: artifact was produced under "
+                                f"{found}, current config is {digest}")
+    return path
 
 
 def stage_gen(cfg: Config, run_dir: str) -> list:
@@ -99,9 +103,7 @@ def stage_gen(cfg: Config, run_dir: str) -> list:
 
 def stage_ik(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
-    traj_path = os.path.join(run_dir, TRAJECTORY_FILE)
-    _require_artifact("ik", traj_path, "gen")
-    _check_hash("ik", traj_path, logio.TRAJECTORY_KIND, digest)
+    traj_path = _upstream("ik", run_dir, TRAJECTORY_FILE, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     poses = PlatformPose(traj.positions, traj.orientations_deg)
     q = solve_platform_ik(poses, cfg.robot, cfg.platform, cfg.limits)
@@ -112,9 +114,7 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
 
 def stage_sim(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
-    targets_path = os.path.join(run_dir, JOINT_TARGETS_FILE)
-    _require_artifact("sim", targets_path, "ik")
-    _check_hash("sim", targets_path, logio.JOINT_TARGETS_KIND, digest)
+    targets_path = _upstream("sim", run_dir, JOINT_TARGETS_FILE, digest)
     _, q_targets = logio.read_joint_targets(targets_path, dt=cfg.sim.dt)
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
     path = os.path.join(run_dir, SIM_LOG_FILE)
@@ -124,12 +124,8 @@ def stage_sim(cfg: Config, run_dir: str) -> list:
 
 def stage_post(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
-    traj_path = os.path.join(run_dir, TRAJECTORY_FILE)
-    log_path = os.path.join(run_dir, SIM_LOG_FILE)
-    _require_artifact("post", traj_path, "gen")
-    _require_artifact("post", log_path, "sim")
-    _check_hash("post", traj_path, logio.TRAJECTORY_KIND, digest)
-    _check_hash("post", log_path, logio.SIM_LOG_KIND, digest)
+    traj_path = _upstream("post", run_dir, TRAJECTORY_FILE, digest)
+    log_path = _upstream("post", run_dir, SIM_LOG_FILE, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
     _, log = logio.read_log(log_path, dt=cfg.sim.dt)
 
@@ -182,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"root for run directories (default ${RUNS_ROOT_ENV} or ./runs)",
         )
-        p.add_argument("--profile", choices=("hw", "sim"),
+        p.add_argument("--profile", choices=tuple(PROFILES),
                        help="sample/control rate preset: hw=1 kHz, sim=240 Hz")
-        p.add_argument("--traj", choices=("sine", "arbitrary", "step", "circular"),
+        p.add_argument("--traj", choices=TYPES,
                        help="override trajectory.type from the config")
         p.add_argument("--dt", type=float, help="override both trajectory and sim timesteps")
     return parser

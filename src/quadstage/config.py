@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -36,11 +37,14 @@ from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose,
                          check_non_negative, check_positive)
 from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
-from .trajectory import (CircularParams, SineParams, check_segment_times, check_step_time, gen_arbitrary,
+from .trajectory import (AXES, DIRECTIONS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES, CircularParams,
+                         SineParams, check_choice, check_segment_times, check_step_time, gen_arbitrary,
                          gen_circular, gen_sine, gen_step, sample_count)
 
 SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
+# Named control/sample rate presets: profile -> sim.dt and trajectory.dt.
+PROFILES = {"hw": HW_RATE_DT, "sim": SIM_RATE_DT}
 
 
 class ConfigError(ValueError):
@@ -182,13 +186,13 @@ class PlatformConfig:
 class TrajectoryConfig:
     """Parameters for all four generator types; `type` picks one."""
 
-    type: str = _choice("sine", "step", "circular", "arbitrary")
+    type: str = _choice(*TYPES)
     dt: float = HW_RATE_DT
     # sine
     run_time: float = 3.0
     wait_time: float = 2.0
-    motion: str = _choice("translation", "rotation")
-    axis: str = _choice("x", "y", "z")
+    motion: str = _choice(*MOTIONS)
+    axis: str = _choice(*AXES)
     frequency: float = 2.0
     amplitude: float = 20.0
     offsets: np.ndarray = _floats([0.0] * 3, 3)
@@ -201,17 +205,17 @@ class TrajectoryConfig:
     rot_angle_deg: float = 10.0
     rounds: int = 20
     circle_frequency: float = 2.0
-    direction: str = _choice("cw", "ccw")
+    direction: str = _choice(*DIRECTIONS)
     translation_enabled: bool = True
     rotation_enabled: bool = True
-    rotation_mode: str = _choice("oscillate", "continuous")
+    rotation_mode: str = _choice(*ROTATION_MODES)
     # arbitrary
     waypoints: np.ndarray = field(
         default_factory=lambda: np.zeros((1, 6)),
         metadata={"codec": (_parse_pose_rows, _fmt_pose_rows)},
     )
     segment_times: np.ndarray = _floats([])
-    interp: str = _choice("linear", "cosine")
+    interp: str = _choice(*INTERP_MODES)
 
     def __post_init__(self):
         check_positive(self, "dt")
@@ -219,37 +223,38 @@ class TrajectoryConfig:
         # on them after the run directory exists; the other types' keys may
         # hold anything.
         try:
-            self.generator_params()
-            if self.type == "step":
-                check_step_time(self.step_time, self.total_time)
-            elif self.type == "arbitrary":
-                check_segment_times(len(np.atleast_2d(self.waypoints)), self.segment_times)
+            self.generator()
         except ValueError as err:
             msg = str(err)
             if self.type == "circular" and msg.startswith("frequency:"):
                 msg = "circle_" + msg
             raise ValueError(msg) from None
 
-    def generator_params(self) -> SineParams | CircularParams | None:
-        """The sine or circular generator's parameters; None for the
-        other types."""
+    def generator(self):
+        """(duration key, duration in seconds, generate) of the selected
+        type, after checking its keys; generate(limits) builds the
+        trajectory."""
+        check_choice("type", self.type, TYPES)
         if self.type == "sine":
-            return SineParams(self.run_time, self.wait_time, self.motion, self.axis,
-                              self.frequency, self.amplitude, self.offsets)
+            params = SineParams(self.run_time, self.wait_time, self.motion, self.axis,
+                                self.frequency, self.amplitude, self.offsets)
+            return "run_time", params.duration, partial(gen_sine, params, self.dt)
         if self.type == "circular":
-            return CircularParams(self.radius, self.rot_angle_deg, self.rounds,
-                                  self.circle_frequency, self.direction,
-                                  self.translation_enabled, self.rotation_enabled,
-                                  self.rotation_mode)
-        return None
-
-    def duration(self) -> tuple[str, float]:
-        """The selected type's duration key and its duration in seconds."""
+            params = CircularParams(self.radius, self.rot_angle_deg, self.rounds,
+                                    self.circle_frequency, self.direction,
+                                    self.translation_enabled, self.rotation_enabled,
+                                    self.rotation_mode)
+            return "rounds", params.duration, partial(gen_circular, params, self.dt)
         if self.type == "step":
-            return "total_time", self.total_time
-        if self.type == "arbitrary":
-            return "segment_times", sum(self.segment_times, 0.0)
-        return ("run_time" if self.type == "sine" else "rounds"), self.generator_params().duration
+            check_step_time(self.step_time, self.total_time)
+            target = PlatformPose(self.step_target[:3], self.step_target[3:])
+            return "total_time", self.total_time, partial(gen_step, target, self.step_time,
+                                                          self.total_time, self.dt)
+        waypoints = np.atleast_2d(self.waypoints)
+        check_segment_times(len(waypoints), self.segment_times)
+        poses = [PlatformPose(w[:3], w[3:]) for w in waypoints]
+        return "segment_times", sum(self.segment_times, 0.0), partial(
+            gen_arbitrary, poses, list(self.segment_times), self.dt, self.interp)
 
 
 @dataclass
@@ -278,7 +283,7 @@ class Config:
         if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
         # post filters the reconstruction (filtfilt pads 3 * order samples)
-        key, duration = self.trajectory.duration()
+        key, duration, _ = self.trajectory.generator()
         samples, least = sample_count(duration, self.sim.dt), 3 * self.filter_params.order
         if not samples > least:
             raise ConfigError(f"trajectory.{key}: too short to filter: sample count {samples} "
@@ -304,18 +309,8 @@ class Config:
 
     def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""
-        tc = self.trajectory
-        if tc.type == "sine":
-            return gen_sine(tc.generator_params(), tc.dt, self.limits)
-        if tc.type == "step":
-            target = PlatformPose(tc.step_target[:3], tc.step_target[3:])
-            return gen_step(target, tc.step_time, tc.total_time, tc.dt, self.limits)
-        if tc.type == "circular":
-            return gen_circular(tc.generator_params(), tc.dt, self.limits)
-        if tc.type == "arbitrary":
-            poses = [PlatformPose(w[:3], w[3:]) for w in np.atleast_2d(tc.waypoints)]
-            return gen_arbitrary(poses, list(tc.segment_times), tc.dt, tc.interp, self.limits)
-        raise ConfigError(f"trajectory.type: unknown type {tc.type!r}")
+        _, _, generate = self.trajectory.generator()
+        return generate(self.limits)
 
 
 # Section name -> (Config attribute, dataclass), in file order.
@@ -422,9 +417,7 @@ def config_hash(cfg: Config) -> str:
 
 def apply_profile(cfg: Config, profile: str) -> Config:
     """Set the control/sample rates of a named profile ('hw' or 'sim')."""
-    rates = {"hw": HW_RATE_DT, "sim": SIM_RATE_DT}
-    if profile not in rates:
-        raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(rates)}")
-    cfg.sim.dt = rates[profile]
-    cfg.trajectory.dt = rates[profile]
+    if profile not in PROFILES:
+        raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
+    cfg.sim.dt = cfg.trajectory.dt = PROFILES[profile]
     return cfg

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS
+from .kinematics import JOINT_NAMES, LEG_NAMES, NUM_JOINTS
 from .postprocess import JointRmse, PoseSeries, RmseReport
 from .simenv import SimLog
 
@@ -37,14 +37,10 @@ REPORT_KIND = "report"
 
 TRAJECTORY_COLUMNS = ["t", "x_mm", "y_mm", "z_mm", "rx_deg", "ry_deg", "rz_deg"]
 JOINT_TARGET_COLUMNS = ["t"] + [f"q_{i}" for i in range(NUM_JOINTS)]
-SIM_LOG_COLUMNS = (
-    ["t"]
-    + [f"q_target_{i}" for i in range(NUM_JOINTS)]
-    + [f"q_actual_{i}" for i in range(NUM_JOINTS)]
-    + [f"qdot_{i}" for i in range(NUM_JOINTS)]
-    + [f"tau_{i}" for i in range(NUM_JOINTS)]
-    + [f"current_{i}" for i in range(NUM_JOINTS)]
-)
+# The sim log's 12-column blocks after t, in file order: (SimLog field, column prefix).
+SIM_LOG_BLOCKS = (("q_target", "q_target"), ("q", "q_actual"), ("qdot", "qdot"), ("tau", "tau"),
+                  ("current", "current"))
+SIM_LOG_COLUMNS = ["t"] + [f"{prefix}_{i}" for _, prefix in SIM_LOG_BLOCKS for i in range(NUM_JOINTS)]
 PLOT_COLUMNS = ["t", "target", "actual"]
 
 
@@ -71,8 +67,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _identity_line(kind: str, config_hash: str) -> str:
+    return f"{MAGIC} {kind} config={config_hash}"
+
+
 def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray) -> str:
-    lines = [f"{MAGIC} {kind} config={config_hash}", ",".join(columns)]
+    lines = [_identity_line(kind, config_hash), ",".join(columns)]
     if rows.size:
         rows = np.atleast_2d(rows)
         # One %-template per table, filled row by row: the same digits as
@@ -152,16 +152,19 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
 def _sample_dt(path, t: np.ndarray, dt: float | None) -> float:
     """The step of a table sampled at t_k = k*dt, after checking its t column.
 
-    dt is the configured step; without one it is taken from the first gap.
-    The written t column must match k*dt to the precision it was written
-    with (LogFormatError names the file and the first row that does not);
-    readers then derive t from dt, so a dt without a short decimal form
-    (1/240 s) survives the round trip.
+    dt is the configured step; without one it is taken from the first gap,
+    which must be positive.  The written t column must match k*dt to the
+    precision it was written with (LogFormatError names the file and the
+    first row that does not); readers then derive t from dt, so a dt
+    without a short decimal form (1/240 s) survives the round trip.
     """
     if dt is None:
         if len(t) < 2:
             raise LogFormatError(f"{path}: fewer than two samples, dt must be given")
         dt = float(t[1] - t[0])
+        if not dt > 0:
+            raise LogFormatError(f"{path}: row 1: t = {float(t[1])!r} is not after row 0's "
+                                 f"t = {float(t[0])!r}")
     exact = np.arange(len(t)) * dt
     bad = np.flatnonzero(np.abs(t - exact) > TIME_RTOL * np.abs(exact))
     if bad.size:
@@ -170,6 +173,15 @@ def _sample_dt(path, t: np.ndarray, dt: float | None) -> float:
             f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}"
         )
     return dt
+
+
+def _read_samples(path, kind: str, columns, dt: float | None) -> tuple[str, float, np.ndarray]:
+    """(config_hash, dt, data) of a non-empty table sampled at t_k = k*dt;
+    dt and the t column as in _sample_dt."""
+    config_hash, _, data = read_table(path, kind, columns)
+    if len(data) == 0:
+        raise LogFormatError(f"{path}: empty {kind}")
+    return config_hash, _sample_dt(path, data[:, 0], dt), data
 
 
 def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
@@ -183,10 +195,7 @@ def read_trajectory(path, dt: float | None = None) -> tuple[str, PoseSeries]:
     dt is the configured time step (default: the first gap of the t
     column); the t column is checked against it as in _sample_dt.
     """
-    config_hash, _, data = read_table(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS)
-    if len(data) == 0:
-        raise LogFormatError(f"{path}: empty trajectory")
-    dt = _sample_dt(path, data[:, 0], dt)
+    config_hash, dt, data = _read_samples(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS, dt)
     return config_hash, PoseSeries(dt, data[:, 1:4], data[:, 4:7])
 
 
@@ -198,29 +207,20 @@ def write_joint_targets(path, t, q, config_hash: str) -> None:
 def read_joint_targets(path, dt: float | None = None) -> tuple[str, np.ndarray]:
     """(config_hash, q) of a joint-target artifact, q shaped (N, 12); dt
     and the t column as in read_trajectory."""
-    config_hash, _, data = read_table(path, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS)
-    _sample_dt(path, data[:, 0], dt)
+    config_hash, _, data = _read_samples(path, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS, dt)
     return config_hash, data[:, 1:]
 
 
 def write_log(path, log: SimLog, config_hash: str) -> None:
-    rows = np.column_stack([log.t, log.q_target, log.q, log.qdot, log.tau, log.current])
+    rows = np.column_stack([log.t] + [getattr(log, name) for name, _ in SIM_LOG_BLOCKS])
     write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, rows)
 
 
 def read_log(path, dt: float | None = None) -> tuple[str, SimLog]:
     """Simulation log artifact at path; dt and the t column as in read_trajectory."""
-    config_hash, _, data = read_table(path, SIM_LOG_KIND, SIM_LOG_COLUMNS)
-    n = NUM_JOINTS
-    log = SimLog(
-        dt=_sample_dt(path, data[:, 0], dt),
-        q_target=data[:, 1 : 1 + n],
-        q=data[:, 1 + n : 1 + 2 * n],
-        qdot=data[:, 1 + 2 * n : 1 + 3 * n],
-        tau=data[:, 1 + 3 * n : 1 + 4 * n],
-        current=data[:, 1 + 4 * n : 1 + 5 * n],
-    )
-    return config_hash, log
+    config_hash, dt, data = _read_samples(path, SIM_LOG_KIND, SIM_LOG_COLUMNS, dt)
+    blocks = np.split(data[:, 1:], len(SIM_LOG_BLOCKS), axis=1)
+    return config_hash, SimLog(dt, **{name: block for (name, _), block in zip(SIM_LOG_BLOCKS, blocks)})
 
 
 def write_plot_channel(path, t, target, actual, config_hash: str) -> None:
@@ -228,36 +228,21 @@ def write_plot_channel(path, t, target, actual, config_hash: str) -> None:
                 np.column_stack([t, target, actual]))
 
 
-REPORT_POSE_KEYS = (
-    "translation_x_mm",
-    "translation_y_mm",
-    "translation_z_mm",
-    "translation_avg_mm",
-    "rotation_x_deg",
-    "rotation_y_deg",
-    "rotation_z_deg",
-    "rotation_avg_deg",
-)
+REPORT_POSE_KEYS = tuple(f"{kind}_{axis}_{unit}" for kind, unit in (("translation", "mm"), ("rotation", "deg"))
+                         for axis in ("x", "y", "z", "avg"))
 
 
 def format_report(pose: RmseReport, joints: JointRmse, config_hash: str) -> str:
     """Tracking-error report text: per-axis pose RMSE with averages, then
     per-joint RMSE with per-leg averages."""
-    from .kinematics import JOINT_NAMES, LEG_NAMES
-
-    values = list(pose.translation_mm) + [pose.translation_avg_mm]
-    values += list(pose.rotation_deg) + [pose.rotation_avg_deg]
-    lines = [f"{MAGIC} {REPORT_KIND} config={config_hash}", "[pose_rmse]"]
-    for key, value in zip(REPORT_POSE_KEYS, values):
-        lines.append(f"{key} = {format(value, FLOAT_FORMAT)}")
-    lines.append("[joint_rmse]")
-    for i, leg in enumerate(LEG_NAMES):
-        for j, joint in enumerate(JOINT_NAMES):
-            lines.append(
-                f"{leg}_{joint}_deg = {format(joints.per_joint_deg[3 * i + j], FLOAT_FORMAT)}"
-            )
-    for i, leg in enumerate(LEG_NAMES):
-        lines.append(f"avg_{leg}_deg = {format(joints.per_leg_avg_deg[i], FLOAT_FORMAT)}")
+    pose_values = [*pose.translation_mm, pose.translation_avg_mm, *pose.rotation_deg, pose.rotation_avg_deg]
+    joint_keys = [f"{leg}_{joint}_deg" for leg in LEG_NAMES for joint in JOINT_NAMES]
+    joint_keys += [f"avg_{leg}_deg" for leg in LEG_NAMES]
+    joint_values = [*joints.per_joint_deg, *joints.per_leg_avg_deg]
+    lines = [_identity_line(REPORT_KIND, config_hash)]
+    for block, keys, values in (("pose_rmse", REPORT_POSE_KEYS, pose_values),
+                                ("joint_rmse", joint_keys, joint_values)):
+        lines += [f"[{block}]"] + [f"{k} = {format(v, FLOAT_FORMAT)}" for k, v in zip(keys, values)]
     return "\n".join(lines) + "\n"
 
 

@@ -187,7 +187,8 @@ def reconstruct_series(
 
 
 def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
-    """Low-pass Butterworth over a uniformly sampled scalar sequence.
+    """Low-pass Butterworth over a uniformly sampled sequence: a scalar
+    series (N,), or k channels (N, k) filtered each on its own along axis 0.
 
     Zero-phase mode runs the filter forward and backward (no phase lag,
     squared magnitude response); single-pass mode initializes the filter
@@ -199,8 +200,8 @@ def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
             3 * order + 1 samples.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
+    if x.ndim not in (1, 2):
+        raise ValueError("series must be (N,) or (N, k)")
     if params.cutoff_hz >= fs / 2.0:
         raise ValueError(
             f"cutoff {params.cutoff_hz} Hz must be below the Nyquist rate {fs / 2.0} Hz"
@@ -209,22 +210,17 @@ def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
         raise ValueError(f"sequence too short: need more than {3 * params.order} samples")
     b, a = signal.butter(params.order, params.cutoff_hz, fs=fs)
     if params.zero_phase:
-        return signal.filtfilt(b, a, x, padlen=3 * params.order)
-    zi = signal.lfilter_zi(b, a) * x[0]
-    y, _ = signal.lfilter(b, a, x, zi=zi)
+        return signal.filtfilt(b, a, x, axis=0, padlen=3 * params.order)
+    zi = np.multiply.outer(signal.lfilter_zi(b, a), x[0])
+    y, _ = signal.lfilter(b, a, x, axis=0, zi=zi)
     return y
 
 
 def filter_series(series: PoseSeries, params: FilterParams) -> PoseSeries:
     """Butterworth-filter every pose channel of a series."""
     fs = 1.0 / series.dt
-    positions = np.column_stack(
-        [butterworth_filter(series.positions[:, i], fs, params) for i in range(3)]
-    )
-    orientations = np.column_stack(
-        [butterworth_filter(series.orientations_deg[:, i], fs, params) for i in range(3)]
-    )
-    return PoseSeries(series.dt, positions, orientations)
+    return PoseSeries(series.dt, butterworth_filter(series.positions, fs, params),
+                      butterworth_filter(series.orientations_deg, fs, params))
 
 
 def differentiate(series: PoseSeries) -> PoseSeries:

@@ -20,9 +20,23 @@ from .postprocess import PoseSeries
 TRANSLATION = "translation"
 ROTATION = "rotation"
 
+# Option lists of the string parameters, declared here only (a config field defaults to the first).
+TYPES = ("sine", "step", "circular", "arbitrary")
+MOTIONS = (TRANSLATION, ROTATION)
+AXES = ("x", "y", "z")
+DIRECTIONS = ("cw", "ccw")
+ROTATION_MODES = ("oscillate", "continuous")
+INTERP_MODES = ("linear", "cosine")
+
 
 class TrajectoryBoundsWarning(UserWarning):
     """Generated samples exceed the configured workspace box."""
+
+
+def check_choice(name: str, value: str, options) -> None:
+    """ValueError "<name>: must be one of ..." unless value is one of options."""
+    if value not in options:
+        raise ValueError(f"{name}: must be one of {', '.join(options)}")
 
 
 @dataclass
@@ -46,10 +60,8 @@ class SineParams:
         self.offsets = np.asarray(self.offsets, dtype=float)
         check_positive(self, "frequency")
         check_non_negative(self, "run_time", "wait_time")
-        if self.motion not in (TRANSLATION, ROTATION):
-            raise ValueError(f"motion: must be '{TRANSLATION}' or '{ROTATION}'")
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError("axis: must be one of x, y, z")
+        check_choice("motion", self.motion, MOTIONS)
+        check_choice("axis", self.axis, AXES)
 
     @property
     def duration(self) -> float:
@@ -80,10 +92,8 @@ class CircularParams:
         if not self.rounds >= 1:
             raise ValueError("rounds: must be >= 1")
         check_positive(self, "frequency")
-        if self.direction not in ("cw", "ccw"):
-            raise ValueError("direction: must be 'cw' or 'ccw'")
-        if self.rotation_mode not in ("oscillate", "continuous"):
-            raise ValueError("rotation_mode: must be 'oscillate' or 'continuous'")
+        check_choice("direction", self.direction, DIRECTIONS)
+        check_choice("rotation_mode", self.rotation_mode, ROTATION_MODES)
 
     @property
     def duration(self) -> float:
@@ -118,16 +128,13 @@ def check_segment_times(n_waypoints: int, segment_times) -> None:
         raise ValueError("segment_times: must be positive")
 
 
-def _warn_if_outside(positions, orientations, limits: WorkspaceLimits | None):
-    if limits is None:
-        return
-    count = int(np.count_nonzero(outside_box(positions, orientations, limits)))
+def _series(dt: float, positions, orientations, limits: WorkspaceLimits | None) -> PoseSeries:
+    # The generated samples, after warning of those outside the box.
+    count = 0 if limits is None else int(np.count_nonzero(outside_box(positions, orientations, limits)))
     if count:
-        warnings.warn(
-            f"{count} of {len(positions)} samples exceed the workspace box",
-            TrajectoryBoundsWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"{count} of {len(positions)} samples exceed the workspace box",
+                      TrajectoryBoundsWarning, stacklevel=3)
+    return PoseSeries(dt, positions, orientations)
 
 
 def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
@@ -146,8 +153,7 @@ def gen_sine(params: SineParams, dt: float, limits: WorkspaceLimits | None = Non
         positions[:, axis] += value
     else:
         orientations[:, axis] = value
-    _warn_if_outside(positions, orientations, limits)
-    return PoseSeries(dt, positions, orientations)
+    return _series(dt, positions, orientations, limits)
 
 
 def gen_step(
@@ -164,8 +170,7 @@ def gen_step(
     after = t >= step_time - 1e-12
     positions = np.where(after[:, None], target.position, 0.0)
     orientations = np.where(after[:, None], target.orientation_deg, 0.0)
-    _warn_if_outside(positions, orientations, limits)
-    return PoseSeries(dt, positions, orientations)
+    return _series(dt, positions, orientations, limits)
 
 
 def gen_arbitrary(
@@ -185,28 +190,22 @@ def gen_arbitrary(
     waypoints = list(waypoints)
     segment_times = [float(s) for s in segment_times]
     check_segment_times(len(waypoints), segment_times)
-    if mode not in ("linear", "cosine"):
-        raise ValueError("mode must be 'linear' or 'cosine'")
+    check_choice("mode", mode, INTERP_MODES)
 
     channels = np.array(
         [np.concatenate([w.position, w.orientation_deg]) for w in waypoints]
     )
     knots = np.concatenate([[0.0], np.cumsum(segment_times)])
     t = _time_grid(knots[-1], dt)
-    values = np.empty((len(t), 6))
-    for k, tk in enumerate(t):
-        j = min(int(np.searchsorted(knots, tk, side="right")) - 1, len(knots) - 2)
-        if len(waypoints) == 1:
-            values[k] = channels[0]
-            continue
-        u = (tk - knots[j]) / (knots[j + 1] - knots[j])
-        u = min(max(u, 0.0), 1.0)
+    values = channels  # one waypoint: no segment, one sample
+    if len(waypoints) > 1:  # sample k lies at fraction u[k] of segment j[k]
+        j = np.minimum(np.searchsorted(knots, t, side="right") - 1, len(knots) - 2)
+        u = np.clip((t - knots[j]) / (knots[j + 1] - knots[j]), 0.0, 1.0)
         if mode == "cosine":
-            u = 0.5 * (1.0 - math.cos(math.pi * u))
-        values[k] = channels[j] + u * (channels[j + 1] - channels[j])
+            u = 0.5 * (1.0 - np.cos(np.pi * u))
+        values = channels[j] + u[:, None] * (channels[j + 1] - channels[j])
     positions, orientations = values[:, :3], values[:, 3:]
-    _warn_if_outside(positions, orientations, limits)
-    return PoseSeries(dt, positions, orientations)
+    return _series(dt, positions, orientations, limits)
 
 
 def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
@@ -226,5 +225,4 @@ def gen_circular(params: CircularParams, dt: float, limits: WorkspaceLimits | No
         else:
             wrapped = np.degrees(np.mod(phase + math.pi, 2.0 * math.pi) - math.pi)
             orientations[:, 2] = wrapped
-    _warn_if_outside(positions, orientations, limits)
-    return PoseSeries(dt, positions, orientations)
+    return _series(dt, positions, orientations, limits)

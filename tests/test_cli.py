@@ -175,6 +175,16 @@ class TestPipeline:
         text = (runs_root / "circ" / "config_snapshot.cfg").read_text()
         assert "type = circular" in text
 
+    def test_step_type_runs_end_to_end(self, runs_root):
+        # The built-in config with --traj step: the README's artifact list,
+        # one plot table per channel of pose, velocity and acceleration.
+        assert run_cli("all", "--run-id", "step", "--traj", "step") == 0
+        plots = {f"plot_{kind}_{axis}.csv" for kind in ("translation", "rotation", "lin_vel", "ang_vel",
+                                                         "lin_acc", "ang_acc") for axis in "xyz"}
+        tables = {"config_snapshot.cfg", "trajectory.csv", "joint_targets.csv", "sim_log.csv", "report.txt"}
+        assert {p.name for p in (runs_root / "step").iterdir()} == tables | plots
+        assert "type = step" in (runs_root / "step" / "config_snapshot.cfg").read_text()
+
     def test_runs_root_flag_beats_env(self, tmp_path, runs_root, fast_config):
         explicit = tmp_path / "explicit"
         assert run_cli(

@@ -1,5 +1,7 @@
 """write -> read round trips of every table kind, and the t column check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,8 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from quadstage.kinematics import NUM_JOINTS
 from quadstage.logio import (
+    JOINT_TARGET_COLUMNS,
+    JOINT_TARGETS_KIND,
     PLOT_COLUMNS,
     PLOT_KIND,
+    SIM_LOG_COLUMNS,
+    SIM_LOG_KIND,
+    TRAJECTORY_COLUMNS,
+    TRAJECTORY_KIND,
     LogFormatError,
     read_joint_targets,
     read_log,
@@ -18,6 +26,7 @@ from quadstage.logio import (
     write_joint_targets,
     write_log,
     write_plot_channel,
+    write_table,
     write_trajectory,
 )
 from quadstage.postprocess import PoseSeries
@@ -112,6 +121,35 @@ def test_joint_targets_time_column_names_first_bad_row(tmp_path):
         read_joint_targets(path, dt=1e-3)
     with pytest.raises(LogFormatError, match=r"targets\.csv: row 1: "):
         read_joint_targets(path, dt=2e-3)
+
+
+READERS = [
+    (read_trajectory, TRAJECTORY_KIND, TRAJECTORY_COLUMNS),
+    (read_joint_targets, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS),
+    (read_log, SIM_LOG_KIND, SIM_LOG_COLUMNS),
+]
+
+
+@pytest.mark.parametrize("reader, kind, header", READERS, ids=[kind for _, kind, _ in READERS])
+def test_reader_rejects_table_without_rows(tmp_path, reader, kind, header):
+    # A header and no rows names the file, with or without a configured dt.
+    path = tmp_path / "table.csv"
+    write_table(path, kind, DIGEST, header, np.empty((0, len(header))))
+    for dt in (1e-3, None):
+        with pytest.raises(LogFormatError, match=rf"^{re.escape(str(path))}: empty {kind}$"):
+            reader(path, dt=dt)
+
+
+@pytest.mark.parametrize("t1", [-1e-3, 0.0])
+def test_inferred_dt_must_be_positive(tmp_path, t1):
+    # Without a configured dt the step is the first gap; t = 0, -k ms (or a
+    # constant t) would otherwise pass as a table sampled at dt <= 0.
+    path = tmp_path / "traj.csv"
+    t = np.arange(5) * t1
+    write_table(path, TRAJECTORY_KIND, DIGEST, TRAJECTORY_COLUMNS,
+                np.column_stack([t, np.zeros((5, 6))]))
+    with pytest.raises(LogFormatError, match=rf"traj\.csv: row 1: t = {re.escape(repr(t1))} is not after"):
+        read_trajectory(path)
 
 
 def read_rows_by_loop(path, n_columns):

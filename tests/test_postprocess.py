@@ -114,6 +114,16 @@ class TestButterworthFilter:
         for zero_phase in (False, True):
             assert len(butterworth_filter(x, FS, FilterParams(zero_phase=zero_phase))) == 100
 
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_channels_filtered_as_one_channel_calls(self, zero_phase, rng):
+        # An (N, k) block is k independent channels along axis 0, bit for bit.
+        x = rng.normal(size=(500, 4)).cumsum(axis=0)
+        params = FilterParams(zero_phase=zero_phase)
+        y = butterworth_filter(x, FS, params)
+        each = np.column_stack([butterworth_filter(x[:, i], FS, params) for i in range(4)])
+        assert y.shape == x.shape
+        assert np.array_equal(y.view(np.uint64), each.view(np.uint64))
+
     def test_rejects_cutoff_at_nyquist(self):
         with pytest.raises(ValueError):
             butterworth_filter(np.zeros(100), FS, FilterParams(cutoff_hz=500.0))

@@ -22,6 +22,21 @@ def all_timestamps_uniform(traj):
     return np.all(gaps > 0) and np.max(np.abs(gaps - traj.dt)) < 1e-12
 
 
+def arbitrary_by_loop(channels, segment_times, t, mode):
+    """gen_arbitrary's samples one at a time, kept as the reference for its
+    array pass: each sample's segment by searchsorted, then the clamped
+    (and for cosine, eased) fraction of it."""
+    knots = np.concatenate([[0.0], np.cumsum(segment_times)])
+    values = np.empty((len(t), 6))
+    for k, tk in enumerate(t):
+        j = min(int(np.searchsorted(knots, tk, side="right")) - 1, len(knots) - 2)
+        u = min(max((tk - knots[j]) / (knots[j + 1] - knots[j]), 0.0), 1.0)
+        if mode == "cosine":
+            u = 0.5 * (1.0 - math.cos(math.pi * u))
+        values[k] = channels[j] + u * (channels[j + 1] - channels[j])
+    return values
+
+
 class TestSine:
     def test_wait_holds_home_plus_offsets(self):
         params = SineParams(1.0, 0.5, frequency=2.0, amplitude=20.0, offsets=[1.0, 2.0, 3.0])
@@ -132,6 +147,20 @@ class TestArbitrary:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             gen_arbitrary([PlatformPose.home(), PlatformPose.home()], [1.0, 2.0], DT)
+
+    @pytest.mark.parametrize("mode", ["linear", "cosine"])
+    def test_matches_per_sample_loop(self, mode, rng):
+        # Segment ends off the sample grid, and a last sample past the final
+        # knot: cosine easing may differ from math.cos by its last bit.
+        waypoints = rng.uniform(-20.0, 20.0, (6, 6))
+        segment_times = [0.2573, 0.5, 0.1237, 0.3, 0.0105]
+        traj = gen_arbitrary([PlatformPose(w[:3], w[3:]) for w in waypoints], segment_times, DT, mode)
+        expected = arbitrary_by_loop(waypoints, segment_times, traj.t, mode)
+        values = np.column_stack([traj.positions, traj.orientations_deg])
+        if mode == "linear":
+            assert np.array_equal(values, expected)
+        else:
+            assert np.all(np.abs(values - expected) <= np.spacing(np.abs(expected)))
 
 
 class TestCircular:
