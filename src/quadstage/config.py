@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits,
-                         check_non_negative, check_positive)
+                         check_positive)
 from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
 from .trajectory import (AXES, DIRECTIONS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES, CircularParams,
@@ -146,8 +146,8 @@ def _choice(*options: str):
     return field(default=options[0], metadata={"codec": (parse, str)})
 
 
-# Sections defined here; workspace, actuator, sim and filter are the domain
-# dataclasses of the modules that use them.
+# Sections defined here; platform, workspace, actuator, sim and filter are
+# the domain dataclasses of the modules that use them.
 
 
 @dataclass
@@ -168,18 +168,6 @@ class RobotConfig:
         for name in ("knee_sign_front", "knee_sign_back"):
             if getattr(self, name) not in (-1, 1):
                 raise ValueError(f"{name}: must be +1 or -1")
-
-
-@dataclass
-class PlatformConfig:
-    length_x: float = 400.0
-    width_y: float = 300.0
-    z_offset: float = 20.0
-    home_height: float = 340.0
-
-    def __post_init__(self):
-        check_positive(self, "length_x", "width_y", "home_height")
-        check_non_negative(self, "z_offset")
 
 
 @dataclass
@@ -267,7 +255,7 @@ class Config:
     """Fully validated configuration for the whole pipeline."""
 
     robot_config: RobotConfig
-    platform_config: PlatformConfig
+    platform: PlatformGeometry
     limits: WorkspaceLimits
     actuator: ActuatorParams
     sim: SimParams
@@ -275,7 +263,6 @@ class Config:
     trajectory: TrajectoryConfig
     postprocess: PostprocessConfig
     robot: list = field(init=False)
-    platform: PlatformGeometry = field(init=False)
 
     def __post_init__(self):
         if self.trajectory.dt != self.sim.dt:
@@ -296,16 +283,6 @@ class Config:
                         joint_limit_deg=rc.joint_limit_deg)
             for leg in LEG_NAMES
         ]
-        pc = self.platform_config
-        hx, hy, z0 = pc.length_x / 2.0, pc.width_y / 2.0, pc.z_offset
-        corners = np.array(
-            [[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]]
-        )
-        self.platform = PlatformGeometry(
-            corner_offsets=corners,
-            z_offset=z0,
-            home_center=np.array([0.0, 0.0, -pc.home_height + z0]),
-        )
 
     def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""
@@ -316,7 +293,7 @@ class Config:
 # Section name -> (Config attribute, dataclass), in file order.
 _SECTIONS = {
     "robot": ("robot_config", RobotConfig),
-    "platform": ("platform_config", PlatformConfig),
+    "platform": ("platform", PlatformGeometry),
     "workspace": ("limits", WorkspaceLimits),
     "actuator": ("actuator", ActuatorParams),
     "sim": ("sim", SimParams),

@@ -121,33 +121,28 @@ class LegGeometry:
 
 @dataclass
 class PlatformGeometry:
-    """Rigid platform carried by the four feet.
+    """Rigid rectangular platform carried by the four feet (mm).
 
-    corner_offsets are the ball-joint positions in the platform frame
-    (origin at the platform center), ordered FL/FR/BL/BR; they must form a
-    planar rectangle.  z_offset is the distance from the ball-joint plane
-    up to the platform center, so each corner offset has z = -z_offset.
-    home_center is the platform-center position in the body frame when the
-    pose is zero.
+    length_x by width_y is the corner ball-joint rectangle, z_offset the
+    distance from the ball-joint plane up to the platform center, and
+    home_height the depth of the ball-joint plane below the hip plane at the
+    zero pose.  Derived from them: corner_offsets (4, 3), the ball-joint
+    positions in the platform frame (origin at the platform center),
+    ordered FL/FR/BL/BR, each with z = -z_offset; and home_center, the
+    platform-center position in the body frame at the zero pose.
     """
 
-    corner_offsets: np.ndarray
-    z_offset: float
-    home_center: np.ndarray
+    length_x: float = 400.0
+    width_y: float = 300.0
+    z_offset: float = 20.0
+    home_height: float = 340.0
 
     def __post_init__(self):
-        self.corner_offsets = np.asarray(self.corner_offsets, dtype=float)
-        self.home_center = np.asarray(self.home_center, dtype=float)
-        if self.corner_offsets.shape != (4, 3):
-            raise ValueError("corner_offsets must be (4, 3)")
-        if self.home_center.shape != (3,):
-            raise ValueError("home_center must be a 3-vector")
-        fl, fr, bl, br = self.corner_offsets
-        diag_lengths = (np.linalg.norm(br - fl), np.linalg.norm(bl - fr))
-        if abs(diag_lengths[0] - diag_lengths[1]) > 1e-9:
-            raise ValueError("corner rectangle invalid: diagonals differ in length")
-        if np.max(np.abs((fl + br) / 2 - (fr + bl) / 2)) > 1e-9:
-            raise ValueError("corner rectangle invalid: diagonals do not bisect each other")
+        check_positive(self, "length_x", "width_y", "home_height")
+        check_non_negative(self, "z_offset")
+        hx, hy, z0 = self.length_x / 2.0, self.width_y / 2.0, self.z_offset
+        self.corner_offsets = np.array([[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]])
+        self.home_center = np.array([0.0, 0.0, -self.home_height + z0])
 
 
 @dataclass

@@ -216,11 +216,22 @@ def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
     return y
 
 
+def unwrap_deg(angles) -> np.ndarray:
+    """Angle channels (N, k) in degrees with every step above 180 deg
+    unwrapped.  A channel without such a step is returned bit for bit:
+    np.unwrap would turn its -0.0 samples into +0.0."""
+    jumps = np.any(np.abs(np.diff(angles, axis=0)) > 180.0, axis=0)
+    out = angles.copy()
+    out[:, jumps] = np.unwrap(angles[:, jumps], period=360.0, axis=0)
+    return out
+
+
 def filter_series(series: PoseSeries, params: FilterParams) -> PoseSeries:
-    """Butterworth-filter every pose channel of a series."""
+    """Butterworth-filter every pose channel of a series, the Euler
+    channels after unwrap_deg."""
     fs = 1.0 / series.dt
     return PoseSeries(series.dt, butterworth_filter(series.positions, fs, params),
-                      butterworth_filter(series.orientations_deg, fs, params))
+                      butterworth_filter(unwrap_deg(series.orientations_deg), fs, params))
 
 
 def differentiate(series: PoseSeries) -> PoseSeries:
@@ -228,25 +239,30 @@ def differentiate(series: PoseSeries) -> PoseSeries:
 
     Central differences in the interior, second-order one-sided stencils
     at the two boundary samples.  Angular rates are per-channel Euler-angle
-    differences, a small-angle stand-in for true body rates.
+    differences, a small-angle stand-in for true body rates, taken on (and
+    returned with) the orientations after unwrap_deg.
     """
     if len(series) < 3:
         raise ValueError("need at least 3 samples to differentiate")
+    orientations = unwrap_deg(series.orientations_deg)
     lin_vel = np.gradient(series.positions, series.dt, axis=0, edge_order=2)
-    ang_vel = np.gradient(series.orientations_deg, series.dt, axis=0, edge_order=2)
+    ang_vel = np.gradient(orientations, series.dt, axis=0, edge_order=2)
     lin_acc = np.gradient(lin_vel, series.dt, axis=0, edge_order=2)
     ang_acc = np.gradient(ang_vel, series.dt, axis=0, edge_order=2)
-    return replace(series, lin_vel=lin_vel, ang_vel=ang_vel, lin_acc=lin_acc, ang_acc=ang_acc)
+    return replace(series, orientations_deg=orientations, lin_vel=lin_vel, ang_vel=ang_vel,
+                   lin_acc=lin_acc, ang_acc=ang_acc)
 
 
 def rmse_report(target: PoseSeries, actual: PoseSeries) -> RmseReport:
-    """Per-axis RMSE between a target and an achieved pose series."""
+    """Per-axis RMSE between a target and an achieved pose series; angles
+    are compared modulo 360 deg."""
     if len(target) != len(actual):
         raise ValueError(f"length mismatch: target {len(target)} vs actual {len(actual)}")
     if abs(target.dt - actual.dt) > 1e-12:
         raise ValueError(f"dt mismatch: target {target.dt} vs actual {actual.dt}")
     d_pos = target.positions - actual.positions
     d_rot = target.orientations_deg - actual.orientations_deg
+    d_rot = np.where(np.abs(d_rot) > 180.0, (d_rot + 180.0) % 360.0 - 180.0, d_rot)
     return RmseReport(
         translation_mm=np.sqrt(np.mean(d_pos**2, axis=0)),
         rotation_deg=np.sqrt(np.mean(d_rot**2, axis=0)),

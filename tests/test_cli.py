@@ -185,6 +185,18 @@ class TestPipeline:
         assert {p.name for p in (runs_root / "step").iterdir()} == tables | plots
         assert "type = step" in (runs_root / "step" / "config_snapshot.cfg").read_text()
 
+    def test_continuous_yaw_rmse_compares_angles_modulo_360(self, runs_root, tmp_path):
+        # The commanded yaw wraps at +/-180 deg twice a round; a rotation RMSE
+        # taken across the wrap read ten times the joint tracking error.
+        path = tmp_path / "yaw.cfg"
+        path.write_text("[workspace]\nrot_max = 180\n[trajectory]\ntype = circular\nradius = 0\n"
+                        "rotation_mode = continuous\nrounds = 2\ncircle_frequency = 0.5\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "yaw") == 0
+        lines = (runs_root / "yaw" / "report.txt").read_text().splitlines()
+        values = dict(line.split(" = ") for line in lines if " = " in line)
+        joint_max = max(float(v) for k, v in values.items() if k.endswith(("_aa_deg", "_fe_deg")))
+        assert float(values["rotation_z_deg"]) <= 3 * joint_max
+
     def test_runs_root_flag_beats_env(self, tmp_path, runs_root, fast_config):
         explicit = tmp_path / "explicit"
         assert run_cli(

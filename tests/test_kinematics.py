@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -204,10 +205,19 @@ class TestPlatformCorners:
             pose = PlatformPose(rng.uniform(-100, 100, 3), rng.uniform(-30, 30, 3))
             assert np.max(np.abs(pairwise(platform_corners(pose, cfg.platform)) - ref)) < 1e-9
 
-    def test_rectangle_invariant_enforced(self):
-        bad = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-2, -1, 0]], dtype=float)
-        with pytest.raises(ValueError):
-            PlatformGeometry(bad, 0.0, np.zeros(3))
+    def test_corners_derived_from_platform_keys(self):
+        with pytest.raises(ValueError, match="^length_x: must be positive$"):
+            PlatformGeometry(length_x=0)
+        platform = PlatformGeometry(length_x=300.0, width_y=100.0, z_offset=12.5, home_height=250.0)
+        fl, fr, bl, br = platform.corner_offsets
+        assert np.array_equal(platform.corner_offsets[:, 2], [-12.5] * 4)
+        assert np.array_equal(fl - bl, [300.0, 0.0, 0.0]) and np.array_equal(fr - br, fl - bl)
+        assert np.array_equal(fl - fr, [0.0, 100.0, 0.0]) and np.array_equal(bl - br, fl - fr)
+        assert np.array_equal(fl + br, [0.0, 0.0, -25.0]) and np.array_equal(fr + bl, fl + br)
+        assert np.array_equal(platform.home_center, [0.0, 0.0, -237.5])
+        longer = dataclasses.replace(platform, length_x=500.0)
+        assert np.array_equal(longer.corner_offsets[:, 0], [250.0, 250.0, -250.0, -250.0])
+        assert np.array_equal(longer.corner_offsets[:, 1:], platform.corner_offsets[:, 1:])
 
 
 class TestPlatformIk:

@@ -13,6 +13,7 @@ from quadstage.postprocess import (
     joint_rmse,
     reconstruct_pose,
     rmse_report,
+    unwrap_deg,
 )
 
 FS = 1000.0
@@ -253,6 +254,15 @@ class TestRmseReport:
         )
         assert np.allclose(base.translation_mm[perm], swapped.translation_mm)
 
+    def test_angles_compared_modulo_360(self):
+        pos = np.zeros((4, 3))
+        target = np.array([[179.0, 0.0, 10.0], [-179.0, 0.0, 370.0], [540.0, 0.0, -350.0],
+                           [0.5, 0.0, 10.0]])
+        actual = np.array([[-179.0, 0.0, 10.0], [179.0, 0.0, 10.0], [180.0, 0.0, 10.0],
+                           [-0.5, 0.0, 10.0]])
+        report = rmse_report(self.make_series(pos, target), self.make_series(pos, actual))
+        assert report.rotation_deg == pytest.approx([1.5, 0.0, 0.0], abs=1e-12)
+
     def test_length_mismatch(self):
         a = self.make_series(np.zeros((10, 3)), np.zeros((10, 3)))
         b = self.make_series(np.zeros((11, 3)), np.zeros((11, 3)))
@@ -283,6 +293,29 @@ class TestJointRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             joint_rmse(np.zeros((5, 12)), np.zeros((6, 12)))
+
+
+class TestUnwrap:
+    def test_channel_without_jump_keeps_its_bits(self):
+        angles = np.array([[-0.0, 170.0, -0.0], [0.0, -170.0, 5.0], [-0.0, 175.0, -0.0]])
+        out = unwrap_deg(angles)
+        assert out[:, [0, 2]].tobytes() == angles[:, [0, 2]].tobytes()
+        assert np.array_equal(out[:, 1], [170.0, 190.0, 175.0])
+        still = np.array([[-0.0, 1.0, -0.0], [0.0, -1.0, -0.0]])
+        assert unwrap_deg(still).tobytes() == still.tobytes()
+
+    def test_filter_and_differentiate_follow_a_wrapping_spin(self):
+        # 360 deg/s of yaw, wrapped to (-180, 180]: a spin at constant rate.
+        dt = 1e-3
+        yaw = np.degrees(np.angle(np.exp(1j * np.radians(360.0 * np.arange(3000) * dt))))
+        rot = np.column_stack([np.zeros(3000), np.zeros(3000), yaw])
+        series = PoseSeries(dt, np.zeros((3000, 3)), rot)
+        out = differentiate(series)
+        assert np.allclose(out.ang_vel[:, 2], 360.0) and np.allclose(out.ang_acc[:, 2], 0.0, atol=1e-6)
+        assert np.allclose(out.orientations_deg[:, 2], 360.0 * np.arange(3000) * dt)
+        # Filtered raw, the wrap steps would leave errors of up to 180 deg.
+        error = filter_series(series, FilterParams()).orientations_deg[:, 2] - out.orientations_deg[:, 2]
+        assert np.max(np.abs(error)) < 0.5 and np.max(np.abs(error[100:-100])) < 1e-4
 
 
 class TestFilterSeries:
