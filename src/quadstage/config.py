@@ -150,8 +150,10 @@ def _choice(*options: str):
 # the domain dataclasses of the modules that use them.
 
 
-@dataclass
-class RobotConfig:
+@dataclass(frozen=True)
+class RobotGeometry:
+    """The four legs; indexing and iterating give their LegGeometry, FL/FR/BL/BR."""
+
     hip_mount_fl: np.ndarray = _floats([200.0, 150.0, 0.0], 3)
     hip_mount_fr: np.ndarray = _floats([200.0, -150.0, 0.0], 3)
     hip_mount_bl: np.ndarray = _floats([-200.0, 150.0, 0.0], 3)
@@ -164,10 +166,22 @@ class RobotConfig:
     joint_limit_deg: float = 170.0
 
     def __post_init__(self):
-        check_positive(self, "l_upper", "l_lower")
         for name in ("knee_sign_front", "knee_sign_back"):
             if getattr(self, name) not in (-1, 1):
                 raise ValueError(f"{name}: must be +1 or -1")
+        object.__setattr__(self, "legs", tuple(
+            LegGeometry(getattr(self, f"hip_mount_{leg}"), self.l_upper, self.l_lower, self.hip_offset_y,
+                        side="left" if leg[1] == "l" else "right",
+                        knee_sign=self.knee_sign_front if leg[0] == "f" else self.knee_sign_back,
+                        joint_limit_deg=self.joint_limit_deg)
+            for leg in LEG_NAMES
+        ))
+
+    def __getitem__(self, index) -> LegGeometry:
+        return self.legs[index]
+
+    def __iter__(self):
+        return iter(self.legs)
 
 
 @dataclass
@@ -254,7 +268,7 @@ class PostprocessConfig:
 class Config:
     """Fully validated configuration for the whole pipeline."""
 
-    robot_config: RobotConfig
+    robot: RobotGeometry
     platform: PlatformGeometry
     limits: WorkspaceLimits
     actuator: ActuatorParams
@@ -262,7 +276,6 @@ class Config:
     filter_params: FilterParams
     trajectory: TrajectoryConfig
     postprocess: PostprocessConfig
-    robot: list = field(init=False)
 
     def __post_init__(self):
         if self.trajectory.dt != self.sim.dt:
@@ -275,14 +288,6 @@ class Config:
         if not samples > least:
             raise ConfigError(f"trajectory.{key}: too short to filter: sample count {samples} "
                               f"at sim.dt, need more than {least} (3 * filter.order)")
-        rc = self.robot_config
-        self.robot = [
-            LegGeometry(getattr(rc, f"hip_mount_{leg}"), rc.l_upper, rc.l_lower, rc.hip_offset_y,
-                        side="left" if leg[1] == "l" else "right",
-                        knee_sign=rc.knee_sign_front if leg[0] == "f" else rc.knee_sign_back,
-                        joint_limit_deg=rc.joint_limit_deg)
-            for leg in LEG_NAMES
-        ]
 
     def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""
@@ -292,7 +297,7 @@ class Config:
 
 # Section name -> (Config attribute, dataclass), in file order.
 _SECTIONS = {
-    "robot": ("robot_config", RobotConfig),
+    "robot": ("robot", RobotGeometry),
     "platform": ("platform", PlatformGeometry),
     "workspace": ("limits", WorkspaceLimits),
     "actuator": ("actuator", ActuatorParams),

@@ -81,7 +81,7 @@ class BallPivotError(KinematicsError):
         self.angle_deg = angle_deg
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LegGeometry:
     """Geometry of one 3-DoF leg chain.
 
@@ -104,11 +104,12 @@ class LegGeometry:
     joint_limit_deg: float = 170.0
 
     def __post_init__(self):
-        self.hip_mount = np.asarray(self.hip_mount, dtype=float)
-        if self.hip_mount.shape != (3,):
+        hip_mount = np.asarray(self.hip_mount, dtype=float)
+        if hip_mount.shape != (3,):
             raise ValueError("hip_mount must be a 3-vector")
-        if not (self.l_upper > 0 and self.l_lower > 0):
-            raise ValueError("link lengths must be positive")
+        hip_mount.flags.writeable = False
+        object.__setattr__(self, "hip_mount", hip_mount)
+        check_positive(self, "l_upper", "l_lower", "joint_limit_deg")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.knee_sign not in (-1, 1):
@@ -119,7 +120,7 @@ class LegGeometry:
         return 1.0 if self.side == "left" else -1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlatformGeometry:
     """Rigid rectangular platform carried by the four feet (mm).
 
@@ -141,8 +142,11 @@ class PlatformGeometry:
         check_positive(self, "length_x", "width_y", "home_height")
         check_non_negative(self, "z_offset")
         hx, hy, z0 = self.length_x / 2.0, self.width_y / 2.0, self.z_offset
-        self.corner_offsets = np.array([[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]])
-        self.home_center = np.array([0.0, 0.0, -self.home_height + z0])
+        corners = np.array([[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]])
+        center = np.array([0.0, 0.0, -self.home_height + z0])
+        corners.flags.writeable = center.flags.writeable = False
+        object.__setattr__(self, "corner_offsets", corners)
+        object.__setattr__(self, "home_center", center)
 
 
 @dataclass
@@ -366,14 +370,7 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
     Array-first: q is (12,) with one pose or (N, 12) with a stacked pose of
     N samples, and the result is (4,) or (N, 4).
     """
-    home_corners = platform.home_center + platform.corner_offsets
-    home_axes = _home_socket_axes(
-        tuple(map(tuple, home_corners.tolist())),
-        tuple(
-            (tuple(g.hip_mount.tolist()), g.l_upper, g.l_lower, g.hip_offset_y, g.side, g.knee_sign)
-            for g in robot
-        ),
-    )
+    home_axes = _home_socket_axes(tuple(robot), platform)
     legs = np.asarray(q, dtype=float).reshape(*np.shape(q)[:-1], 4, 3)
     sockets = (_lower_link_rotation(legs) @ home_axes[:, :, None])[..., 0]
     normal = pose.rotation()[..., None, :, 2]  # R @ z, once per corner
@@ -381,13 +378,11 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
 
 
 @functools.lru_cache(maxsize=16)
-def _home_socket_axes(home_corners: tuple, legs: tuple) -> np.ndarray:
+def _home_socket_axes(legs: tuple, platform: PlatformGeometry) -> np.ndarray:
     # Socket axis of each lower link at the home pose, (4, 3) and read-only:
-    # row 2 of its home orientation, R^T z.  Keyed on geometry values, not
-    # objects: LegGeometry and PlatformGeometry are mutable, so an object
-    # key could go stale.
-    q_home = np.array([leg_ik(np.array(corner), LegGeometry(*leg))
-                       for corner, leg in zip(home_corners, legs)])
+    # row 2 of its home orientation, R^T z.  Keyed on the frozen geometry objects.
+    home_corners = platform.home_center + platform.corner_offsets
+    q_home = np.array([leg_ik(corner, leg) for corner, leg in zip(home_corners, legs)])
     axes = _lower_link_rotation(q_home)[:, 2]
     axes.flags.writeable = False
     return axes

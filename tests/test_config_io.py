@@ -19,6 +19,7 @@ from quadstage.config import (
     loads_config,
     write_config,
 )
+from quadstage.kinematics import LEG_NAMES
 from quadstage.logio import (
     JOINT_TARGET_COLUMNS,
     SIM_LOG_COLUMNS,
@@ -181,8 +182,6 @@ def _value(name, default, sim_dt):
 def configs(draw):
     base, sections, sim_dt = default_config(), {}, None
     for section in dataclasses.fields(Config):
-        if not section.init:
-            continue
         obj = getattr(base, section.name)
         values = {}
         for f in dataclasses.fields(obj):
@@ -273,6 +272,7 @@ class TestConfig:
         [
             ("robot", "l_lower", "0"),
             ("robot", "knee_sign_back", "2"),
+            ("robot", "joint_limit_deg", "-5"),
             ("platform", "width_y", "-1"),
             ("platform", "z_offset", "-0.5"),
             ("workspace", "x_max", "0"),
@@ -402,6 +402,61 @@ class TestConfig:
         assert traj.duration == pytest.approx(2.0)
         assert traj.positions[-1, 0] == pytest.approx(10.0)
         assert traj.orientations_deg[-1, 2] == pytest.approx(5.0)
+
+
+def _leg_values(robot):
+    return [{f.name: np.asarray(getattr(leg, f.name)).tolist() for f in dataclasses.fields(leg)}
+            for leg in robot]
+
+
+def _platform_values(platform):
+    return platform.corner_offsets.tolist(), platform.home_center.tolist()
+
+
+def _changed(value):
+    """A different valid value for a [robot] or [platform] key."""
+    if isinstance(value, np.ndarray):
+        return value + 1.0
+    if isinstance(value, int):  # knee signs
+        return -value
+    return 1.5 * value + 1.0
+
+
+class TestGeometrySections:
+    """[robot] and [platform] are frozen, with read-only arrays, so the legs
+    and corners derived from them cannot go stale."""
+
+    def test_attributes_cannot_be_assigned(self):
+        cfg = default_config()
+        targets = [(cfg.platform, ["corner_offsets", "home_center"]), (cfg.robot, [])]
+        for obj, names in targets + [(leg, []) for leg in cfg.robot]:
+            for name in [f.name for f in dataclasses.fields(obj)] + names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, getattr(obj, name))
+
+    def test_arrays_are_read_only(self):
+        cfg = default_config()
+        for array in (cfg.platform.corner_offsets, cfg.platform.home_center,
+                      *(leg.hip_mount for leg in cfg.robot)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+        for leg in LEG_NAMES:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg.robot, f"hip_mount_{leg}")[0] += 1.0
+
+    @pytest.mark.parametrize("section", ["robot", "platform"])
+    def test_replace_derives_what_a_reload_derives(self, section):
+        default = default_config()
+        for f in dataclasses.fields(getattr(default, section)):
+            cfg = default_config()
+            value = _changed(getattr(getattr(cfg, section), f.name))
+            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{f.name: value}))
+            reloaded = loads_config(dumps_config(cfg))
+            assert dumps_config(reloaded) == dumps_config(cfg)
+            assert _leg_values(cfg.robot) == _leg_values(reloaded.robot)
+            assert _platform_values(cfg.platform) == _platform_values(reloaded.platform)
+            changed = (_leg_values(cfg.robot), _platform_values(cfg.platform))
+            assert changed != (_leg_values(default.robot), _platform_values(default.platform)), f.name
 
 
 class TestTables:

@@ -8,6 +8,8 @@ agree to 1e-12 rad (float64 round-off), and errors agree exactly: the same
 first failing sample, exception type, leg and message.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,12 +36,9 @@ BOX = np.array([LIMITS.x_max, LIMITS.y_max, LIMITS.z_max])
 
 def robot_with(knee_front=1, knee_back=-1, l_lower=None, hip_offset_y=None):
     cfg = default_config()
-    for i, geom in enumerate(cfg.robot):
-        geom.knee_sign = knee_front if i < 2 else knee_back
-        if l_lower is not None:
-            geom.l_lower = l_lower
-        if hip_offset_y is not None:
-            geom.hip_offset_y = hip_offset_y
+    edits = {"knee_sign_front": knee_front, "knee_sign_back": knee_back, "l_lower": l_lower,
+             "hip_offset_y": hip_offset_y}
+    cfg.robot = dataclasses.replace(cfg.robot, **{k: v for k, v in edits.items() if v is not None})
     return cfg
 
 

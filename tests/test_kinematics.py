@@ -296,9 +296,8 @@ class TestPivotAngles:
         # arccos is ill-conditioned near 0 deg, so the array path and the
         # loop agree to 1e-6 deg there; a stacked call repeats its rows.
         cfg = default_config()
-        for i, geom in enumerate(cfg.robot):
-            geom.knee_sign = knee_front if i < 2 else knee_back
-            geom.hip_offset_y = hip_offset_y
+        cfg.robot = dataclasses.replace(cfg.robot, knee_sign_front=knee_front, knee_sign_back=knee_back,
+                                        hip_offset_y=hip_offset_y)
         solved = []
         for values in poses:
             pose = PlatformPose(values[:3], values[3:])
@@ -325,10 +324,10 @@ class TestWorkspaceCheck:
         assert np.max(report.pivot_angles_deg) - np.min(report.pivot_angles_deg) < 1e-9
         assert np.max(report.pivot_angles_deg) < 1e-6  # sockets assembled at home
 
-    def test_pivots_follow_in_place_geometry_edits(self, cfg):
-        # The home socket axes are reused between calls; after an in-place
-        # edit of the (mutable) geometry the sockets must be re-assembled at
-        # the new home, where every pivot is zero again.
+    def test_pivots_follow_replaced_geometry(self, cfg):
+        # The home socket axes are reused between calls; with a replaced
+        # geometry the sockets must be re-assembled at the new home, where
+        # every pivot is zero again.
         home = PlatformPose.home()
 
         def home_q_and_pivots():
@@ -337,11 +336,11 @@ class TestWorkspaceCheck:
 
         q_before, pivots = home_q_and_pivots()
         assert np.max(pivots) < 1e-6
-        cfg.platform.home_center[0] += 40.0
+        cfg.platform = dataclasses.replace(cfg.platform, home_height=380.0)
         q_moved, pivots = home_q_and_pivots()
         assert np.max(np.abs(q_moved - q_before)) > 1e-3
         assert np.max(pivots) < 1e-6
-        cfg.robot[1].l_lower += 15.0
+        cfg.robot = dataclasses.replace(cfg.robot, l_lower=390.0)
         q_longer, pivots = home_q_and_pivots()
         assert np.max(np.abs(q_longer - q_moved)) > 1e-3
         assert np.max(pivots) < 1e-6
@@ -368,8 +367,7 @@ class TestWorkspaceCheck:
         assert len(report.pivot_violations) == 4
 
     def test_soft_joint_limits_reported(self, cfg):
-        for leg in cfg.robot:
-            leg.joint_limit_deg = 60.0  # tighter than the home knee bend
+        cfg.robot = dataclasses.replace(cfg.robot, joint_limit_deg=60.0)  # tighter than the home knee bend
         q = solve_platform_ik(PlatformPose.home(), cfg.robot, cfg.platform)
         report = workspace_check(PlatformPose.home(), q, cfg.limits, cfg.robot, cfg.platform)
         assert not report.valid
@@ -386,5 +384,5 @@ class TestWorkspaceCheck:
 
 
 def test_leg_geometry_rejects_nan_length():
-    with pytest.raises(ValueError, match="^link lengths must be positive$"):
+    with pytest.raises(ValueError, match="^l_upper: must be positive$"):
         LegGeometry([0.0, 0.0, 0.0], float("nan"), 100.0)

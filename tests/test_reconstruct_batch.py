@@ -7,6 +7,7 @@ operations, so the two agree to a tolerance fixed here from float64
 round-off, not bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -149,8 +150,7 @@ def test_series_of_stacked_solve_recovers_poses(poses, knee_front, knee_back):
     # Every pose of the workspace box is reachable by the default legs, on
     # either knee branch, and platform mode recovers it to float round-off.
     cfg = default_config()
-    for i, geom in enumerate(cfg.robot):
-        geom.knee_sign = knee_front if i < 2 else knee_back
+    cfg.robot = dataclasses.replace(cfg.robot, knee_sign_front=knee_front, knee_sign_back=knee_back)
     values = np.array(poses)
     q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), cfg.robot, cfg.platform)
     series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, "platform")
