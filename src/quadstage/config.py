@@ -176,6 +176,8 @@ class RobotGeometry:
                         joint_limit_deg=self.joint_limit_deg)
             for leg in LEG_NAMES
         ))
+        for leg, geom in zip(LEG_NAMES, self.legs):  # one read-only array per corner
+            object.__setattr__(self, f"hip_mount_{leg}", geom.hip_mount)
 
     def __getitem__(self, index) -> LegGeometry:
         return self.legs[index]

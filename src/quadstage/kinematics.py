@@ -104,7 +104,7 @@ class LegGeometry:
     joint_limit_deg: float = 170.0
 
     def __post_init__(self):
-        hip_mount = np.asarray(self.hip_mount, dtype=float)
+        hip_mount = np.array(self.hip_mount, dtype=float)  # a copy: the caller's array stays writable
         if hip_mount.shape != (3,):
             raise ValueError("hip_mount must be a 3-vector")
         hip_mount.flags.writeable = False

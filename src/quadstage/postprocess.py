@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
 from .geometry import align_vectors, cross, line_closest_midpoint, rotation_to_euler
 from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, check_positive, leg_fk
@@ -186,14 +185,51 @@ def reconstruct_series(
     return PoseSeries(dt, *_reconstruct(q_series, robot, platform, z_offset_mode))
 
 
+def _butter(order: int, cutoff_hz: float, fs: float):
+    # Low-pass (b, a) in the order of operations of scipy.signal.butter:
+    # analog prototype poles, the prewarped cutoff, the bilinear transform
+    # at fs = 2, then the polynomials of the zeros (all at -1) and poles.
+    warped = float(4.0 * np.tan(np.pi * (cutoff_hz / (fs / 2.0)) / 2.0))
+    poles = warped * -np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order))
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    return gain * np.poly(-np.ones(order)), np.poly((4.0 + poles) / (4.0 - poles))
+
+
+def _step_state(b, a) -> np.ndarray:
+    # scipy.signal.lfilter_zi: the filter state at a unit step's steady state.
+    n = len(a) - 1
+    i_minus_a = np.eye(n) - np.eye(n, k=1)
+    i_minus_a[:, 0] += a[1:]
+    return np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+
+
+def _lfilter(b: list, a: list, x: list, z: list) -> list:
+    # One channel through the direct-form II transposed recurrence, on
+    # Python floats in the operation order of scipy's C loop.  The last
+    # state is not written as 0.0 + ..., which would turn -0.0 into +0.0.
+    b0, bn, an = b[0], b[-1], a[-1]
+    inner = list(zip(range(len(z) - 1), b[1:-1], a[1:-1]))
+    y = []
+    for xk in x:
+        yk = z[0] + b0 * xk
+        for j, bj, aj in inner:
+            z[j] = z[j + 1] + xk * bj - yk * aj
+        z[-1] = xk * bn - yk * an
+        y.append(yk)
+    return y
+
+
 def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
     """Low-pass Butterworth over a uniformly sampled sequence: a scalar
     series (N,), or k channels (N, k) filtered each on its own along axis 0.
 
     Zero-phase mode runs the filter forward and backward (no phase lag,
-    squared magnitude response); single-pass mode initializes the filter
-    state at the first sample's steady state, so constant inputs pass
-    through unchanged.
+    squared magnitude response) over an odd extension of 3 * order samples
+    at each end; single-pass mode initializes the filter state at the first
+    sample's steady state, so constant inputs pass through unchanged.  The
+    result is bit for bit that of scipy.signal.butter followed by
+    filtfilt(..., padlen=3 * order), or by lfilter with lfilter_zi scaled
+    by the first sample, without depending on scipy.
 
     Raises:
         ValueError: cutoff at or above Nyquist, or fewer than
@@ -206,14 +242,23 @@ def butterworth_filter(series, fs: float, params: FilterParams) -> np.ndarray:
         raise ValueError(
             f"cutoff {params.cutoff_hz} Hz must be below the Nyquist rate {fs / 2.0} Hz"
         )
-    if len(x) <= 3 * params.order:
-        raise ValueError(f"sequence too short: need more than {3 * params.order} samples")
-    b, a = signal.butter(params.order, params.cutoff_hz, fs=fs)
+    pad = 3 * params.order
+    if len(x) <= pad:
+        raise ValueError(f"sequence too short: need more than {pad} samples")
+    b, a = _butter(params.order, params.cutoff_hz, fs)
+    zi = _step_state(b, a)
+    b, a = b.tolist(), a.tolist()
+    columns = x[:, None] if x.ndim == 1 else x
     if params.zero_phase:
-        return signal.filtfilt(b, a, x, axis=0, padlen=3 * params.order)
-    zi = np.multiply.outer(signal.lfilter_zi(b, a), x[0])
-    y, _ = signal.lfilter(b, a, x, axis=0, zi=zi)
-    return y
+        columns = np.concatenate((2 * columns[:1] - columns[pad:0:-1], columns,
+                                  2 * columns[-1:] - columns[-2:-pad - 2:-1]))
+    out = np.empty((len(x), columns.shape[1]))
+    for i, channel in enumerate(columns.T):
+        y = _lfilter(b, a, channel.tolist(), (zi * channel[0]).tolist())
+        if params.zero_phase:
+            y = _lfilter(b, a, y[::-1], (zi * y[-1]).tolist())[::-1][pad:-pad]
+        out[:, i] = y
+    return out.reshape(x.shape)
 
 
 def unwrap_deg(angles) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,3 +232,37 @@ class TestPipeline:
         settle = log.t < 0.2
         err = np.abs(log.q_target[settle][-1] - log.q[settle][-1])
         assert np.max(err) > 1e-4  # uncompensated stage weight sags
+
+
+class TestPaperEnvelopes:
+    """The paper's headline 10 Hz sine cases, pinned as a regression record.
+
+    With kp = 180 and J = 0.035 the PD loop has a ~11.4 Hz natural
+    frequency and a damping ratio of ~0.72, so at 10 Hz the tracking error
+    is larger than the target's own RMS (7.07 mm for +/-10 mm).
+    """
+
+    @pytest.mark.parametrize("payload, amplitude, axis, expected", [
+        (0.3, 10.0, "x", 7.71415085),
+        (1.2, 20.0, "x", 17.1497578),
+        (1.2, 20.0, "z", 22.363033),
+    ])
+    def test_driven_axis_rmse(self, runs_root, tmp_path, payload, amplitude, axis, expected):
+        path = tmp_path / "envelope.cfg"
+        path.write_text(f"[sim]\npayload_mass = {payload}\n[trajectory]\ntype = sine\nrun_time = 2\n"
+                        f"wait_time = 0.5\nfrequency = 10\namplitude = {amplitude}\naxis = {axis}\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "envelope") == 0
+        lines = (runs_root / "envelope" / "report.txt").read_text().splitlines()
+        values = dict(line.split(" = ") for line in lines if " = " in line)
+        assert float(values[f"translation_{axis}_mm"]) == pytest.approx(expected, rel=1e-6)
+
+
+def test_import_loads_no_scipy():
+    # scipy is only the tests' reference; importing it would cost most of
+    # a run's start-up time.
+    code = ("import quadstage, quadstage.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"

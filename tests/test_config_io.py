@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quadstage.config import (
     Config,
     ConfigError,
+    RobotGeometry,
     apply_profile,
     config_hash,
     default_config,
@@ -19,7 +20,7 @@ from quadstage.config import (
     loads_config,
     write_config,
 )
-from quadstage.kinematics import LEG_NAMES
+from quadstage.kinematics import LEG_NAMES, LegGeometry
 from quadstage.logio import (
     JOINT_TARGET_COLUMNS,
     SIM_LOG_COLUMNS,
@@ -443,6 +444,17 @@ class TestGeometrySections:
         for leg in LEG_NAMES:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(cfg.robot, f"hip_mount_{leg}")[0] += 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        # A leg copies its hip mount; a section then keeps its leg's
+        # read-only copy, so the two stay one array.
+        mount = np.array([1.0, 2.0, 3.0])
+        leg = LegGeometry(mount, 1.0, 1.0)
+        robot = RobotGeometry(hip_mount_fl=mount)
+        mount[0] = 5.0
+        assert leg.hip_mount[0] == robot.hip_mount_fl[0] == 1.0
+        assert robot.hip_mount_fl is robot[0].hip_mount
+        assert not robot.hip_mount_fl.flags.writeable
 
     @pytest.mark.parametrize("section", ["robot", "platform"])
     def test_replace_derives_what_a_reload_derives(self, section):

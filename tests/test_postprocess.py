@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import signal
 
 from quadstage.kinematics import PlatformPose, solve_platform_ik
 from quadstage.postprocess import (
@@ -140,6 +144,47 @@ class TestButterworthFilter:
     def test_cutoff_must_not_be_nan(self):
         with pytest.raises(ValueError, match="^cutoff_hz: must be positive$"):
             FilterParams(cutoff_hz=float("nan"))
+
+
+def scipy_butterworth(x, fs, params):
+    # The reference: scipy.signal, which is a test-only dependency.
+    b, a = signal.butter(params.order, params.cutoff_hz, fs=fs)
+    if params.zero_phase:
+        return signal.filtfilt(b, a, x, axis=0, padlen=3 * params.order)
+    return signal.lfilter(b, a, x, axis=0, zi=np.multiply.outer(signal.lfilter_zi(b, a), x[0]))[0]
+
+
+def same_bits(u, v) -> bool:
+    return u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+@st.composite
+def filter_cases(draw):
+    order = draw(st.sampled_from([2, 4, 6, 8]))
+    fs = draw(st.sampled_from([240.0, 1000.0]) | st.floats(10.0, 5000.0))
+    cutoff = draw(st.floats(1e-4 * fs, fs / 2.0, exclude_max=True))
+    n = draw(st.integers(3 * order + 1, 3 * order + 150))
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+    x = draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    return x, fs, FilterParams(cutoff, order, draw(st.booleans()))
+
+
+class TestButterworthMatchesScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases())
+    def test_bit_for_bit(self, case):
+        x, fs, params = case
+        assert same_bits(butterworth_filter(x, fs, params), scipy_butterworth(x, fs, params))
+
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_zeros_keep_their_sign(self, zero_phase):
+        # Zeros of either sign come out with scipy's signs: channel 1 is
+        # -0.0 throughout, channel 2 -0.0 after a +0.0 first sample.
+        x = np.zeros((40, 3))
+        x[:, 1] = -0.0
+        x[1:, 2] = -0.0
+        params = FilterParams(cutoff_hz=50.0, order=4, zero_phase=zero_phase)
+        assert same_bits(butterworth_filter(x, FS, params), scipy_butterworth(x, FS, params))
 
 
 class TestPoseSeries:
