@@ -25,7 +25,6 @@ from . import logio
 from .config import (
     PROFILES,
     Config,
-    apply_profile,
     config_hash,
     default_config,
     dumps_config,
@@ -190,13 +189,12 @@ def effective_config(args) -> Config:
     """The config file (or the built-in config) with the command-line
     overrides applied, checked like a config file."""
     cfg = load_config(args.config) if args.config else default_config()
-    if args.profile:
-        apply_profile(cfg, args.profile)
     if args.traj:
         cfg.trajectory.type = args.traj
-    if args.dt is not None:
-        cfg.trajectory.dt = args.dt
-        cfg.sim.dt = args.dt
+    # One sample clock: --dt, else the --profile rate, else the config's.
+    dt = args.dt if args.dt is not None else PROFILES.get(args.profile)
+    if dt is not None:
+        cfg.sim.dt = cfg.trajectory.dt = dt
     return loads_config(dumps_config(cfg))
 
 

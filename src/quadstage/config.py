@@ -150,7 +150,7 @@ def _choice(*options: str):
 # the domain dataclasses of the modules that use them.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotGeometry:
     """The four legs; indexing and iterating give their LegGeometry, FL/FR/BL/BR."""
 
@@ -186,7 +186,7 @@ class RobotGeometry:
         return iter(self.legs)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryConfig:
     """Parameters for all four generator types; `type` picks one."""
 
@@ -278,6 +278,12 @@ class Config:
     filter_params: FilterParams
     trajectory: TrajectoryConfig
     postprocess: PostprocessConfig
+
+    def __eq__(self, other):
+        """Equal when dumps_config writes the same text (the text config_hash digests)."""
+        if not isinstance(other, Config):
+            return NotImplemented
+        return dumps_config(self) == dumps_config(other)
 
     def __post_init__(self):
         if self.trajectory.dt != self.sim.dt:
@@ -398,10 +404,3 @@ def config_hash(cfg: Config) -> str:
     """16-hex-digit digest identifying an effective configuration."""
     return hashlib.sha256(dumps_config(cfg).encode("utf-8")).hexdigest()[:16]
 
-
-def apply_profile(cfg: Config, profile: str) -> Config:
-    """Set the control/sample rates of a named profile ('hw' or 'sim')."""
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
-    cfg.sim.dt = cfg.trajectory.dt = PROFILES[profile]
-    return cfg

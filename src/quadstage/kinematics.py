@@ -241,7 +241,7 @@ def leg_fk(q_leg, geom: LegGeometry) -> np.ndarray:
 _CLIP_UNIT = {math: lambda x: min(1.0, max(-1.0, x)), np: lambda x: np.clip(x, -1.0, 1.0)}
 
 
-def _leg_ik_core(x, y, z, geom: LegGeometry, sign, lib):
+def _leg_ik_core(x, y, z, geom: LegGeometry, lib):
     # leg_ik's closed form for a target (x, y, z) from the hip mount, math
     # scalars for one target or numpy arrays for a stack: the joint angles
     # (clamped stand-ins when unreachable), then rho, r and the unclamped
@@ -256,7 +256,7 @@ def _leg_ik_core(x, y, z, geom: LegGeometry, sign, lib):
     r2 = x * x + zp * zp
     lu, ll = geom.l_upper, geom.l_lower
     cos_knee = (r2 - lu * lu - ll * ll) / (2.0 * lu * ll)
-    q_knee = sign * lib.acos(clip(cos_knee))
+    q_knee = geom.knee_sign * lib.acos(clip(cos_knee))
     q_hip = lib.atan2(x, -zp) - lib.atan2(ll * lib.sin(q_knee), lu + ll * lib.cos(q_knee))
     return q_aa, q_hip, q_knee, rho, lib.sqrt(r2), cos_knee
 
@@ -278,13 +278,13 @@ def _reach_tests(rho, r, cos_knee, geom: LegGeometry):
     )
 
 
-def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray:
+def leg_ik(p_target, geom: LegGeometry) -> np.ndarray:
     """Closed-form joint angles placing the foot at p_target (body frame).
 
     The hip abduction angle is solved from the y-z projection so the leg
     plane passes through the target at the configured lateral offset; the
-    remaining planar two-link problem is solved by the law of cosines.
-    branch overrides the knee-bend sign configured on the leg.
+    remaining planar two-link problem is solved by the law of cosines, on
+    the elbow branch that geom.knee_sign picks.
 
     Raises:
         UnreachableError: with the distance still missing (deficit_mm) when
@@ -295,11 +295,8 @@ def leg_ik(p_target, geom: LegGeometry, branch: int | None = None) -> np.ndarray
     p = np.asarray(p_target, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("target must be finite")
-    sign = geom.knee_sign if branch is None else branch
-    if sign not in (-1, 1):
-        raise ValueError("branch must be +1 or -1")
     x, y, z = (p - geom.hip_mount).tolist()
-    q_aa, q_hip, q_knee, rho, r, cos_knee = _leg_ik_core(x, y, z, geom, sign, math)
+    q_aa, q_hip, q_knee, rho, r, cos_knee = _leg_ik_core(x, y, z, geom, math)
     for failed, deficit, message, distance, limit in _reach_tests(rho, r, cos_knee, geom):
         if failed:
             raise UnreachableError(message.format(distance, limit), deficit_mm=deficit)
@@ -311,7 +308,7 @@ def _leg_ik_stack(p, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
     # (N, 3) joint angles and the (N,) mask of the targets leg_ik rejects
     # as unreachable (their angles are clamped stand-ins).
     v = p - geom.hip_mount
-    *q, rho, r, cos_knee = _leg_ik_core(v[:, 0], v[:, 1], v[:, 2], geom, geom.knee_sign, np)
+    *q, rho, r, cos_knee = _leg_ik_core(v[:, 0], v[:, 1], v[:, 2], geom, np)
     lateral, extension, fold = (test[0] for test in _reach_tests(rho, r, cos_knee, geom))
     return np.stack(q, axis=-1), lateral | extension | fold
 
@@ -456,9 +453,10 @@ def solve_platform_ik(
     """Joint vector (12,) placing all four feet on the posed corners.
 
     When limits are given the pose is first checked against the workspace
-    box; the pivot cone is additionally enforced only with check_pivot
-    (routine poses inside the box can exceed it, so by default pivot
-    angles are reported through workspace_check instead of rejected here).
+    box; the pivot cone is additionally enforced only with check_pivot,
+    which needs limits (routine poses inside the box can exceed it, so by
+    default pivot angles are reported through workspace_check instead of
+    rejected here).
 
     A stacked pose (position and orientation_deg (N, 3)) gives (N, 12) in
     one array pass: one box mask, an (N, 3, 3) rotation stack, (N, 4, 3)
@@ -473,7 +471,10 @@ def solve_platform_ik(
         WorkspaceViolationError: pose outside the box (limits given).
         UnreachableError: some corner is out of a leg's reach; .leg names it.
         BallPivotError: pivot cone exceeded (check_pivot=True only).
+        ValueError: check_pivot without limits.
     """
+    if check_pivot and limits is None:
+        raise ValueError("check_pivot: needs limits")
     if pose.position.ndim == 2:
         return _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot)
     if limits is not None:
@@ -493,7 +494,7 @@ def solve_platform_ik(
         err = float(np.linalg.norm(leg_fk(q[3 * i : 3 * i + 3], geom) - corners[i]))
         if err > 1e-6:
             raise KinematicsError(f"leg {LEG_NAMES[i]} solution inconsistent: {err:.2e} mm")
-    if check_pivot and limits is not None:
+    if check_pivot:
         angles = pivot_angles_deg(q, robot, platform, pose)
         worst = int(np.argmax(angles))
         if angles[worst] > limits.ball_pivot_max:
@@ -515,7 +516,7 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
         # not (err <= bound) also flags a NaN error
         flagged |= unreachable | np.logical_not(err <= 1e-6)
         q[:, 3 * i : 3 * i + 3] = q_leg
-    if check_pivot and limits is not None:
+    if check_pivot:
         pivot = pivot_angles_deg(q, robot, platform, pose)
         flagged |= np.logical_not(pivot.max(axis=-1) <= limits.ball_pivot_max)
     for k in np.flatnonzero(flagged):

@@ -149,22 +149,16 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
     return config_hash, columns, data
 
 
-def _sample_dt(path, t: np.ndarray, dt: float | None) -> float:
-    """The step of a table sampled at t_k = k*dt, after checking its t column.
+def _sample_dt(path, t: np.ndarray, dt: float) -> None:
+    """Check the t column of a table sampled at t_k = k*dt against the
+    configured step dt.
 
-    dt is the configured step; without one it is taken from the first gap,
-    which must be positive.  The written t column must match k*dt to the
-    precision it was written with (LogFormatError names the file and the
-    first row that does not); readers then derive t from dt, so a dt
-    without a short decimal form (1/240 s) survives the round trip.
+    Each written time must match k*dt to the precision it was written
+    with; LogFormatError names the file and the first row that does not.
+    Readers then derive t from dt, so a dt without a short decimal form
+    (1/240 s) survives the round trip.  The step is never inferred from
+    the t column, whose 9 digits need not give it back.
     """
-    if dt is None:
-        if len(t) < 2:
-            raise LogFormatError(f"{path}: fewer than two samples, dt must be given")
-        dt = float(t[1] - t[0])
-        if not dt > 0:
-            raise LogFormatError(f"{path}: row 1: t = {float(t[1])!r} is not after row 0's "
-                                 f"t = {float(t[0])!r}")
     exact = np.arange(len(t)) * dt
     bad = np.flatnonzero(np.abs(t - exact) > TIME_RTOL * np.abs(exact))
     if bad.size:
@@ -172,16 +166,16 @@ def _sample_dt(path, t: np.ndarray, dt: float | None) -> float:
         raise LogFormatError(
             f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}"
         )
-    return dt
 
 
-def _read_samples(path, kind: str, columns, dt: float | None) -> tuple[str, float, np.ndarray]:
-    """(config_hash, dt, data) of a non-empty table sampled at t_k = k*dt;
+def _read_samples(path, kind: str, columns, dt: float) -> tuple[str, np.ndarray]:
+    """(config_hash, data) of a non-empty table sampled at t_k = k*dt;
     dt and the t column as in _sample_dt."""
     config_hash, _, data = read_table(path, kind, columns)
     if len(data) == 0:
         raise LogFormatError(f"{path}: empty {kind}")
-    return config_hash, _sample_dt(path, data[:, 0], dt), data
+    _sample_dt(path, data[:, 0], dt)
+    return config_hash, data
 
 
 def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
@@ -189,13 +183,13 @@ def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
     write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
 
 
-def read_trajectory(path, dt: float | None = None) -> tuple[str, PoseSeries]:
+def read_trajectory(path, dt: float) -> tuple[str, PoseSeries]:
     """Trajectory artifact at path.
 
-    dt is the configured time step (default: the first gap of the t
-    column); the t column is checked against it as in _sample_dt.
+    dt is the configured time step; the t column is checked against it as
+    in _sample_dt.
     """
-    config_hash, dt, data = _read_samples(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS, dt)
+    config_hash, data = _read_samples(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS, dt)
     return config_hash, PoseSeries(dt, data[:, 1:4], data[:, 4:7])
 
 
@@ -204,10 +198,10 @@ def write_joint_targets(path, t, q, config_hash: str) -> None:
                 np.column_stack([t, q]))
 
 
-def read_joint_targets(path, dt: float | None = None) -> tuple[str, np.ndarray]:
+def read_joint_targets(path, dt: float) -> tuple[str, np.ndarray]:
     """(config_hash, q) of a joint-target artifact, q shaped (N, 12); dt
     and the t column as in read_trajectory."""
-    config_hash, _, data = _read_samples(path, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS, dt)
+    config_hash, data = _read_samples(path, JOINT_TARGETS_KIND, JOINT_TARGET_COLUMNS, dt)
     return config_hash, data[:, 1:]
 
 
@@ -216,9 +210,9 @@ def write_log(path, log: SimLog, config_hash: str) -> None:
     write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, rows)
 
 
-def read_log(path, dt: float | None = None) -> tuple[str, SimLog]:
+def read_log(path, dt: float) -> tuple[str, SimLog]:
     """Simulation log artifact at path; dt and the t column as in read_trajectory."""
-    config_hash, dt, data = _read_samples(path, SIM_LOG_KIND, SIM_LOG_COLUMNS, dt)
+    config_hash, data = _read_samples(path, SIM_LOG_KIND, SIM_LOG_COLUMNS, dt)
     blocks = np.split(data[:, 1:], len(SIM_LOG_BLOCKS), axis=1)
     return config_hash, SimLog(dt, **{name: block for (name, _), block in zip(SIM_LOG_BLOCKS, blocks)})
 

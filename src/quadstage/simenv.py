@@ -65,7 +65,7 @@ class ActuatorParams:
         return tau / (self.gear_ratio * self.kt_motor)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimParams:
     """Controller and load configuration for a run.
 

@@ -137,7 +137,7 @@ class TestPipeline:
         path.write_text(FAST_CFG + "\n[workspace]\nz_max = 600.0\n")
         assert run_cli("gen", "--config", str(path), "--run-id", "far") == 0
         traj_path = runs_root / "far" / "trajectory.csv"
-        digest, traj = read_trajectory(traj_path)
+        digest, traj = read_trajectory(traj_path, dt=1e-3)
         traj.positions[3, 2] = -500.0
         write_trajectory(traj_path, traj, digest)
         capsys.readouterr()
@@ -159,9 +159,17 @@ class TestPipeline:
         assert "config error" in capsys.readouterr().err
 
     def test_profile_flag_changes_rates(self, runs_root, fast_config):
-        assert run_cli("gen", "--config", fast_config, "--run-id", "slow", "--profile", "sim") == 0
-        text = (runs_root / "slow" / "config_snapshot.cfg").read_text()
-        assert f"dt = {1.0 / 240.0!r}" in text
+        # --dt takes precedence over --profile, and one value sets both clocks.
+        for flags, dt in ((("--profile", "sim"), 1.0 / 240.0),
+                          (("--profile", "sim", "--dt", "0.002"), 0.002)):
+            assert run_cli("all", "--config", fast_config, "--run-id", "clock", *flags) == 0
+            section, clocks = None, {}
+            for line in (runs_root / "clock" / "config_snapshot.cfg").read_text().splitlines():
+                if line.startswith("["):
+                    section = line
+                elif line.startswith("dt = "):
+                    clocks[section] = line
+            assert clocks == {"[sim]": f"dt = {dt!r}", "[trajectory]": f"dt = {dt!r}"}
 
     @pytest.mark.parametrize("flags", [("--profile", "sim"), ("--dt", "0.000333333333333")])
     def test_non_decimal_rate_runs_end_to_end(self, runs_root, fast_config, flags):
@@ -228,7 +236,7 @@ class TestPipeline:
 
     def test_gravity_offset_visible_in_log(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "grav") == 0
-        _, log = read_log(runs_root / "grav" / "sim_log.csv")
+        _, log = read_log(runs_root / "grav" / "sim_log.csv", dt=1e-3)
         settle = log.t < 0.2
         err = np.abs(log.q_target[settle][-1] - log.q[settle][-1])
         assert np.max(err) > 1e-4  # uncompensated stage weight sags

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadstage.cli import build_parser, effective_config
 from quadstage.config import (
     Config,
     ConfigError,
     RobotGeometry,
-    apply_profile,
     config_hash,
     default_config,
     dumps_config,
@@ -366,11 +366,38 @@ class TestConfig:
         assert config_hash(cfg) != base
 
     def test_profiles_set_rates(self):
-        cfg = apply_profile(default_config(), "sim")
-        assert cfg.sim.dt == pytest.approx(1.0 / 240.0)
-        assert cfg.trajectory.dt == pytest.approx(1.0 / 240.0)
-        cfg = apply_profile(cfg, "hw")
-        assert cfg.sim.dt == pytest.approx(1.0 / 1000.0)
+        # --dt, else the --profile rate, else the config's, for both clocks.
+        def rates(*flags):
+            cfg = effective_config(build_parser().parse_args(["gen", *flags]))
+            return cfg.sim.dt, cfg.trajectory.dt
+
+        assert rates("--profile", "sim") == (1.0 / 240.0, 1.0 / 240.0)
+        assert rates("--profile", "hw") == (1e-3, 1e-3)
+        assert rates("--profile", "sim", "--dt", "0.002") == (0.002, 0.002)
+        assert rates("--dt", "0.002") == (0.002, 0.002)
+        assert rates() == (1e-3, 1e-3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(configs())
+    def test_equal_exactly_when_written_alike(self, cfg):
+        same = loads_config(dumps_config(cfg))
+        assert cfg == same and not cfg != same
+        assert (cfg == default_config()) == (dumps_config(cfg) == DEFAULT_SNAPSHOT)
+        assert cfg != dumps_config(cfg)
+        for section in dataclasses.fields(Config):
+            obj = getattr(cfg, section.name)
+            assert obj == obj
+            assert isinstance(obj == getattr(same, section.name), bool)
+        hash(cfg.robot)
+
+    def test_one_changed_key_compares_unequal(self):
+        for section in dataclasses.fields(Config):
+            for f in dataclasses.fields(getattr(default_config(), section.name)):
+                cfg = default_config()
+                obj = getattr(cfg, section.name)
+                value = _other(f.name, getattr(obj, f.name))
+                setattr(cfg, section.name, dataclasses.replace(obj, **{f.name: value}))
+                assert cfg != default_config() and not cfg == default_config(), f.name
 
     def test_per_joint_gains(self):
         gains = " ".join(str(10.0 + i) for i in range(12))
@@ -421,6 +448,20 @@ def _changed(value):
     if isinstance(value, int):  # knee signs
         return -value
     return 1.5 * value + 1.0
+
+
+def _other(name, value):
+    """A different value for config key `name` that its own section accepts
+    (a changed dt is off the other section's, which only Config checks)."""
+    if name in CHOICES:
+        return next(choice for choice in CHOICES[name] if choice != value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, np.ndarray) and not value.size:  # segment_times
+        return np.ones(1)
+    if isinstance(value, int) and abs(value) != 1:  # filter order, rounds
+        return value + 2
+    return _changed(value)
 
 
 class TestGeometrySections:
@@ -492,7 +533,7 @@ class TestTables:
         )
         path = tmp_path / "log.csv"
         write_log(path, log, "a" * 16)
-        digest, back = read_log(path)
+        digest, back = read_log(path, dt=1e-3)
         assert digest == "a" * 16
         # 9 significant digits: per-element error below 5e-9 * |value|.
         for name in ("t", "q_target", "q", "qdot", "tau", "current"):
@@ -528,7 +569,7 @@ class TestTables:
         traj = gen_sine(SineParams(0.1, 0.0, frequency=5.0, amplitude=1.0), 1e-3)
         write_trajectory(path, traj, "e" * 16)
         with pytest.raises(LogFormatError, match="expected a 'sim_log'"):
-            read_log(path)
+            read_log(path, dt=1e-3)
 
     def test_missing_identity_line(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -540,10 +581,10 @@ class TestTables:
         traj = gen_sine(SineParams(0.25, 0.1, frequency=4.0, amplitude=12.0), 1e-3)
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj, "f" * 16)
-        _, back = read_trajectory(path)
+        _, back = read_trajectory(path, dt=1e-3)
         assert len(back) == len(traj)
         assert np.max(np.abs(back.positions - traj.positions)) <= 5e-9 * 12.0
-        assert abs(back.dt - traj.dt) < 1e-12
+        assert back.dt == traj.dt
 
     def test_time_column_checked_against_dt(self, tmp_path):
         dt = 1.0 / 240.0

@@ -86,8 +86,8 @@ class TestLegIk:
     def test_knee_sign_follows_branch(self):
         geom = sample_leg(offset=0.0)
         target = geom.hip_mount + [0.0, 0.0, -226.2741699796952]
-        q_pos = leg_ik(target, geom, branch=1)
-        q_neg = leg_ik(target, geom, branch=-1)
+        q_pos = leg_ik(target, dataclasses.replace(geom, knee_sign=1))
+        q_neg = leg_ik(target, dataclasses.replace(geom, knee_sign=-1))
         assert q_pos[2] == pytest.approx(math.pi / 2, abs=1e-9)
         assert q_neg[2] == pytest.approx(-math.pi / 2, abs=1e-9)
 
@@ -260,6 +260,15 @@ class TestPlatformIk:
         solve_platform_ik(pose, cfg.robot, cfg.platform, cfg.limits)  # lenient default
         with pytest.raises(BallPivotError):
             solve_platform_ik(pose, cfg.robot, cfg.platform, cfg.limits, check_pivot=True)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_check_pivot_needs_limits(self, cfg, rows):
+        # The pivot cone is a limit: without limits there is none to enforce.
+        pose = PlatformPose([255.0, 0.0, -105.0], [30.0, 0.0, 0.0])
+        if rows:
+            pose = PlatformPose(np.tile(pose.position, (rows, 1)), np.tile(pose.orientation_deg, (rows, 1)))
+        with pytest.raises(ValueError, match=r"^check_pivot: needs limits$"):
+            solve_platform_ik(pose, cfg.robot, cfg.platform, check_pivot=True)
 
 
 LIMITS = default_config().limits
