@@ -18,6 +18,7 @@ stages refuse upstream artifacts produced under a different one.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -156,6 +157,17 @@ STAGES = {
 }
 
 
+def _timestep(text: str) -> float:
+    """--dt: a finite, positive number of seconds."""
+    try:
+        dt = float(text)
+    except ValueError:
+        dt = math.nan
+    if not (math.isfinite(dt) and dt > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number of seconds, got {text!r}")
+    return dt
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadstage",
@@ -181,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample/control rate preset: hw=1 kHz, sim=240 Hz")
         p.add_argument("--traj", choices=TYPES,
                        help="override trajectory.type from the config")
-        p.add_argument("--dt", type=float, help="override both trajectory and sim timesteps")
+        p.add_argument("--dt", type=_timestep, help="override both trajectory and sim timesteps")
     return parser
 
 

@@ -14,7 +14,8 @@ strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
 check lives in its dataclass's ``__post_init__``; the checks across
 sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole pipeline runs on
 one sample clock), the filter cutoff below the Nyquist rate of ``sim.dt``
-and a trajectory long enough to filter, are in ``Config.__post_init__``.
+and a trajectory long enough to filter but at most ``MAX_SAMPLES`` long,
+are in ``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
@@ -45,6 +46,9 @@ SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
 # Named control/sample rate presets: profile -> sim.dt and trajectory.dt.
 PROFILES = {"hw": HW_RATE_DT, "sim": SIM_RATE_DT}
+# Most samples a trajectory may have: every stage holds whole-run arrays,
+# and this is 100 times the README circle (10001 samples).
+MAX_SAMPLES = 10**6
 
 
 class ConfigError(ValueError):
@@ -292,10 +296,16 @@ class Config:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
         # post filters the reconstruction (filtfilt pads 3 * order samples)
         key, duration, _ = self.trajectory.generator()
-        samples, least = sample_count(duration, self.sim.dt), 3 * self.filter_params.order
+        least = 3 * self.filter_params.order
+        # A quotient past the float range (say, a subnormal dt) has no sample_count.
+        finite = math.isfinite(duration / self.sim.dt)
+        samples = sample_count(duration, self.sim.dt) if finite else math.inf
         if not samples > least:
             raise ConfigError(f"trajectory.{key}: too short to filter: sample count {samples} "
                               f"at sim.dt, need more than {least} (3 * filter.order)")
+        if samples > MAX_SAMPLES:
+            raise ConfigError(f"trajectory.{key}: too long: sample count {samples} "
+                              f"at sim.dt, at most {MAX_SAMPLES}")
 
     def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""

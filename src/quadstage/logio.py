@@ -8,12 +8,17 @@ and the 16-hex-digit hash of the configuration that produced it::
 Tables (trajectories, joint targets, simulation logs, plot data) follow
 with a comma-separated header row naming every column and one row per
 sample, numbers written with 9 significant digits (round-half-even).
+The writer formats each distinct value of a column once (distinct by bit
+pattern, so -0.0, 0.0 and every nan stay apart), and a table's first
+column, the shared t = k * dt, once per process while it repeats; the
+bytes are those of formatting every value in turn.
 Writes are atomic: a temp file in the same directory is renamed over the
 target, so readers never observe partial output.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 
@@ -28,6 +33,14 @@ FLOAT_FORMAT = ".9g"
 # One unit in the ninth significant digit: how far a written time may be
 # from the k * dt it was written from.
 TIME_RTOL = 1e-8
+# Every FLOAT_FORMAT text of a float64 fits in 16 characters
+# ("-1.23456789e-308"): each distinct value is written left-justified to
+# that width, the padding deleted once the rows are assembled.
+_CELL_WIDTH = 16
+# Bytes of cells assembled at once, and characters encoded at once when
+# writing: they bound the transient copies of a table's text.
+_BLOCK_BYTES = 1 << 16
+_WRITE_CHARS = 1 << 20
 
 TRAJECTORY_KIND = "trajectory"
 JOINT_TARGETS_KIND = "joint_targets"
@@ -59,7 +72,9 @@ def atomic_write_text(path, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            # In slices: one write of the whole text encodes a copy of all of it.
+            for start in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -71,15 +86,50 @@ def _identity_line(kind: str, config_hash: str) -> str:
     return f"{MAGIC} {kind} config={config_hash}"
 
 
+def _column_cells(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, inverse) of one column: its distinct values by bit pattern,
+    each formatted once into a cell of _CELL_WIDTH characters and sep, and
+    the index of each row's cell."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    template = f"%-{_CELL_WIDTH}{FLOAT_FORMAT}{sep}" * len(bits)
+    text = template % tuple(bits.view(np.float64).tolist())
+    return np.frombuffer(text.encode("ascii"), f"V{_CELL_WIDTH + 1}"), inverse
+
+
+@functools.lru_cache(maxsize=1)
+def _first_column_cells(data: bytes, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """_column_cells of a first column given as its bytes.  Every table of
+    a run starts with the same t = k * dt, so one entry keyed by content
+    formats it once.  The arrays are shared, hence read-only."""
+    cells, inverse = _column_cells(np.frombuffer(data, np.float64), sep)
+    inverse.flags.writeable = False
+    return cells, inverse
+
+
 def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray) -> str:
-    lines = [_identity_line(kind, config_hash), ",".join(columns)]
+    text = [f"{_identity_line(kind, config_hash)}\n{','.join(columns)}\n"]
     if rows.size:
         rows = np.atleast_2d(rows)
-        # One %-template per table, filled row by row: the same digits as
-        # format(v, FLOAT_FORMAT), without a whole-table list of floats.
-        template = ",".join(["%" + FLOAT_FORMAT] * rows.shape[1])
-        lines += [template % tuple(row.tolist()) for row in rows]
-    return "\n".join(lines) + "\n"
+        n_cols = rows.shape[1]
+        # Row i is pool[index[i]] with the padding deleted: the cells of
+        # every column in one pool, index[i, j] the cell of rows[i, j].
+        index = np.empty(rows.shape, np.int32 if rows.size < 2**31 else np.int64)
+        pool, offset = [], 0
+        for j in range(n_cols):
+            sep = "," if j < n_cols - 1 else "\n"
+            cells, inverse = (_first_column_cells(rows[:, 0].tobytes(), sep) if j == 0
+                              else _column_cells(rows[:, j], sep))
+            index[:, j] = inverse + offset
+            pool.append(cells)
+            offset += len(cells)
+        pool = np.concatenate(pool)
+        block_rows = max(1, _BLOCK_BYTES // pool.itemsize // n_cols)
+        for start in range(0, len(rows), block_rows):
+            block = pool.take(index[start:start + block_rows]).tobytes()
+            text.append(block.translate(None, b" ").decode("ascii"))
+        # Free the pool before the join, which holds two copies of the text.
+        del pool, index
+    return "".join(text)
 
 
 def write_table(path, kind: str, config_hash: str, columns, rows) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadstage.cli import main
+from quadstage.config import MAX_SAMPLES, Config
 from quadstage.logio import REPORT_POSE_KEYS, read_log, read_trajectory, write_trajectory
 
 FAST_CFG = """
@@ -92,16 +93,33 @@ class TestPipeline:
         assert run_cli(stage, "--config", fast_config, "--run-id", "rows", "--dt", "0.002") == 1
         assert "config hash mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt, field", [("0.02", "filter.cutoff_hz"), ("-1", "sim.dt")])
+    # 7e-7 s gives the 0.7 s trajectory 1000001 samples, one over the bound.
+    @pytest.mark.parametrize("dt, field", [("0.02", "filter.cutoff_hz"), ("7e-7", "trajectory.run_time")])
     def test_overrides_checked_like_a_file(self, runs_root, fast_config, capsys, dt, field):
         assert run_cli("all", "--config", fast_config, "--run-id", "flags", "--dt", dt) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not (runs_root / "flags").exists()
 
-    def test_non_finite_dt_rejected(self, runs_root, fast_config, capsys):
-        assert run_cli("all", "--config", fast_config, "--run-id", "nan", "--dt", "nan") == 2
-        assert "sim.dt: expected a finite number, got 'nan'" in capsys.readouterr().err
-        assert not (runs_root / "nan").exists()
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+    def test_bad_dt_rejected_at_parsing(self, runs_root, fast_config, capsys, dt):
+        # The flag is named, not a line of the config text it is merged into.
+        with pytest.raises(SystemExit) as exited:
+            run_cli("all", "--config", fast_config, "--run-id", "bad", "--dt", dt)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --dt: expected a finite positive number of seconds, got {dt!r}" in err
+        assert "config error" not in err
+        assert not (runs_root / "bad").exists()
+
+    def test_too_long_trajectory_checked_before_run_dir(self, runs_root, capsys, monkeypatch):
+        # The built-in 5 s sine at 5 us is 1000001 samples, one over the
+        # bound: load rejects it before any array or directory is made.
+        monkeypatch.setattr(Config, "build_trajectory", lambda self: pytest.fail("trajectory built"))
+        assert run_cli("gen", "--run-id", "long", "--dt", "5e-6") == 2
+        assert capsys.readouterr().err == (
+            "config error: trajectory.run_time: too long: sample count 1000001 at sim.dt, "
+            f"at most {MAX_SAMPLES}\n")
+        assert not (runs_root / "long").exists()
 
     def test_mismatched_sample_clocks_rejected(self, runs_root, tmp_path, capsys):
         path = tmp_path / "clocks.cfg"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quadstage.cli import build_parser, effective_config
 from quadstage.config import (
+    MAX_SAMPLES,
     Config,
     ConfigError,
     RobotGeometry,
@@ -33,7 +34,7 @@ from quadstage.logio import (
     write_trajectory,
 )
 from quadstage.simenv import SimLog
-from quadstage.trajectory import SineParams, gen_sine
+from quadstage.trajectory import SineParams, gen_sine, sample_count
 
 MINIMAL = """
 [robot]
@@ -190,9 +191,13 @@ def configs(draw):
             values[f.name] = np.array(value) if isinstance(value, list) else value
         if section.name == "trajectory":
             # The step and arbitrary keys are checked together at load, and
-            # the selected type must last more than 3 * filter.order samples.
-            long = st.floats(3 * sections["filter_params"].order * sim_dt, 1e4)
+            # the selected type must last more than 3 * filter.order samples
+            # and at most MAX_SAMPLES (a sine is two durations, an arbitrary
+            # path up to three).
+            long = st.floats(3 * sections["filter_params"].order * sim_dt,
+                             min(1e4, MAX_SAMPLES * sim_dt / 8))
             values["run_time"] = draw(long)
+            values["wait_time"] = draw(long)
             values["total_time"] = draw(long)
             values["circle_frequency"] = values["rounds"] / draw(long)
             values["step_time"] = draw(st.floats(0.0, values["total_time"]))
@@ -340,6 +345,18 @@ class TestConfig:
                    rf"need more than 12 \(3 \* filter\.order\)$")
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[trajectory]\n{body}\n")
+
+    def test_trajectory_too_long(self):
+        # At most MAX_SAMPLES samples, checked before any array is made; a
+        # subnormal dt has no finite sample count.
+        at_bound = f"[trajectory]\nrun_time = {(MAX_SAMPLES - 1) / 1000}\nwait_time = 0\n"
+        cfg = loads_config(at_bound)
+        assert sample_count(cfg.trajectory.run_time, cfg.sim.dt) == MAX_SAMPLES
+        for body, samples in ((f"run_time = {MAX_SAMPLES / 1000}\nwait_time = 0", MAX_SAMPLES + 1),
+                              ("dt = 5e-324\n[sim]\ndt = 5e-324", "inf")):
+            with pytest.raises(ConfigError, match=rf"^trajectory\.run_time: too long: sample count {samples} "
+                                                  rf"at sim\.dt, at most {MAX_SAMPLES}$"):
+                loads_config(f"[trajectory]\n{body}\n")
 
     def test_trajectory_just_long_enough(self):
         cfg = loads_config("[trajectory]\nrun_time = 0.012\nwait_time = 0\n")

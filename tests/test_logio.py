@@ -1,6 +1,10 @@
-"""write -> read round trips of every table kind, and the t column check."""
+"""write -> read round trips of every table kind, the t column check, and
+the table writer against formatting every value in turn."""
 
+import math
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quadstage import cli, logio
 from quadstage.kinematics import NUM_JOINTS
 from quadstage.logio import (
     JOINT_TARGET_COLUMNS,
@@ -223,3 +228,69 @@ def test_read_table_calls_loadtxt_only_on_rows_without_blank_lines(tmp_path, mon
         except LogFormatError:
             pass
         assert len(calls) == parsed_by_loadtxt, rows
+
+
+def reference_text(kind, digest, columns, rows):
+    """A table's text with every value formatted in turn: "%.9g" per value,
+    joined by "," row by row."""
+    lines = [f"# quadstage {kind} config={digest}", ",".join(columns)]
+    lines += [",".join("%.9g" % v for v in row) for row in np.asarray(rows, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+# A few values for columns that repeat them: both zeros, nan with either
+# sign and with a payload, both infinities, subnormals and exact ties of the
+# ninth digit (round-half-even).
+REPEATED = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, np.int64(0x7FF8000000000123).view(np.float64).item(),
+     math.inf, -math.inf, 5e-324, -2.5e-320, 1234567885.0, -1234567895.0, 0.1, 1e300]
+)
+ANY_FLOAT = st.floats(allow_subnormal=True)
+
+
+def tables(elements):
+    """Strategy for (n, count) float tables, 0..30 rows of 1..8 columns."""
+    shapes = st.tuples(st.integers(0, 30), st.integers(1, 8))
+    return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.one_of(tables(ANY_FLOAT), tables(REPEATED), tables(st.one_of(ANY_FLOAT, REPEATED))))
+def test_write_table_matches_value_by_value_text(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    write_table(path, PLOT_KIND, DIGEST, columns, rows)
+    assert path.read_bytes() == reference_text(PLOT_KIND, DIGEST, columns, rows).encode()
+
+
+def test_first_column_text_is_never_stale(tmp_path):
+    # Tables written back to back, each against its own reference: the
+    # same n at another dt, another n at the same dt, the same t ending a
+    # one-column row, and a first column that is not k * dt.
+    rng = np.random.default_rng(5)
+    firsts = [np.arange(50) * 1e-3, np.arange(50) * 1e-3, np.arange(50) * 2e-3, np.arange(80) * 2e-3,
+              np.arange(80) * 2e-3, rng.normal(size=80), np.arange(50) * (1.0 / 240.0)]
+    widths = [3, 3, 3, 3, 1, 3, 2]
+    path = tmp_path / "table.csv"
+    for t, width in zip(firsts, widths):
+        rows = np.column_stack([t, rng.normal(size=(len(t), width - 1))])
+        columns = [f"c{j}" for j in range(width)]
+        write_table(path, PLOT_KIND, DIGEST, columns, rows)
+        assert path.read_bytes() == reference_text(PLOT_KIND, DIGEST, columns, rows).encode()
+
+
+def test_all_writes_every_table_value_by_value(tmp_path, monkeypatch):
+    # The default run, in process: each table file holds the text of the
+    # rows its write_table call was given.
+    calls = []
+    write = logio.write_table
+
+    def recording_write_table(path, kind, config_hash, columns, rows):
+        calls.append((os.fspath(path), kind, config_hash, list(columns), np.array(rows, dtype=float)))
+        write(path, kind, config_hash, columns, rows)
+
+    monkeypatch.setattr(logio, "write_table", recording_write_table)
+    assert cli.main(["all", "--runs-root", str(tmp_path), "--run-id", "tables"]) == 0
+    assert len(calls) == len({path for path, *_ in calls}) == 21
+    for path, kind, digest, columns, rows in calls:
+        assert Path(path).read_bytes() == reference_text(kind, digest, columns, rows).encode(), path
