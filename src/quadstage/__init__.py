@@ -64,8 +64,6 @@ from .simenv import (
     sim_step,
 )
 from .trajectory import (
-    CircularParams,
-    SineParams,
     TrajectoryBoundsWarning,
     gen_arbitrary,
     gen_circular,

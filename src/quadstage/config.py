@@ -11,11 +11,13 @@ fields is the only declaration of a key.  The field order is the file
 order.  The annotation picks the parser and formatter (``float``, ``int``,
 ``bool``, ``float | np.ndarray`` for per-joint gains); vectors and choice
 strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
-check lives in its dataclass's ``__post_init__``; the checks across
-sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole pipeline runs on
-one sample clock), the filter cutoff below the Nyquist rate of ``sim.dt``
-and a trajectory long enough to filter but at most ``MAX_SAMPLES`` long,
-are in ``Config.__post_init__``.
+check lives in its dataclass's ``__post_init__``.  ``TrajectoryConfig`` is
+itself the input of the trajectory generators (``trajectory.GENERATORS``
+maps its ``type`` to one) and checks only the selected type's keys.  The
+checks across sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole
+pipeline runs on one sample clock), the filter cutoff below the Nyquist
+rate of ``sim.dt`` and a trajectory long enough to filter but at most
+``MAX_SAMPLES`` long, are in ``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
@@ -30,17 +32,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
-from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, PlatformPose, WorkspaceLimits,
+from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, WorkspaceLimits, check_non_negative,
                          check_positive)
-from .postprocess import Z_OFFSET_PLATFORM, Z_OFFSET_WORLD, FilterParams, PoseSeries
+from .postprocess import Z_OFFSET_MODES, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
-from .trajectory import (AXES, DIRECTIONS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES, CircularParams,
-                         SineParams, check_choice, check_segment_times, check_step_time, gen_arbitrary,
-                         gen_circular, gen_sine, gen_step, sample_count)
+from .trajectory import (AXES, DIRECTIONS, GENERATORS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES,
+                         sample_count)
 
 SIM_RATE_DT = 1.0 / 240.0
 HW_RATE_DT = 1.0 / 1000.0
@@ -150,6 +150,21 @@ def _choice(*options: str):
     return field(default=options[0], metadata={"codec": (parse, str)})
 
 
+def check_choice(name: str, value: str, options) -> None:
+    """ValueError "<name>: must be one of ..." unless value is one of options."""
+    if value not in options:
+        raise ValueError(f"{name}: must be one of {', '.join(options)}")
+
+
+def _check_poses(name: str, value, shape) -> None:
+    # A pose field of the trajectory: x y z rx ry rz numbers (one row per pose), finite.
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name}: must be x y z rx ry rz numbers, got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name}: must be finite")
+
+
 # Sections defined here; platform, workspace, actuator, sim and filter are
 # the domain dataclasses of the modules that use them.
 
@@ -192,7 +207,8 @@ class RobotGeometry:
 
 @dataclass(eq=False)
 class TrajectoryConfig:
-    """Parameters for all four generator types; `type` picks one."""
+    """The [trajectory] section: `type` picks the generator (trajectory.GENERATORS),
+    which reads only that type's keys."""
 
     type: str = _choice(*TYPES)
     dt: float = HW_RATE_DT
@@ -227,47 +243,56 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         check_positive(self, "dt")
-        # Check the selected type's parameters now, so that gen cannot fail
-        # on them after the run directory exists; the other types' keys may
-        # hold anything.
-        try:
-            self.generator()
-        except ValueError as err:
-            msg = str(err)
-            if self.type == "circular" and msg.startswith("frequency:"):
-                msg = "circle_" + msg
-            raise ValueError(msg) from None
-
-    def generator(self):
-        """(duration key, duration in seconds, generate) of the selected
-        type, after checking its keys; generate(limits) builds the
-        trajectory."""
         check_choice("type", self.type, TYPES)
+        # Check the selected type's keys now, so that gen cannot fail on
+        # them after the run directory exists; the other types' keys may
+        # hold anything.
         if self.type == "sine":
-            params = SineParams(self.run_time, self.wait_time, self.motion, self.axis,
-                                self.frequency, self.amplitude, self.offsets)
-            return "run_time", params.duration, partial(gen_sine, params, self.dt)
+            check_positive(self, "frequency")
+            check_non_negative(self, "run_time", "wait_time")
+            check_choice("motion", self.motion, MOTIONS)
+            check_choice("axis", self.axis, AXES)
+        elif self.type == "circular":
+            check_non_negative(self, "radius")
+            if not self.rounds >= 1:
+                raise ValueError("rounds: must be >= 1")
+            check_positive(self, "circle_frequency")
+            check_choice("direction", self.direction, DIRECTIONS)
+            check_choice("rotation_mode", self.rotation_mode, ROTATION_MODES)
+        elif self.type == "step":
+            if not 0.0 <= self.step_time <= self.total_time:
+                raise ValueError("step_time: must be within [0, total_time]")
+            _check_poses("step_target", self.step_target, (6,))
+        else:
+            n = len(np.atleast_2d(self.waypoints))
+            if n < 1:
+                raise ValueError("waypoints: need at least one waypoint")
+            if len(self.segment_times) != n - 1:
+                raise ValueError(f"segment_times: need {n - 1} segment times for "
+                                 f"{n} waypoints, got {len(self.segment_times)}")
+            if not all(s > 0 for s in self.segment_times):
+                raise ValueError("segment_times: must be positive")
+            _check_poses("waypoints", np.atleast_2d(self.waypoints), (n, 6))
+            check_choice("interp", self.interp, INTERP_MODES)
+
+    def duration(self) -> tuple[str, float]:
+        """(key, seconds): the selected type's duration and the key named
+        when it is out of range."""
+        if self.type == "sine":
+            return "run_time", self.wait_time + self.run_time
         if self.type == "circular":
-            params = CircularParams(self.radius, self.rot_angle_deg, self.rounds,
-                                    self.circle_frequency, self.direction,
-                                    self.translation_enabled, self.rotation_enabled,
-                                    self.rotation_mode)
-            return "rounds", params.duration, partial(gen_circular, params, self.dt)
+            return "rounds", self.rounds / self.circle_frequency
         if self.type == "step":
-            check_step_time(self.step_time, self.total_time)
-            target = PlatformPose(self.step_target[:3], self.step_target[3:])
-            return "total_time", self.total_time, partial(gen_step, target, self.step_time,
-                                                          self.total_time, self.dt)
-        waypoints = np.atleast_2d(self.waypoints)
-        check_segment_times(len(waypoints), self.segment_times)
-        poses = [PlatformPose(w[:3], w[3:]) for w in waypoints]
-        return "segment_times", sum(self.segment_times, 0.0), partial(
-            gen_arbitrary, poses, list(self.segment_times), self.dt, self.interp)
+            return "total_time", self.total_time
+        return "segment_times", sum(self.segment_times, 0.0)
 
 
 @dataclass
 class PostprocessConfig:
-    z_offset_mode: str = _choice(Z_OFFSET_WORLD, Z_OFFSET_PLATFORM)
+    z_offset_mode: str = _choice(*Z_OFFSET_MODES)
+
+    def __post_init__(self):
+        check_choice("z_offset_mode", self.z_offset_mode, Z_OFFSET_MODES)
 
 
 @dataclass
@@ -295,7 +320,7 @@ class Config:
         if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
         # post filters the reconstruction (filtfilt pads 3 * order samples)
-        key, duration, _ = self.trajectory.generator()
+        key, duration = self.trajectory.duration()
         least = 3 * self.filter_params.order
         # A quotient past the float range (say, a subnormal dt) has no sample_count.
         finite = math.isfinite(duration / self.sim.dt)
@@ -309,8 +334,7 @@ class Config:
 
     def build_trajectory(self) -> PoseSeries:
         """Generate the trajectory described by the [trajectory] block."""
-        _, _, generate = self.trajectory.generator()
-        return generate(self.limits)
+        return GENERATORS[self.trajectory.type](self.trajectory, self.limits)
 
 
 # Section name -> (Config attribute, dataclass), in file order.

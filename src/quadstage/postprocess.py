@@ -18,6 +18,8 @@ from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, check_positi
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
+# Option list of the z offset mode (a config field defaults to the first).
+Z_OFFSET_MODES = (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM)
 
 
 @dataclass
@@ -63,11 +65,6 @@ class PoseSeries:
 
     def pose(self, i: int) -> PlatformPose:
         return PlatformPose(self.positions[i].copy(), self.orientations_deg[i].copy())
-
-    @classmethod
-    def from_trajectory(cls, traj) -> "PoseSeries":
-        """A copy of the poses of traj, without its derivatives."""
-        return cls(traj.dt, traj.positions.copy(), traj.orientations_deg.copy())
 
 
 @dataclass
@@ -123,7 +120,7 @@ def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str):
     # Position (..., 3) and Euler angles (..., 3) over the leading axes of
     # q (..., 12): one call per leg to leg_fk and one per batch to each
     # geometry function, so a stack is reconstructed in a single pass.
-    if z_offset_mode not in (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM):
+    if z_offset_mode not in Z_OFFSET_MODES:
         raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
     feet = np.stack([leg_fk(q[..., 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
                     axis=-2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quadstage.cli import main as cli_main
-from quadstage.config import default_config
+from quadstage.config import TrajectoryConfig, default_config
 from quadstage.kinematics import (
     PlatformPose,
     WorkspaceViolationError,
@@ -23,11 +23,10 @@ from quadstage.postprocess import (
     FilterParams,
     butterworth_filter,
     differentiate,
-    PoseSeries,
     reconstruct_pose,
 )
 from quadstage.simenv import gravity_torque, run_sim
-from quadstage.trajectory import CircularParams, SineParams, gen_circular, gen_sine
+from quadstage.trajectory import gen_circular, gen_sine
 
 G = 9.81
 
@@ -57,9 +56,9 @@ def pipeline_dir(tmp_path_factory):
 
 def test_criterion_1_peak_acceleration():
     start = time.perf_counter()
-    traj = gen_sine(SineParams(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0), 1e-3)
+    traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0))
     analytic = (2 * math.pi * 10.0) ** 2 * 0.010  # m/s^2
-    series = differentiate(PoseSeries.from_trajectory(traj))
+    series = differentiate(traj)
     numeric = np.max(np.abs(series.lin_acc[:, 0])) / 1000.0
     elapsed = time.perf_counter() - start
     ok = (
@@ -195,7 +194,8 @@ def test_criterion_5_gravity_offset_law():
 def test_criterion_6_saturation_invariants():
     start = time.perf_counter()
     cfg = default_config()
-    traj = gen_sine(SineParams(run_time=2.0, wait_time=0.5, frequency=10.0, amplitude=10.0), cfg.sim.dt)
+    traj = gen_sine(TrajectoryConfig(dt=cfg.sim.dt, run_time=2.0, wait_time=0.5, frequency=10.0,
+                                     amplitude=10.0))
     log = run_sim(solve_trajectory(cfg, traj), cfg.sim, cfg.actuator, cfg.robot)
     peak_tau = float(np.max(np.abs(log.tau)))
     peak_current = float(np.max(np.abs(log.current)))
@@ -248,8 +248,8 @@ def test_criterion_7_filter_response():
 def test_criterion_8_circular_closure():
     start = time.perf_counter()
     traj = gen_circular(
-        CircularParams(radius=20.0, rot_angle_deg=10.0, rounds=20, frequency=2.0, direction="cw"),
-        1e-3,
+        TrajectoryConfig(type="circular", dt=1e-3, radius=20.0, rot_angle_deg=10.0, rounds=20,
+                         circle_frequency=2.0, direction="cw")
     )
     pos_gap = float(np.max(np.abs(traj.positions[-1] - traj.positions[0])))
     rot_gap = float(np.max(np.abs(traj.orientations_deg[-1] - traj.orientations_deg[0])))

@@ -13,7 +13,9 @@ from quadstage.config import (
     MAX_SAMPLES,
     Config,
     ConfigError,
+    PostprocessConfig,
     RobotGeometry,
+    TrajectoryConfig,
     config_hash,
     default_config,
     dumps_config,
@@ -34,7 +36,7 @@ from quadstage.logio import (
     write_trajectory,
 )
 from quadstage.simenv import SimLog
-from quadstage.trajectory import SineParams, gen_sine, sample_count
+from quadstage.trajectory import gen_sine, sample_count
 
 MINIMAL = """
 [robot]
@@ -328,6 +330,41 @@ class TestConfig:
             loads_config(f"[trajectory]\n{body}\n")
 
     @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"frequency": -1.0}, "frequency: must be positive"),
+            ({"run_time": -0.5}, "run_time: must be >= 0"),
+            ({"type": "circular", "circle_frequency": 0.0}, "circle_frequency: must be positive"),
+            ({"type": "circular", "radius": -1.0}, "radius: must be >= 0"),
+            ({"type": "circular", "rounds": 0}, "rounds: must be >= 1"),
+            ({"type": "step", "step_time": 5.0, "total_time": 4.0},
+             "step_time: must be within [0, total_time]"),
+            ({"type": "step", "step_time": -1.0}, "step_time: must be within [0, total_time]"),
+            ({"type": "arbitrary", "segment_times": np.array([1.0])},
+             "segment_times: need 0 segment times for 1 waypoints, got 1"),
+            ({"type": "arbitrary", "waypoints": np.array([[0.0] * 6, [1.0] + [0.0] * 5]),
+              "segment_times": np.array([-1.0])}, "segment_times: must be positive"),
+            # Reached only from Python: a config file cannot hold these values.
+            ({"type": "arbitrary", "interp": "bogus"}, "interp: must be one of linear, cosine"),
+            ({"type": "arbitrary", "waypoints": np.array([[0.0] * 5 + [float("nan")]])},
+             "waypoints: must be finite"),
+            ({"type": "step", "step_target": np.array([float("inf")] + [0.0] * 5)},
+             "step_target: must be finite"),
+            ({"type": "step", "step_target": np.zeros(5)},
+             "step_target: must be x y z rx ry rz numbers, got shape (5,)"),
+            ({"type": "arbitrary", "waypoints": np.zeros((2, 5)), "segment_times": np.array([1.0])},
+             "waypoints: must be x y z rx ry rz numbers, got shape (2, 5)"),
+        ],
+    )
+    def test_selected_generator_checked_at_construction(self, keys, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            TrajectoryConfig(**keys)
+
+    def test_z_offset_mode_checked_at_construction(self):
+        with pytest.raises(ValueError, match="^z_offset_mode: must be one of world, platform$"):
+            PostprocessConfig("body")
+
+    @pytest.mark.parametrize(
         "body, key, samples",
         [
             ("run_time = 0.005\nwait_time = 0", "run_time", 6),
@@ -583,7 +620,7 @@ class TestTables:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
-        traj = gen_sine(SineParams(0.1, 0.0, frequency=5.0, amplitude=1.0), 1e-3)
+        traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=0.1, wait_time=0.0, frequency=5.0, amplitude=1.0))
         write_trajectory(path, traj, "e" * 16)
         with pytest.raises(LogFormatError, match="expected a 'sim_log'"):
             read_log(path, dt=1e-3)
@@ -595,7 +632,8 @@ class TestTables:
             read_table(path, "plot")
 
     def test_trajectory_round_trip(self, tmp_path):
-        traj = gen_sine(SineParams(0.25, 0.1, frequency=4.0, amplitude=12.0), 1e-3)
+        traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=0.25, wait_time=0.1, frequency=4.0,
+                                         amplitude=12.0))
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj, "f" * 16)
         _, back = read_trajectory(path, dt=1e-3)
@@ -605,7 +643,7 @@ class TestTables:
 
     def test_time_column_checked_against_dt(self, tmp_path):
         dt = 1.0 / 240.0
-        traj = gen_sine(SineParams(0.2, 0.1, frequency=4.0, amplitude=12.0), dt)
+        traj = gen_sine(TrajectoryConfig(dt=dt, run_time=0.2, wait_time=0.1, frequency=4.0, amplitude=12.0))
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj, "f" * 16)
         _, back = read_trajectory(path, dt=dt)

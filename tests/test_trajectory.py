@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from quadstage.config import TrajectoryConfig
 from quadstage.kinematics import PlatformPose, WorkspaceLimits
 from quadstage.trajectory import (
-    CircularParams,
-    SineParams,
     TrajectoryBoundsWarning,
     gen_arbitrary,
     gen_circular,
@@ -15,6 +14,16 @@ from quadstage.trajectory import (
 )
 
 DT = 1e-3
+
+
+def section(**keys):
+    """The [trajectory] section at DT with the given keys."""
+    return TrajectoryConfig(dt=DT, **keys)
+
+
+def rows(poses):
+    """PlatformPoses as x y z rx ry rz rows."""
+    return np.array([np.concatenate([p.position, p.orientation_deg]) for p in poses])
 
 
 def all_timestamps_uniform(traj):
@@ -39,8 +48,8 @@ def arbitrary_by_loop(channels, segment_times, t, mode):
 
 class TestSine:
     def test_wait_holds_home_plus_offsets(self):
-        params = SineParams(1.0, 0.5, frequency=2.0, amplitude=20.0, offsets=[1.0, 2.0, 3.0])
-        traj = gen_sine(params, DT)
+        params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0, offsets=[1.0, 2.0, 3.0])
+        traj = gen_sine(params)
         wait = traj.t < 0.5 - 1e-12
         assert np.allclose(traj.positions[wait], [1.0, 2.0, 3.0], atol=1e-12)
         assert np.allclose(traj.positions[0], [1.0, 2.0, 3.0], atol=1e-15)
@@ -48,14 +57,15 @@ class TestSine:
 
     def test_quarter_period_peak(self):
         # sin(2 pi * 2 Hz * 0.125 s) = sin(pi/2) = 1.
-        params = SineParams(1.0, 0.5, frequency=2.0, amplitude=20.0)
-        traj = gen_sine(params, DT)
+        params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0)
+        traj = gen_sine(params)
         k = int(round((0.5 + 0.125) / DT))
         assert traj.positions[k, 0] == pytest.approx(20.0, abs=1e-9)
 
     def test_rotation_axis(self):
-        params = SineParams(1.0, 0.0, motion="rotation", axis="y", frequency=2.0, amplitude=10.0)
-        traj = gen_sine(params, DT)
+        params = section(run_time=1.0, wait_time=0.0, motion="rotation", axis="y", frequency=2.0,
+                         amplitude=10.0)
+        traj = gen_sine(params)
         k = int(round(0.125 / DT))
         assert traj.orientations_deg[k, 1] == pytest.approx(10.0, abs=1e-9)
         assert np.allclose(traj.positions, 0.0)
@@ -63,43 +73,46 @@ class TestSine:
     def test_peak_acceleration_ten_hz(self):
         # Analytic peak acceleration (2 pi f)^2 A for f=10 Hz, A=10 mm is
         # 39.478 m/s^2, just over 4 g.
-        params = SineParams(1.0, 0.0, frequency=10.0, amplitude=10.0)
-        traj = gen_sine(params, DT)
+        params = section(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0)
+        traj = gen_sine(params)
         acc = np.gradient(np.gradient(traj.positions[:, 0], DT), DT) / 1000.0
         peak = (2 * math.pi * 10.0) ** 2 * 0.010
         assert np.max(np.abs(acc)) == pytest.approx(peak, rel=2e-3)
 
     def test_zero_amplitude_equals_home_step(self):
-        sine = gen_sine(SineParams(1.0, 0.5, frequency=2.0, amplitude=0.0), DT)
-        step = gen_step(PlatformPose.home(), 0.5, 1.5, DT)
+        sine = gen_sine(section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=0.0))
+        step = gen_step(section(type="step", step_target=np.zeros(6), step_time=0.5, total_time=1.5))
         assert np.array_equal(sine.positions, step.positions)
         assert np.array_equal(sine.orientations_deg, step.orientations_deg)
 
     def test_uniform_timestamps(self):
-        traj = gen_sine(SineParams(0.37, 0.21, frequency=3.0, amplitude=5.0), DT)
+        traj = gen_sine(section(run_time=0.37, wait_time=0.21, frequency=3.0, amplitude=5.0))
         assert all_timestamps_uniform(traj)
 
     def test_workspace_warning(self):
         limits = WorkspaceLimits()
         with pytest.warns(TrajectoryBoundsWarning):
-            gen_sine(SineParams(1.0, 0.0, frequency=2.0, amplitude=300.0), DT, limits)
+            gen_sine(section(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=300.0), limits)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gen_sine(SineParams(1.0, 0.0, frequency=2.0, amplitude=20.0), DT, limits)
+            gen_sine(section(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=20.0), limits)
 
     def test_nan_parameters_rejected(self):
         with pytest.raises(ValueError, match="^frequency: must be positive$"):
-            SineParams(1.0, 0.0, frequency=float("nan"))
+            section(run_time=1.0, wait_time=0.0, frequency=float("nan"))
+        # The section is mutable: a dt set after construction is checked by the generator.
+        params = section(run_time=1.0, wait_time=0.0)
+        params.dt = float("nan")
         with pytest.raises(ValueError, match="^dt must be positive$"):
-            gen_sine(SineParams(1.0, 0.0), float("nan"))
+            gen_sine(params)
 
 
 class TestStep:
     def test_pre_and_post_step(self):
         target = PlatformPose([5.0, -4.0, 3.0], [1.0, 2.0, -3.0])
-        traj = gen_step(target, 1.0, 2.0, DT)
+        traj = gen_step(section(type="step", step_target=rows([target])[0], step_time=1.0, total_time=2.0))
         k = int(round(1.0 / DT))
         assert np.allclose(traj.positions[k - 1], 0.0)
         assert np.allclose(traj.orientations_deg[k - 1], 0.0)
@@ -108,27 +121,28 @@ class TestStep:
 
     def test_bad_step_time(self):
         with pytest.raises(ValueError):
-            gen_step(PlatformPose.home(), 3.0, 2.0, DT)
+            gen_step(section(type="step", step_target=np.zeros(6), step_time=3.0, total_time=2.0))
 
 
 class TestArbitrary:
     def test_single_waypoint_constant(self):
         pose = PlatformPose([7.0, 0.0, 0.0], [0.0, 5.0, 0.0])
-        traj = gen_arbitrary([pose], [], DT)
+        traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([pose]), segment_times=[]))
         assert len(traj) == 1
         assert np.allclose(traj.positions[0], pose.position)
 
     def test_linear_midpoint(self):
         a = PlatformPose.home()
         b = PlatformPose([10.0, 0.0, 0.0], np.zeros(3))
-        traj = gen_arbitrary([a, b], [1.0], DT)
+        traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([a, b]), segment_times=[1.0]))
         k = int(round(0.5 / DT))
         assert traj.positions[k, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_sample_count(self):
         a, b, c = PlatformPose.home(), PlatformPose([1, 0, 0], np.zeros(3)), PlatformPose.home()
         segment_times = [0.8, 1.3]
-        traj = gen_arbitrary([a, b, c], segment_times, DT)
+        params = section(type="arbitrary", waypoints=rows([a, b, c]), segment_times=segment_times)
+        traj = gen_arbitrary(params)
         assert len(traj) == round(sum(segment_times) / DT) + 1
 
     def test_hits_every_waypoint(self):
@@ -138,15 +152,17 @@ class TestArbitrary:
             PlatformPose([-4, 2, 0], [0, 0, 5]),
         ]
         for mode in ("linear", "cosine"):
-            traj = gen_arbitrary(poses, [0.5, 0.75], DT, mode=mode)
+            traj = gen_arbitrary(section(type="arbitrary", waypoints=rows(poses), segment_times=[0.5, 0.75],
+                                         interp=mode))
             for knot, pose in zip((0.0, 0.5, 1.25), poses):
                 k = int(round(knot / DT))
                 assert np.max(np.abs(traj.positions[k] - pose.position)) < 1e-9
                 assert np.max(np.abs(traj.orientations_deg[k] - pose.orientation_deg)) < 1e-9
 
     def test_mismatched_lengths(self):
+        home = PlatformPose.home()
         with pytest.raises(ValueError):
-            gen_arbitrary([PlatformPose.home(), PlatformPose.home()], [1.0, 2.0], DT)
+            gen_arbitrary(section(type="arbitrary", waypoints=rows([home, home]), segment_times=[1.0, 2.0]))
 
     @pytest.mark.parametrize("mode", ["linear", "cosine"])
     def test_matches_per_sample_loop(self, mode, rng):
@@ -154,7 +170,8 @@ class TestArbitrary:
         # knot: cosine easing may differ from math.cos by its last bit.
         waypoints = rng.uniform(-20.0, 20.0, (6, 6))
         segment_times = [0.2573, 0.5, 0.1237, 0.3, 0.0105]
-        traj = gen_arbitrary([PlatformPose(w[:3], w[3:]) for w in waypoints], segment_times, DT, mode)
+        traj = gen_arbitrary(section(type="arbitrary", waypoints=waypoints, segment_times=segment_times,
+                                     interp=mode))
         expected = arbitrary_by_loop(waypoints, segment_times, traj.t, mode)
         values = np.column_stack([traj.positions, traj.orientations_deg])
         if mode == "linear":
@@ -165,51 +182,55 @@ class TestArbitrary:
 
 class TestCircular:
     def test_starts_at_radius_offset(self):
-        traj = gen_circular(CircularParams(radius=50.0, frequency=2.0), DT)
+        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
+                                    circle_frequency=2.0, direction="ccw"))
         assert np.allclose(traj.positions[0], [50.0, 0.0, 0.0], atol=1e-12)
 
     def test_ccw_quarter_turn(self):
-        traj = gen_circular(CircularParams(radius=50.0, frequency=2.0, direction="ccw"), DT)
+        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
+                                    circle_frequency=2.0, direction="ccw"))
         k = int(round(0.125 / DT))  # quarter of the 0.5 s period
         assert np.allclose(traj.positions[k], [0.0, 50.0, 0.0], atol=1e-9)
 
     def test_cw_flips_phase(self):
-        traj = gen_circular(CircularParams(radius=50.0, frequency=2.0, direction="cw"), DT)
+        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
+                                    circle_frequency=2.0, direction="cw"))
         k = int(round(0.125 / DT))
         assert np.allclose(traj.positions[k], [0.0, -50.0, 0.0], atol=1e-9)
 
     def test_twenty_rounds_duration_and_closure(self):
-        params = CircularParams(radius=20.0, rot_angle_deg=10.0, rounds=20, frequency=2.0,
-                                direction="cw")
-        traj = gen_circular(params, DT)
+        params = section(type="circular", radius=20.0, rot_angle_deg=10.0, rounds=20, circle_frequency=2.0,
+                         direction="cw")
+        traj = gen_circular(params)
         assert traj.duration == pytest.approx(10.0, abs=1e-12)
         assert np.max(np.abs(traj.positions[-1] - traj.positions[0])) < 1e-9
         assert np.max(np.abs(traj.orientations_deg[-1] - traj.orientations_deg[0])) < 1e-9
 
     def test_oscillating_rotation_peak(self):
-        params = CircularParams(radius=0.0, rot_angle_deg=10.0, rounds=1, frequency=2.0,
-                                translation_enabled=False)
-        traj = gen_circular(params, DT)
+        params = section(type="circular", radius=0.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
+                         direction="ccw", translation_enabled=False)
+        traj = gen_circular(params)
         k = int(round(0.125 / DT))
         assert traj.orientations_deg[k, 2] == pytest.approx(10.0, abs=1e-9)
 
     def test_continuous_rotation_closure(self):
-        params = CircularParams(radius=0.0, rounds=3, frequency=1.0,
-                                translation_enabled=False, rotation_mode="continuous")
-        traj = gen_circular(params, DT)
+        params = section(type="circular", radius=0.0, rot_angle_deg=0.0, rounds=3, circle_frequency=1.0,
+                         direction="ccw", translation_enabled=False, rotation_mode="continuous")
+        traj = gen_circular(params)
         assert abs(traj.orientations_deg[-1, 2] - traj.orientations_deg[0, 2]) < 1e-9
 
     def test_disabled_channels_stay_home(self):
-        params = CircularParams(radius=50.0, rot_angle_deg=10.0, rounds=1, frequency=2.0,
-                                translation_enabled=False, rotation_enabled=False)
-        traj = gen_circular(params, DT)
+        params = section(type="circular", radius=50.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
+                         direction="ccw", translation_enabled=False, rotation_enabled=False)
+        traj = gen_circular(params)
         assert np.allclose(traj.positions, 0.0)
         assert np.allclose(traj.orientations_deg, 0.0)
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="^radius: must be >= 0$"):
-            CircularParams(radius=float("nan"))
+            section(type="circular", radius=float("nan"))
 
     def test_uniform_timestamps(self):
-        traj = gen_circular(CircularParams(radius=10.0, rounds=2, frequency=3.0), DT)
+        traj = gen_circular(section(type="circular", radius=10.0, rot_angle_deg=0.0, rounds=2,
+                                    circle_frequency=3.0, direction="ccw"))
         assert all_timestamps_uniform(traj)
