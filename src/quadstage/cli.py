@@ -32,7 +32,7 @@ from .config import (
     load_config,
     loads_config,
 )
-from .kinematics import PlatformPose, solve_platform_ik
+from .kinematics import solve_platform_ik
 from .postprocess import (
     differentiate,
     filter_series,
@@ -52,8 +52,8 @@ REPORT_FILE = "report.txt"
 SNAPSHOT_FILE = "config_snapshot.cfg"
 
 PLOT_KINDS = (
-    ("translation", "positions"),
-    ("rotation", "orientations_deg"),
+    ("translation", "position"),
+    ("rotation", "orientation_deg"),
     ("lin_vel", "lin_vel"),
     ("ang_vel", "ang_vel"),
     ("lin_acc", "lin_acc"),
@@ -105,8 +105,7 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     traj_path = _upstream("ik", run_dir, TRAJECTORY_FILE, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
-    poses = PlatformPose(traj.positions, traj.orientations_deg)
-    q = solve_platform_ik(poses, cfg.robot, cfg.platform, cfg.limits)
+    q = solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits)
     path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     logio.write_joint_targets(path, traj.t, q, digest)
     return [path]

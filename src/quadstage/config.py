@@ -157,10 +157,12 @@ def check_choice(name: str, value: str, options) -> None:
 
 
 def _check_poses(name: str, value, shape) -> None:
-    # A pose field of the trajectory: x y z rx ry rz numbers (one row per pose), finite.
+    # A pose field of the trajectory: x y z rx ry rz numbers (one row per
+    # pose), or x y z for a (3,) shape; finite.
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
-        raise ValueError(f"{name}: must be x y z rx ry rz numbers, got shape {value.shape}")
+        numbers = "x y z" if shape == (3,) else "x y z rx ry rz"
+        raise ValueError(f"{name}: must be {numbers} numbers, got shape {value.shape}")
     if not np.isfinite(value).all():
         raise ValueError(f"{name}: must be finite")
 
@@ -252,6 +254,7 @@ class TrajectoryConfig:
             check_non_negative(self, "run_time", "wait_time")
             check_choice("motion", self.motion, MOTIONS)
             check_choice("axis", self.axis, AXES)
+            _check_poses("offsets", self.offsets, (3,))
         elif self.type == "circular":
             check_non_negative(self, "radius")
             if not self.rounds >= 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _plane_rotations, at_sample, euler_to_rotation
+from .geometry import _check, _plane_rotations, at_sample, euler_to_rotation
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -156,7 +156,7 @@ class PlatformPose:
 
     position and orientation_deg are 3-vectors for one pose, or both
     (N, 3) for a stacked pose of N samples (which solve_platform_ik solves
-    in one array pass).
+    in one array pass); a non-finite stack names its first bad sample.
     """
 
     position: np.ndarray
@@ -168,8 +168,9 @@ class PlatformPose:
         if (self.position.shape[-1:] != (3,) or self.position.ndim > 2
                 or self.orientation_deg.shape != self.position.shape):
             raise ValueError("position and orientation_deg must be 3-vectors or (N, 3) stacks")
-        if not (np.isfinite(self.position).all() and np.isfinite(self.orientation_deg).all()):
-            raise ValueError("pose must be finite")
+        finite = np.isfinite(self.position) & np.isfinite(self.orientation_deg)
+        if not finite.all():  # then name the first bad sample of a stack
+            _check(np.logical_not(np.all(finite, axis=-1)), ValueError, "pose must be finite")
 
     @classmethod
     def home(cls) -> "PlatformPose":
@@ -458,10 +459,11 @@ def solve_platform_ik(
     default pivot angles are reported through workspace_check instead of
     rejected here).
 
-    A stacked pose (position and orientation_deg (N, 3)) gives (N, 12) in
-    one array pass: one box mask, an (N, 3, 3) rotation stack, (N, 4, 3)
-    corners, one closed-form IK pass and one leg_fk re-check per leg, and
-    with check_pivot one (N, 4) pivot_angles_deg pass.  The samples these
+    A stacked pose (position and orientation_deg (N, 3)), such as a
+    postprocess.PoseSeries passed as is, gives (N, 12) in one array pass:
+    one box mask, an (N, 3, 3) rotation stack, (N, 4, 3) corners, one
+    closed-form IK pass and one leg_fk re-check per leg, and with
+    check_pivot one (N, 4) pivot_angles_deg pass.  The samples these
     masks flag (NaN included) are solved again one at a time by the
     one-pose path, in sample order: a stack raises what its first failing
     sample raises alone, with " at sample k" added to the message, and a

@@ -229,7 +229,7 @@ def _read_samples(path, kind: str, columns, dt: float) -> tuple[str, np.ndarray]
 
 
 def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
-    rows = np.column_stack([traj.t, traj.positions, traj.orientations_deg])
+    rows = np.column_stack([traj.t, traj.position, traj.orientation_deg])
     write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
 
 
@@ -240,7 +240,7 @@ def read_trajectory(path, dt: float) -> tuple[str, PoseSeries]:
     in _sample_dt.
     """
     config_hash, data = _read_samples(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS, dt)
-    return config_hash, PoseSeries(dt, data[:, 1:4], data[:, 4:7])
+    return config_hash, PoseSeries(data[:, 1:4], data[:, 4:7], dt)
 
 
 def write_joint_targets(path, t, q, config_hash: str) -> None:

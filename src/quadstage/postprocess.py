@@ -23,37 +23,32 @@ Z_OFFSET_MODES = (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM)
 
 
 @dataclass
-class PoseSeries:
-    """Uniformly sampled pose sequence with optional derivatives.
+class PoseSeries(PlatformPose):
+    """Uniformly sampled pose stack with optional derivatives.
 
-    Sample k is at t = k * dt.  positions are mm relative to the home
-    center, orientations intrinsic x-y-z Euler angles in degrees, both
-    (N, 3) and finite; derivatives, when present, are per-sample arrays of
-    the same shape (mm/s, deg/s, mm/s^2, deg/s^2).
+    A PlatformPose whose position and orientation_deg are (N, 3), sample k
+    at t = k * dt, so solve_platform_ik takes a series as is.  Derivatives,
+    when present, are per-sample arrays of the same shape (mm/s, deg/s,
+    mm/s^2, deg/s^2).
     """
 
     dt: float
-    positions: np.ndarray
-    orientations_deg: np.ndarray
     lin_vel: np.ndarray | None = None
     ang_vel: np.ndarray | None = None
     lin_acc: np.ndarray | None = None
     ang_acc: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.orientations_deg = np.asarray(self.orientations_deg, dtype=float)
-        if self.positions.shape[1:] != (3,) or self.orientations_deg.shape != self.positions.shape:
-            raise ValueError("positions and orientations must both be (N, 3)")
-        if not (np.isfinite(self.positions).all() and np.isfinite(self.orientations_deg).all()):
-            raise ValueError("pose samples must be finite")
+        super().__post_init__()
+        if self.position.ndim != 2:
+            raise ValueError("position and orientation_deg must be (N, 3) stacks")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
             value = getattr(self, name)
-            if value is not None and np.asarray(value).shape != self.positions.shape:
+            if value is not None and np.shape(value) != self.position.shape:
                 raise ValueError(f"{name} must match the pose sample count")
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.position)
 
     @property
     def t(self) -> np.ndarray:
@@ -64,7 +59,7 @@ class PoseSeries:
         return max(len(self) - 1, 0) * self.dt
 
     def pose(self, i: int) -> PlatformPose:
-        return PlatformPose(self.positions[i].copy(), self.orientations_deg[i].copy())
+        return PlatformPose(self.position[i].copy(), self.orientation_deg[i].copy())
 
 
 @dataclass
@@ -179,7 +174,7 @@ def reconstruct_series(
     q_series = np.asarray(q_series, dtype=float)
     if q_series.ndim != 2 or q_series.shape[1] != NUM_JOINTS:
         raise ValueError("q_series must be (N, 12)")
-    return PoseSeries(dt, *_reconstruct(q_series, robot, platform, z_offset_mode))
+    return PoseSeries(*_reconstruct(q_series, robot, platform, z_offset_mode), dt)
 
 
 def _butter(order: int, cutoff_hz: float, fs: float):
@@ -272,8 +267,8 @@ def filter_series(series: PoseSeries, params: FilterParams) -> PoseSeries:
     """Butterworth-filter every pose channel of a series, the Euler
     channels after unwrap_deg."""
     fs = 1.0 / series.dt
-    return PoseSeries(series.dt, butterworth_filter(series.positions, fs, params),
-                      butterworth_filter(unwrap_deg(series.orientations_deg), fs, params))
+    return PoseSeries(butterworth_filter(series.position, fs, params),
+                      butterworth_filter(unwrap_deg(series.orientation_deg), fs, params), series.dt)
 
 
 def differentiate(series: PoseSeries) -> PoseSeries:
@@ -286,12 +281,12 @@ def differentiate(series: PoseSeries) -> PoseSeries:
     """
     if len(series) < 3:
         raise ValueError("need at least 3 samples to differentiate")
-    orientations = unwrap_deg(series.orientations_deg)
-    lin_vel = np.gradient(series.positions, series.dt, axis=0, edge_order=2)
+    orientations = unwrap_deg(series.orientation_deg)
+    lin_vel = np.gradient(series.position, series.dt, axis=0, edge_order=2)
     ang_vel = np.gradient(orientations, series.dt, axis=0, edge_order=2)
     lin_acc = np.gradient(lin_vel, series.dt, axis=0, edge_order=2)
     ang_acc = np.gradient(ang_vel, series.dt, axis=0, edge_order=2)
-    return replace(series, orientations_deg=orientations, lin_vel=lin_vel, ang_vel=ang_vel,
+    return replace(series, orientation_deg=orientations, lin_vel=lin_vel, ang_vel=ang_vel,
                    lin_acc=lin_acc, ang_acc=ang_acc)
 
 
@@ -302,8 +297,8 @@ def rmse_report(target: PoseSeries, actual: PoseSeries) -> RmseReport:
         raise ValueError(f"length mismatch: target {len(target)} vs actual {len(actual)}")
     if abs(target.dt - actual.dt) > 1e-12:
         raise ValueError(f"dt mismatch: target {target.dt} vs actual {actual.dt}")
-    d_pos = target.positions - actual.positions
-    d_rot = target.orientations_deg - actual.orientations_deg
+    d_pos = target.position - actual.position
+    d_rot = target.orientation_deg - actual.orientation_deg
     d_rot = np.where(np.abs(d_rot) > 180.0, (d_rot + 180.0) % 360.0 - 180.0, d_rot)
     return RmseReport(
         translation_mm=np.sqrt(np.mean(d_pos**2, axis=0)),

@@ -157,19 +157,18 @@ def pd_control(
     tau = kp (q_target - q) - kd qdot, plus the gravity feed-forward when
     params.gravity_compensation is set.  Torque is clamped to +/-tau_max,
     or to the torque of the +/-i_max current clamp when that binds first;
-    the motor current follows from the clamped torque.  The joint vectors
-    are float arrays; both results are new arrays.
+    the motor current follows from the clamped torque, so it is within
+    +/-i_max up to rounding.  The joint vectors are float arrays; both
+    results are new arrays.
     """
     tau = params.kp * (q_target - q) - params.kd * qdot
     if params.gravity_compensation:
         tau += tau_gravity
-    # The clamps as np.maximum / np.minimum in place: np.clip's values,
+    # The clamp as np.maximum / np.minimum in place: np.clip's values,
     # without its Python-level argument handling on every tick.
     tau_limit = min(actuator.tau_max, actuator.i_max * actuator.gear_ratio * actuator.kt_motor)
     np.minimum(np.maximum(tau, -tau_limit, out=tau), tau_limit, out=tau)
-    current = actuator.current_from_torque(tau)
-    np.minimum(np.maximum(current, -actuator.i_max, out=current), actuator.i_max, out=current)
-    return tau, current
+    return tau, actuator.current_from_torque(tau)
 
 
 def sim_step(

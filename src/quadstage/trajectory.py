@@ -56,7 +56,7 @@ def _series(dt: float, positions, orientations, limits: WorkspaceLimits | None) 
     if count:
         warnings.warn(f"{count} of {len(positions)} samples exceed the workspace box",
                       TrajectoryBoundsWarning, stacklevel=3)
-    return PoseSeries(dt, positions, orientations)
+    return PoseSeries(positions, orientations, dt)
 
 
 def gen_sine(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> PoseSeries:

@@ -251,8 +251,8 @@ def test_criterion_8_circular_closure():
         TrajectoryConfig(type="circular", dt=1e-3, radius=20.0, rot_angle_deg=10.0, rounds=20,
                          circle_frequency=2.0, direction="cw")
     )
-    pos_gap = float(np.max(np.abs(traj.positions[-1] - traj.positions[0])))
-    rot_gap = float(np.max(np.abs(traj.orientations_deg[-1] - traj.orientations_deg[0])))
+    pos_gap = float(np.max(np.abs(traj.position[-1] - traj.position[0])))
+    rot_gap = float(np.max(np.abs(traj.orientation_deg[-1] - traj.orientation_deg[0])))
     elapsed = time.perf_counter() - start
     ok = (
         abs(traj.duration - 10.0) < 1e-12

@@ -156,7 +156,7 @@ class TestPipeline:
         assert run_cli("gen", "--config", str(path), "--run-id", "far") == 0
         traj_path = runs_root / "far" / "trajectory.csv"
         digest, traj = read_trajectory(traj_path, dt=1e-3)
-        traj.positions[3, 2] = -500.0
+        traj.position[3, 2] = -500.0
         write_trajectory(traj_path, traj, digest)
         capsys.readouterr()
         assert run_cli("ik", "--config", str(path), "--run-id", "far") == 1

@@ -354,6 +354,8 @@ class TestConfig:
              "step_target: must be x y z rx ry rz numbers, got shape (5,)"),
             ({"type": "arbitrary", "waypoints": np.zeros((2, 5)), "segment_times": np.array([1.0])},
              "waypoints: must be x y z rx ry rz numbers, got shape (2, 5)"),
+            ({"offsets": np.zeros(2)}, "offsets: must be x y z numbers, got shape (2,)"),
+            ({"offsets": np.array([float("nan"), 0.0, 0.0])}, "offsets: must be finite"),
         ],
     )
     def test_selected_generator_checked_at_construction(self, keys, message):
@@ -464,7 +466,7 @@ class TestConfig:
         )
         traj = cfg.build_trajectory()
         assert traj.duration == pytest.approx(2.0)
-        assert traj.positions[0, 0] == pytest.approx(15.0)
+        assert traj.position[0, 0] == pytest.approx(15.0)
 
     def test_step_trajectory_from_config(self):
         cfg = loads_config(
@@ -472,8 +474,8 @@ class TestConfig:
             "step_target = 0 0 -30 0 0 0\n"
         )
         traj = cfg.build_trajectory()
-        assert traj.positions[-1, 2] == pytest.approx(-30.0)
-        assert np.allclose(traj.positions[0], 0.0)
+        assert traj.position[-1, 2] == pytest.approx(-30.0)
+        assert np.allclose(traj.position[0], 0.0)
 
     def test_arbitrary_waypoints_from_config(self):
         cfg = loads_config(
@@ -482,8 +484,8 @@ class TestConfig:
         )
         traj = cfg.build_trajectory()
         assert traj.duration == pytest.approx(2.0)
-        assert traj.positions[-1, 0] == pytest.approx(10.0)
-        assert traj.orientations_deg[-1, 2] == pytest.approx(5.0)
+        assert traj.position[-1, 0] == pytest.approx(10.0)
+        assert traj.orientation_deg[-1, 2] == pytest.approx(5.0)
 
 
 def _leg_values(robot):
@@ -638,7 +640,7 @@ class TestTables:
         write_trajectory(path, traj, "f" * 16)
         _, back = read_trajectory(path, dt=1e-3)
         assert len(back) == len(traj)
-        assert np.max(np.abs(back.positions - traj.positions)) <= 5e-9 * 12.0
+        assert np.max(np.abs(back.position - traj.position)) <= 5e-9 * 12.0
         assert back.dt == traj.dt
 
     def test_time_column_checked_against_dt(self, tmp_path):

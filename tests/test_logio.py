@@ -63,11 +63,11 @@ def assert_nine_digits(written, read):
 @given(poses=columns(6))
 def test_trajectory_round_trip(tmp_path, dt, poses):
     path, again = tmp_path / "traj.csv", tmp_path / "again.csv"
-    write_trajectory(path, PoseSeries(dt, poses[:, :3], poses[:, 3:]), DIGEST)
+    write_trajectory(path, PoseSeries(poses[:, :3], poses[:, 3:], dt), DIGEST)
     digest, back = read_trajectory(path, dt=dt)
     assert digest == DIGEST
     assert np.array_equal(back.t, np.arange(len(poses)) * dt)
-    assert_nine_digits(poses, np.column_stack([back.positions, back.orientations_deg]))
+    assert_nine_digits(poses, np.column_stack([back.position, back.orientation_deg]))
     write_trajectory(again, back, DIGEST)
     assert again.read_bytes() == path.read_bytes()
 

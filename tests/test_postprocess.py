@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
 
+from quadstage.config import TrajectoryConfig
 from quadstage.kinematics import PlatformPose, solve_platform_ik
 from quadstage.postprocess import (
     FilterParams,
@@ -190,26 +191,40 @@ class TestButterworthMatchesScipy:
 class TestPoseSeries:
     def test_sample_clock(self):
         dt = 1.0 / 240.0
-        series = PoseSeries(dt, np.ones((5, 3)), np.zeros((5, 3)))
+        series = PoseSeries(np.ones((5, 3)), np.zeros((5, 3)), dt)
         assert np.array_equal(series.t, np.arange(5) * dt)
         assert series.duration == 4 * dt
         pose = series.pose(3)
         pose.position[0] = 7.0
-        assert series.positions[3, 0] == 1.0
+        assert series.position[3, 0] == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
         positions = np.zeros((4, 3))
         positions[2, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            PoseSeries(1e-3, positions, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="^pose must be finite at sample 2$"):
+            PoseSeries(positions, np.zeros((4, 3)), 1e-3)
+        with pytest.raises(ValueError, match="^pose must be finite$"):
+            PlatformPose(positions[2], np.zeros(3))
+
+    def test_series_is_a_pose_stack(self, cfg):
+        # solve_platform_ik takes a generated series as is, with the same
+        # bits as the same stack passed as a plain PlatformPose.
+        cfg.trajectory = TrajectoryConfig(type="circular", rounds=2)
+        series = cfg.build_trajectory()
+        assert isinstance(series, PlatformPose)
+        stack = PlatformPose(series.position, series.orientation_deg)
+        assert np.array_equal(solve_platform_ik(series, cfg.robot, cfg.platform, cfg.limits),
+                              solve_platform_ik(stack, cfg.robot, cfg.platform, cfg.limits))
+        with pytest.raises(ValueError, match=r"^position and orientation_deg must be \(N, 3\) stacks$"):
+            PoseSeries(np.zeros(3), np.zeros(3), 1e-3)
 
 
 class TestDifferentiate:
     def test_linear_ramp(self):
         dt = 1e-3
         t = np.arange(1000) * dt
-        series = PoseSeries(dt, np.column_stack([3.0 * t, 0 * t, 0 * t]), np.zeros((1000, 3)))
+        series = PoseSeries(np.column_stack([3.0 * t, 0 * t, 0 * t]), np.zeros((1000, 3)), dt)
         out = differentiate(series)
         assert np.max(np.abs(out.lin_vel[:, 0] - 3.0)) < 1e-9
         assert np.max(np.abs(out.lin_acc[:, 0])) < 1e-9
@@ -218,7 +233,7 @@ class TestDifferentiate:
         dt, f, amp = 1e-3, 2.0, 20.0
         t = np.arange(2000) * dt
         x = amp * np.sin(2 * math.pi * f * t)
-        series = PoseSeries(dt, np.column_stack([x, 0 * t, 0 * t]), np.zeros((2000, 3)))
+        series = PoseSeries(np.column_stack([x, 0 * t, 0 * t]), np.zeros((2000, 3)), dt)
         out = differentiate(series)
         expected = 2 * math.pi * f * amp * np.cos(2 * math.pi * f * t)
         # Central differences are exact to O(dt^2).
@@ -226,7 +241,7 @@ class TestDifferentiate:
         assert np.max(np.abs(out.lin_vel[5:-5, 0] - expected[5:-5])) < tol
 
     def test_constant_pose(self):
-        series = PoseSeries(1e-3, np.full((50, 3), 7.0), np.full((50, 3), 2.0))
+        series = PoseSeries(np.full((50, 3), 7.0), np.full((50, 3), 2.0), 1e-3)
         out = differentiate(series)
         for arr in (out.lin_vel, out.ang_vel, out.lin_acc, out.ang_acc):
             assert np.max(np.abs(arr)) < 1e-9
@@ -237,7 +252,7 @@ class TestDifferentiate:
         def round_trip_error(dt):
             t = np.arange(int(3.0 / dt)) * dt
             x = 15.0 * np.sin(2 * math.pi * 1.5 * t) + 4.0 * np.cos(2 * math.pi * 3.0 * t)
-            series = PoseSeries(dt, np.column_stack([x, 0 * t, 0 * t]), np.zeros((len(t), 3)))
+            series = PoseSeries(np.column_stack([x, 0 * t, 0 * t]), np.zeros((len(t), 3)), dt)
             v = differentiate(series).lin_vel[:, 0]
             rebuilt = x[0] + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * dt)])
             return np.max(np.abs(rebuilt - x))
@@ -247,14 +262,14 @@ class TestDifferentiate:
         assert coarse / fine == pytest.approx(4.0, rel=0.1)
 
     def test_too_few_samples(self):
-        series = PoseSeries(1e-3, np.zeros((2, 3)), np.zeros((2, 3)))
+        series = PoseSeries(np.zeros((2, 3)), np.zeros((2, 3)), 1e-3)
         with pytest.raises(ValueError):
             differentiate(series)
 
 
 class TestRmseReport:
     def make_series(self, positions, orientations, dt=1e-3):
-        return PoseSeries(dt, positions, orientations)
+        return PoseSeries(positions, orientations, dt)
 
     def test_identity_is_zero(self, rng):
         pos = rng.normal(size=(100, 3))
@@ -354,12 +369,12 @@ class TestUnwrap:
         dt = 1e-3
         yaw = np.degrees(np.angle(np.exp(1j * np.radians(360.0 * np.arange(3000) * dt))))
         rot = np.column_stack([np.zeros(3000), np.zeros(3000), yaw])
-        series = PoseSeries(dt, np.zeros((3000, 3)), rot)
+        series = PoseSeries(np.zeros((3000, 3)), rot, dt)
         out = differentiate(series)
         assert np.allclose(out.ang_vel[:, 2], 360.0) and np.allclose(out.ang_acc[:, 2], 0.0, atol=1e-6)
-        assert np.allclose(out.orientations_deg[:, 2], 360.0 * np.arange(3000) * dt)
+        assert np.allclose(out.orientation_deg[:, 2], 360.0 * np.arange(3000) * dt)
         # Filtered raw, the wrap steps would leave errors of up to 180 deg.
-        error = filter_series(series, FilterParams()).orientations_deg[:, 2] - out.orientations_deg[:, 2]
+        error = filter_series(series, FilterParams()).orientation_deg[:, 2] - out.orientation_deg[:, 2]
         assert np.max(np.abs(error)) < 0.5 and np.max(np.abs(error[100:-100])) < 1e-4
 
 
@@ -369,6 +384,6 @@ class TestFilterSeries:
         n = 500
         pos = rng.normal(size=(n, 3)).cumsum(axis=0)
         rot = rng.normal(size=(n, 3)).cumsum(axis=0)
-        out = filter_series(PoseSeries(dt, pos, rot), FilterParams())
-        assert out.positions.shape == (n, 3)
-        assert not np.allclose(out.positions, pos)
+        out = filter_series(PoseSeries(pos, rot, dt), FilterParams())
+        assert out.position.shape == (n, 3)
+        assert not np.allclose(out.position, pos)

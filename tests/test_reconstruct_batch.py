@@ -119,8 +119,8 @@ def test_batched_series_matches_loop(stage, poses, mode, noise_rad, seed):
     q = np.array(rows) + noise_rad * np.random.default_rng(seed).standard_normal((len(rows), 12))
     series = reconstruct_series(q, stage.robot, stage.platform, 1e-3, mode)
     positions, orientations = reference_series(q, stage.robot, stage.platform, mode)
-    assert np.max(np.abs(series.positions - positions)) <= POSITION_TOL_MM
-    assert np.max(wrapped_deg(series.orientations_deg, orientations)) <= ANGLE_TOL_DEG
+    assert np.max(np.abs(series.position - positions)) <= POSITION_TOL_MM
+    assert np.max(wrapped_deg(series.orientation_deg, orientations)) <= ANGLE_TOL_DEG
     first = reconstruct_pose(q[0], stage.robot, stage.platform, mode)
     assert np.max(np.abs(first.position - positions[0])) <= POSITION_TOL_MM
     assert np.max(wrapped_deg(first.orientation_deg, orientations[0])) <= ANGLE_TOL_DEG
@@ -154,5 +154,5 @@ def test_series_of_stacked_solve_recovers_poses(poses, knee_front, knee_back):
     values = np.array(poses)
     q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), cfg.robot, cfg.platform)
     series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, "platform")
-    assert np.max(np.abs(series.positions - values[:, :3])) <= POSITION_TOL_MM
-    assert np.max(wrapped_deg(series.orientations_deg, values[:, 3:])) <= ANGLE_TOL_DEG
+    assert np.max(np.abs(series.position - values[:, :3])) <= POSITION_TOL_MM
+    assert np.max(wrapped_deg(series.orientation_deg, values[:, 3:])) <= ANGLE_TOL_DEG

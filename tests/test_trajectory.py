@@ -51,39 +51,39 @@ class TestSine:
         params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0, offsets=[1.0, 2.0, 3.0])
         traj = gen_sine(params)
         wait = traj.t < 0.5 - 1e-12
-        assert np.allclose(traj.positions[wait], [1.0, 2.0, 3.0], atol=1e-12)
-        assert np.allclose(traj.positions[0], [1.0, 2.0, 3.0], atol=1e-15)
-        assert np.allclose(traj.orientations_deg, 0.0)
+        assert np.allclose(traj.position[wait], [1.0, 2.0, 3.0], atol=1e-12)
+        assert np.allclose(traj.position[0], [1.0, 2.0, 3.0], atol=1e-15)
+        assert np.allclose(traj.orientation_deg, 0.0)
 
     def test_quarter_period_peak(self):
         # sin(2 pi * 2 Hz * 0.125 s) = sin(pi/2) = 1.
         params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0)
         traj = gen_sine(params)
         k = int(round((0.5 + 0.125) / DT))
-        assert traj.positions[k, 0] == pytest.approx(20.0, abs=1e-9)
+        assert traj.position[k, 0] == pytest.approx(20.0, abs=1e-9)
 
     def test_rotation_axis(self):
         params = section(run_time=1.0, wait_time=0.0, motion="rotation", axis="y", frequency=2.0,
                          amplitude=10.0)
         traj = gen_sine(params)
         k = int(round(0.125 / DT))
-        assert traj.orientations_deg[k, 1] == pytest.approx(10.0, abs=1e-9)
-        assert np.allclose(traj.positions, 0.0)
+        assert traj.orientation_deg[k, 1] == pytest.approx(10.0, abs=1e-9)
+        assert np.allclose(traj.position, 0.0)
 
     def test_peak_acceleration_ten_hz(self):
         # Analytic peak acceleration (2 pi f)^2 A for f=10 Hz, A=10 mm is
         # 39.478 m/s^2, just over 4 g.
         params = section(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0)
         traj = gen_sine(params)
-        acc = np.gradient(np.gradient(traj.positions[:, 0], DT), DT) / 1000.0
+        acc = np.gradient(np.gradient(traj.position[:, 0], DT), DT) / 1000.0
         peak = (2 * math.pi * 10.0) ** 2 * 0.010
         assert np.max(np.abs(acc)) == pytest.approx(peak, rel=2e-3)
 
     def test_zero_amplitude_equals_home_step(self):
         sine = gen_sine(section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=0.0))
         step = gen_step(section(type="step", step_target=np.zeros(6), step_time=0.5, total_time=1.5))
-        assert np.array_equal(sine.positions, step.positions)
-        assert np.array_equal(sine.orientations_deg, step.orientations_deg)
+        assert np.array_equal(sine.position, step.position)
+        assert np.array_equal(sine.orientation_deg, step.orientation_deg)
 
     def test_uniform_timestamps(self):
         traj = gen_sine(section(run_time=0.37, wait_time=0.21, frequency=3.0, amplitude=5.0))
@@ -114,10 +114,10 @@ class TestStep:
         target = PlatformPose([5.0, -4.0, 3.0], [1.0, 2.0, -3.0])
         traj = gen_step(section(type="step", step_target=rows([target])[0], step_time=1.0, total_time=2.0))
         k = int(round(1.0 / DT))
-        assert np.allclose(traj.positions[k - 1], 0.0)
-        assert np.allclose(traj.orientations_deg[k - 1], 0.0)
-        assert np.allclose(traj.positions[k], target.position)
-        assert np.allclose(traj.orientations_deg[k], target.orientation_deg)
+        assert np.allclose(traj.position[k - 1], 0.0)
+        assert np.allclose(traj.orientation_deg[k - 1], 0.0)
+        assert np.allclose(traj.position[k], target.position)
+        assert np.allclose(traj.orientation_deg[k], target.orientation_deg)
 
     def test_bad_step_time(self):
         with pytest.raises(ValueError):
@@ -129,14 +129,14 @@ class TestArbitrary:
         pose = PlatformPose([7.0, 0.0, 0.0], [0.0, 5.0, 0.0])
         traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([pose]), segment_times=[]))
         assert len(traj) == 1
-        assert np.allclose(traj.positions[0], pose.position)
+        assert np.allclose(traj.position[0], pose.position)
 
     def test_linear_midpoint(self):
         a = PlatformPose.home()
         b = PlatformPose([10.0, 0.0, 0.0], np.zeros(3))
         traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([a, b]), segment_times=[1.0]))
         k = int(round(0.5 / DT))
-        assert traj.positions[k, 0] == pytest.approx(5.0, abs=1e-12)
+        assert traj.position[k, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_sample_count(self):
         a, b, c = PlatformPose.home(), PlatformPose([1, 0, 0], np.zeros(3)), PlatformPose.home()
@@ -156,8 +156,8 @@ class TestArbitrary:
                                          interp=mode))
             for knot, pose in zip((0.0, 0.5, 1.25), poses):
                 k = int(round(knot / DT))
-                assert np.max(np.abs(traj.positions[k] - pose.position)) < 1e-9
-                assert np.max(np.abs(traj.orientations_deg[k] - pose.orientation_deg)) < 1e-9
+                assert np.max(np.abs(traj.position[k] - pose.position)) < 1e-9
+                assert np.max(np.abs(traj.orientation_deg[k] - pose.orientation_deg)) < 1e-9
 
     def test_mismatched_lengths(self):
         home = PlatformPose.home()
@@ -173,7 +173,7 @@ class TestArbitrary:
         traj = gen_arbitrary(section(type="arbitrary", waypoints=waypoints, segment_times=segment_times,
                                      interp=mode))
         expected = arbitrary_by_loop(waypoints, segment_times, traj.t, mode)
-        values = np.column_stack([traj.positions, traj.orientations_deg])
+        values = np.column_stack([traj.position, traj.orientation_deg])
         if mode == "linear":
             assert np.array_equal(values, expected)
         else:
@@ -184,47 +184,47 @@ class TestCircular:
     def test_starts_at_radius_offset(self):
         traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
                                     circle_frequency=2.0, direction="ccw"))
-        assert np.allclose(traj.positions[0], [50.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(traj.position[0], [50.0, 0.0, 0.0], atol=1e-12)
 
     def test_ccw_quarter_turn(self):
         traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
                                     circle_frequency=2.0, direction="ccw"))
         k = int(round(0.125 / DT))  # quarter of the 0.5 s period
-        assert np.allclose(traj.positions[k], [0.0, 50.0, 0.0], atol=1e-9)
+        assert np.allclose(traj.position[k], [0.0, 50.0, 0.0], atol=1e-9)
 
     def test_cw_flips_phase(self):
         traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
                                     circle_frequency=2.0, direction="cw"))
         k = int(round(0.125 / DT))
-        assert np.allclose(traj.positions[k], [0.0, -50.0, 0.0], atol=1e-9)
+        assert np.allclose(traj.position[k], [0.0, -50.0, 0.0], atol=1e-9)
 
     def test_twenty_rounds_duration_and_closure(self):
         params = section(type="circular", radius=20.0, rot_angle_deg=10.0, rounds=20, circle_frequency=2.0,
                          direction="cw")
         traj = gen_circular(params)
         assert traj.duration == pytest.approx(10.0, abs=1e-12)
-        assert np.max(np.abs(traj.positions[-1] - traj.positions[0])) < 1e-9
-        assert np.max(np.abs(traj.orientations_deg[-1] - traj.orientations_deg[0])) < 1e-9
+        assert np.max(np.abs(traj.position[-1] - traj.position[0])) < 1e-9
+        assert np.max(np.abs(traj.orientation_deg[-1] - traj.orientation_deg[0])) < 1e-9
 
     def test_oscillating_rotation_peak(self):
         params = section(type="circular", radius=0.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
                          direction="ccw", translation_enabled=False)
         traj = gen_circular(params)
         k = int(round(0.125 / DT))
-        assert traj.orientations_deg[k, 2] == pytest.approx(10.0, abs=1e-9)
+        assert traj.orientation_deg[k, 2] == pytest.approx(10.0, abs=1e-9)
 
     def test_continuous_rotation_closure(self):
         params = section(type="circular", radius=0.0, rot_angle_deg=0.0, rounds=3, circle_frequency=1.0,
                          direction="ccw", translation_enabled=False, rotation_mode="continuous")
         traj = gen_circular(params)
-        assert abs(traj.orientations_deg[-1, 2] - traj.orientations_deg[0, 2]) < 1e-9
+        assert abs(traj.orientation_deg[-1, 2] - traj.orientation_deg[0, 2]) < 1e-9
 
     def test_disabled_channels_stay_home(self):
         params = section(type="circular", radius=50.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
                          direction="ccw", translation_enabled=False, rotation_enabled=False)
         traj = gen_circular(params)
-        assert np.allclose(traj.positions, 0.0)
-        assert np.allclose(traj.orientations_deg, 0.0)
+        assert np.allclose(traj.position, 0.0)
+        assert np.allclose(traj.orientation_deg, 0.0)
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="^radius: must be >= 0$"):
