@@ -149,7 +149,7 @@ class PlatformGeometry:
         object.__setattr__(self, "home_center", center)
 
 
-@dataclass
+@dataclass(eq=False)
 class PlatformPose:
     """Stage pose: center position (mm, relative to home) and intrinsic
     x-y-z Euler orientation (degrees).
@@ -195,7 +195,7 @@ class WorkspaceLimits:
         check_positive(self, "x_max", "y_max", "z_max", "rot_max", "ball_pivot_max")
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkspaceReport:
     """Outcome of a workspace check; valid means no violations at all."""
 
@@ -222,20 +222,22 @@ def leg_fk(q_leg, geom: LegGeometry) -> np.ndarray:
     in radians and the result is (..., 3).
     """
     q = np.asarray(q_leg, dtype=float)
-    # One configuration (the per-pose IK re-check) runs on math scalars,
-    # which is about twice as fast as numpy ufuncs on 0-d values.
+    # One configuration runs on math scalars, which is about twice as fast
+    # as numpy ufuncs on 0-d values.
     lib = math if q.ndim == 1 else np
-    q_aa, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
+    foot = np.empty_like(q)
+    foot[..., 0], foot[..., 1], foot[..., 2] = _leg_fk_core(q[..., 0], q[..., 1], q[..., 2], geom, lib)
+    foot += geom.hip_mount
+    return foot
+
+
+def _leg_fk_core(q_aa, q_hip, q_knee, geom: LegGeometry, lib):
+    # leg_fk's foot from the hip mount, Rx(q_aa) @ (xp, y, zp), as (x, y, z):
+    # math scalars for one configuration or numpy arrays for a stack.
     xp, zp = _planar_foot(q_hip, q_knee, geom, lib)
     y = geom.side_sign * geom.hip_offset_y
     c, s = lib.cos(q_aa), lib.sin(q_aa)
-    # hip_mount + Rx(q_aa) @ (xp, y, zp)
-    foot = np.empty_like(q)
-    foot[..., 0] = xp
-    foot[..., 1] = c * y - s * zp
-    foot[..., 2] = s * y + c * zp
-    foot += geom.hip_mount
-    return foot
+    return xp, c * y - s * zp, s * y + c * zp
 
 
 # The clamp into [-1, 1] ahead of acos, for each lib of _leg_ik_core.
@@ -296,12 +298,17 @@ def leg_ik(p_target, geom: LegGeometry) -> np.ndarray:
     p = np.asarray(p_target, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("target must be finite")
-    x, y, z = (p - geom.hip_mount).tolist()
+    return np.array(_leg_ik_floats(*(p - geom.hip_mount).tolist(), geom))
+
+
+def _leg_ik_floats(x, y, z, geom: LegGeometry) -> list:
+    # leg_ik on a finite target (x, y, z) from the hip mount, Python floats:
+    # the joint angles as a list of floats, or leg_ik's UnreachableError.
     q_aa, q_hip, q_knee, rho, r, cos_knee = _leg_ik_core(x, y, z, geom, math)
     for failed, deficit, message, distance, limit in _reach_tests(rho, r, cos_knee, geom):
         if failed:
             raise UnreachableError(message.format(distance, limit), deficit_mm=deficit)
-    return np.array([q_aa, q_hip, q_knee])
+    return [q_aa, q_hip, q_knee]
 
 
 def _leg_ik_stack(p, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +351,11 @@ def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
 def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
     """Body-frame positions of the corner ball joints for a pose: (4, 3)
     for one pose, (N, 4, 3) for a stacked pose of N samples."""
-    r = pose.rotation()
+    return _corners(pose, pose.rotation(), geom)
+
+
+def _corners(pose: PlatformPose, r, geom: PlatformGeometry) -> np.ndarray:
+    # platform_corners with the pose's rotation r already built.
     return ((geom.home_center + pose.position)[..., None, :]
             + geom.corner_offsets @ np.swapaxes(r, -1, -2))
 
@@ -368,10 +379,15 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
     Array-first: q is (12,) with one pose or (N, 12) with a stacked pose of
     N samples, and the result is (4,) or (N, 4).
     """
+    return _pivot_angles(q, robot, platform, pose.rotation())
+
+
+def _pivot_angles(q, robot, platform: PlatformGeometry, r) -> np.ndarray:
+    # pivot_angles_deg with the pose's rotation r already built.
     home_axes = _home_socket_axes(tuple(robot), platform)
     legs = np.asarray(q, dtype=float).reshape(*np.shape(q)[:-1], 4, 3)
     sockets = (_lower_link_rotation(legs) @ home_axes[:, :, None])[..., 0]
-    normal = pose.rotation()[..., None, :, 2]  # R @ z, once per corner
+    normal = r[..., None, :, 2]  # R @ z, once per corner
     return np.degrees(np.arccos(np.clip(np.sum(sockets * normal, axis=-1), -1.0, 1.0)))
 
 
@@ -400,15 +416,10 @@ def outside_box(positions, orientations_deg, limits: WorkspaceLimits) -> np.ndar
 
 def check_pose_bounds(pose: PlatformPose, limits: WorkspaceLimits):
     """Translation/rotation box violations for a pose, as (label, value, bound) tuples."""
-    trans, rot = [], []
-    for axis, bound in zip("xyz", (limits.x_max, limits.y_max, limits.z_max)):
-        value = float(pose.position["xyz".index(axis)])
-        if abs(value) > bound:
-            trans.append((f"{axis}_mm", value, bound))
-    for axis in range(3):
-        value = float(pose.orientation_deg[axis])
-        if abs(value) > limits.rot_max:
-            rot.append((f"r{'xyz'[axis]}_deg", value, limits.rot_max))
+    bounds = (limits.x_max, limits.y_max, limits.z_max)
+    trans = [(f"{a}_mm", v, b) for a, v, b in zip("xyz", pose.position.tolist(), bounds) if abs(v) > b]
+    rot = [(f"r{a}_deg", v, limits.rot_max) for a, v in zip("xyz", pose.orientation_deg.tolist())
+           if abs(v) > limits.rot_max]
     return trans, rot
 
 
@@ -459,6 +470,11 @@ def solve_platform_ik(
     default pivot angles are reported through workspace_check instead of
     rejected here).
 
+    One pose builds its rotation once, for the corners and the pivot test,
+    and solves its four legs on Python floats: leg_ik's closed form for
+    every leg first (the first unreachable leg raises), then leg_fk's
+    re-check of every leg to 1e-6 mm, then with check_pivot the cone.
+
     A stacked pose (position and orientation_deg (N, 3)), such as a
     postprocess.PoseSeries passed as is, gives (N, 12) in one array pass:
     one box mask, an (N, 3, 3) rotation stack, (N, 4, 3) corners, one
@@ -483,21 +499,26 @@ def solve_platform_ik(
         trans, rot = check_pose_bounds(pose, limits)
         if trans or rot:
             raise WorkspaceViolationError(trans + rot)
-    corners = platform_corners(pose, platform)
-    q = np.empty(NUM_JOINTS)
-    for i, geom in enumerate(robot):
+    r = pose.rotation()
+    corners = _corners(pose, r, platform).tolist()
+    legs = [(geom, corner, geom.hip_mount.tolist()) for geom, corner in zip(robot, corners)]
+    q = []
+    for i, (geom, (cx, cy, cz), (hx, hy, hz)) in enumerate(legs):
         try:
-            q[3 * i : 3 * i + 3] = leg_ik(corners[i], geom)
+            q += _leg_ik_floats(cx - hx, cy - hy, cz - hz, geom)
         except UnreachableError as err:
             raise UnreachableError(
                 f"leg {LEG_NAMES[i]}: {err}", deficit_mm=err.deficit_mm, leg=i
             ) from err
-    for i, geom in enumerate(robot):
-        err = float(np.linalg.norm(leg_fk(q[3 * i : 3 * i + 3], geom) - corners[i]))
-        if err > 1e-6:
+    for i, (geom, (cx, cy, cz), (hx, hy, hz)) in enumerate(legs):
+        # leg_fk(q_leg, geom) - corner, in leg_fk's order of operations
+        fx, fy, fz = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, math)
+        err = math.hypot(hx + fx - cx, hy + fy - cy, hz + fz - cz)
+        if not err <= 1e-6:
             raise KinematicsError(f"leg {LEG_NAMES[i]} solution inconsistent: {err:.2e} mm")
+    q = np.array(q)
     if check_pivot:
-        angles = pivot_angles_deg(q, robot, platform, pose)
+        angles = _pivot_angles(q, robot, platform, r)
         worst = int(np.argmax(angles))
         if angles[worst] > limits.ball_pivot_max:
             raise BallPivotError(worst, float(angles[worst]), limits.ball_pivot_max)
@@ -510,7 +531,8 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
     flagged = np.zeros(n, dtype=bool)
     if limits is not None:
         flagged |= outside_box(pose.position, pose.orientation_deg, limits)
-    corners = platform_corners(pose, platform)
+    r = pose.rotation()
+    corners = _corners(pose, r, platform)
     q = np.empty((n, NUM_JOINTS))
     for i, geom in enumerate(robot):
         q_leg, unreachable = _leg_ik_stack(corners[:, i], geom)
@@ -519,7 +541,7 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
         flagged |= unreachable | np.logical_not(err <= 1e-6)
         q[:, 3 * i : 3 * i + 3] = q_leg
     if check_pivot:
-        pivot = pivot_angles_deg(q, robot, platform, pose)
+        pivot = _pivot_angles(q, robot, platform, r)
         flagged |= np.logical_not(pivot.max(axis=-1) <= limits.ball_pivot_max)
     for k in np.flatnonzero(flagged):
         one = PlatformPose(pose.position[k], pose.orientation_deg[k])

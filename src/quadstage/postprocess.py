@@ -22,7 +22,7 @@ Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform norma
 Z_OFFSET_MODES = (Z_OFFSET_WORLD, Z_OFFSET_PLATFORM)
 
 
-@dataclass
+@dataclass(eq=False)
 class PoseSeries(PlatformPose):
     """Uniformly sampled pose stack with optional derivatives.
 
@@ -76,7 +76,7 @@ class FilterParams:
             raise ValueError("order: must be a positive even integer")
 
 
-@dataclass
+@dataclass(eq=False)
 class RmseReport:
     """Per-axis and averaged tracking RMSE (translation mm, rotation deg)."""
 
@@ -92,7 +92,7 @@ class RmseReport:
         return float(np.mean(self.rotation_deg))
 
 
-@dataclass
+@dataclass(eq=False)
 class JointRmse:
     """Per-joint RMSE in degrees plus the per-leg three-joint average."""
 

@@ -92,7 +92,7 @@ class SimParams:
         return self.payload_mass + self.platform_mass
 
 
-@dataclass
+@dataclass(eq=False)
 class SimLog:
     """One record per target sample: target, state, and actuation; record k
     is at t = k * dt."""

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadstage import default_config
+from quadstage import default_config, kinematics
 from quadstage.geometry import euler_to_rotation, rot_x, rot_y, rot_z
 from quadstage.kinematics import (
+    LEG_NAMES,
     BallPivotError,
     KinematicsError,
     LegGeometry,
@@ -16,6 +17,7 @@ from quadstage.kinematics import (
     PlatformPose,
     UnreachableError,
     WorkspaceLimits,
+    WorkspaceReport,
     WorkspaceViolationError,
     leg_fk,
     leg_ik,
@@ -25,6 +27,8 @@ from quadstage.kinematics import (
     solve_platform_ik,
     workspace_check,
 )
+from quadstage.postprocess import JointRmse, PoseSeries, RmseReport
+from quadstage.simenv import SimLog
 
 # Golden home configuration for the shipped default geometry, frozen from
 # the closed-form solve: hip_fe = -knee_fe / 2 and
@@ -395,3 +399,93 @@ class TestWorkspaceCheck:
 def test_leg_geometry_rejects_nan_length():
     with pytest.raises(ValueError, match="^l_upper: must be positive$"):
         LegGeometry([0.0, 0.0, 0.0], float("nan"), 100.0)
+
+
+# The scan box: the workspace box grown by 10%.
+SCAN_POSES = st.tuples(
+    *(st.floats(-1.1 * bound, 1.1 * bound) for bound in (LIMITS.x_max, LIMITS.y_max, LIMITS.z_max)),
+    *(st.floats(-1.1 * LIMITS.rot_max, 1.1 * LIMITS.rot_max) for _ in range(3)),
+)
+
+
+class TestOnePoseSolve:
+    """The one-pose solve_platform_ik against its public parts: leg_ik on
+    the platform_corners, then leg_fk's re-check of every leg."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=SCAN_POSES,
+        drop=st.one_of(st.just(0.0), st.floats(400.0, 700.0)),
+        knee_front=st.sampled_from([-1, 1]),
+        knee_back=st.sampled_from([-1, 1]),
+        hip_offset_y=st.sampled_from([0.0, 40.0]),
+        long_fl=st.booleans(),
+    )
+    def test_matches_public_parts_bit_for_bit(self, values, drop, knee_front, knee_back, hip_offset_y,
+                                              long_fl):
+        # A drop of 400-700 mm puts the corners beyond the reach of the
+        # shipped legs.  A 1e8 mm front-left leg still reaches them, but
+        # round-off puts its leg_fk re-check beyond 1e-6 mm: then the order
+        # of the IK solves and the re-checks decides which error is raised.
+        cfg = default_config()
+        robot = list(dataclasses.replace(cfg.robot, knee_sign_front=knee_front, knee_sign_back=knee_back,
+                                         hip_offset_y=hip_offset_y))
+        if long_fl:
+            robot[0] = dataclasses.replace(robot[0], l_upper=1e8, l_lower=1e8)
+        pose = PlatformPose(np.array(values[:3]) - [0.0, 0.0, drop], values[3:])
+        corners = platform_corners(pose, cfg.platform)
+        legs = []
+        for i, (corner, geom) in enumerate(zip(corners, robot)):
+            try:
+                legs.append(leg_ik(corner, geom))
+            except UnreachableError as expected:
+                with pytest.raises(UnreachableError) as raised:
+                    solve_platform_ik(pose, robot, cfg.platform)
+                assert type(raised.value) is type(expected)
+                assert str(raised.value) == f"leg {LEG_NAMES[i]}: {expected}"
+                assert raised.value.leg == i
+                assert raised.value.deficit_mm == expected.deficit_mm
+                return
+        for i, (q_leg, corner, geom) in enumerate(zip(legs, corners, robot)):
+            if np.linalg.norm(leg_fk(q_leg, geom) - corner) > 1e-6:
+                with pytest.raises(KinematicsError, match=f"^leg {LEG_NAMES[i]} solution inconsistent: "):
+                    solve_platform_ik(pose, robot, cfg.platform)
+                return
+        q = solve_platform_ik(pose, robot, cfg.platform)
+        assert q.tobytes() == np.concatenate(legs).tobytes()
+
+    def test_builds_the_rotation_once(self, cfg, monkeypatch):
+        calls = []
+
+        def counted(euler_deg, build=kinematics.euler_to_rotation):
+            calls.append(np.shape(euler_deg))
+            return build(euler_deg)
+
+        monkeypatch.setattr(kinematics, "euler_to_rotation", counted)
+        pose = PlatformPose([10.0, -20.0, 5.0], [3.0, -2.0, 4.0])
+        q = solve_platform_ik(pose, cfg.robot, cfg.platform, cfg.limits, check_pivot=True)
+        assert calls == [(3,)]
+        # A stack with no flagged sample (each solves on its own, so none
+        # is solved again one at a time) builds one rotation stack.
+        calls.clear()
+        stack = PlatformPose(np.tile(pose.position, (5, 1)), np.tile(pose.orientation_deg, (5, 1)))
+        q_stack = solve_platform_ik(stack, cfg.robot, cfg.platform, cfg.limits, check_pivot=True)
+        assert calls == [(5, 3)]
+        assert np.max(np.abs(q_stack - q)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    PlatformPose.home,
+    lambda: PoseSeries(np.zeros((3, 3)), np.zeros((3, 3)), 0.01),
+    lambda: WorkspaceReport(True, pivot_angles_deg=np.zeros(4)),
+    lambda: SimLog(0.01, *(np.zeros((2, 12)) for _ in range(5))),
+    lambda: RmseReport(np.zeros(3), np.zeros(3)),
+    lambda: JointRmse(np.zeros(12)),
+])
+def test_array_dataclasses_compare_without_raising(make):
+    # A dataclass-generated == would compare the array fields as a tuple and
+    # raise on their elementwise truth value.
+    a, b = make(), make()
+    assert isinstance(a == b, bool)
+    assert isinstance(a != b, bool)
+    assert a == a
