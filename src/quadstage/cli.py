@@ -104,7 +104,7 @@ def stage_gen(cfg: Config, run_dir: str) -> list:
 def stage_ik(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     traj_path = _upstream("ik", run_dir, TRAJECTORY_FILE, digest)
-    _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
+    _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
     q = solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits)
     path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     logio.write_joint_targets(path, traj.t, q, digest)
@@ -125,7 +125,7 @@ def stage_post(cfg: Config, run_dir: str) -> list:
     digest = config_hash(cfg)
     traj_path = _upstream("post", run_dir, TRAJECTORY_FILE, digest)
     log_path = _upstream("post", run_dir, SIM_LOG_FILE, digest)
-    _, traj = logio.read_trajectory(traj_path, dt=cfg.trajectory.dt)
+    _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
     _, log = logio.read_log(log_path, dt=cfg.sim.dt)
 
     target = differentiate(traj)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample/control rate preset: hw=1 kHz, sim=240 Hz")
         p.add_argument("--traj", choices=TYPES,
                        help="override trajectory.type from the config")
-        p.add_argument("--dt", type=_timestep, help="override both trajectory and sim timesteps")
+        p.add_argument("--dt", type=_timestep, help="override sim.dt, the one sample clock")
     return parser
 
 
@@ -205,7 +205,7 @@ def effective_config(args) -> Config:
     # One sample clock: --dt, else the --profile rate, else the config's.
     dt = args.dt if args.dt is not None else PROFILES.get(args.profile)
     if dt is not None:
-        cfg.sim.dt = cfg.trajectory.dt = dt
+        cfg.sim.dt = dt
     return loads_config(dumps_config(cfg))
 
 

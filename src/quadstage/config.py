@@ -13,11 +13,12 @@ order.  The annotation picks the parser and formatter (``float``, ``int``,
 strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
 check lives in its dataclass's ``__post_init__``.  ``TrajectoryConfig`` is
 itself the input of the trajectory generators (``trajectory.GENERATORS``
-maps its ``type`` to one) and checks only the selected type's keys.  The
-checks across sections, ``trajectory.dt`` equal to ``sim.dt`` (the whole
-pipeline runs on one sample clock), the filter cutoff below the Nyquist
-rate of ``sim.dt`` and a trajectory long enough to filter but at most
-``MAX_SAMPLES`` long, are in ``Config.__post_init__``.
+maps its ``type`` to one) and checks only the selected type's keys.
+``sim.dt`` is the whole pipeline's one sample clock: the generators sample
+at it, and no other key sets a step.  The checks across sections, the
+filter cutoff below the Nyquist rate of ``sim.dt`` and a trajectory long
+enough to filter but at most ``MAX_SAMPLES`` long at ``sim.dt``, are in
+``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, and malformed lines are rejected with
@@ -42,10 +43,8 @@ from .simenv import ActuatorParams, SimParams
 from .trajectory import (AXES, DIRECTIONS, GENERATORS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES,
                          sample_count)
 
-SIM_RATE_DT = 1.0 / 240.0
-HW_RATE_DT = 1.0 / 1000.0
-# Named control/sample rate presets: profile -> sim.dt and trajectory.dt.
-PROFILES = {"hw": HW_RATE_DT, "sim": SIM_RATE_DT}
+# Named control/sample rate presets: profile -> sim.dt, the run's one clock.
+PROFILES = {"hw": 1.0 / 1000.0, "sim": 1.0 / 240.0}
 # Most samples a trajectory may have: every stage holds whole-run arrays,
 # and this is 100 times the README circle (10001 samples).
 MAX_SAMPLES = 10**6
@@ -213,7 +212,6 @@ class TrajectoryConfig:
     which reads only that type's keys."""
 
     type: str = _choice(*TYPES)
-    dt: float = HW_RATE_DT
     # sine
     run_time: float = 3.0
     wait_time: float = 2.0
@@ -232,8 +230,6 @@ class TrajectoryConfig:
     rounds: int = 20
     circle_frequency: float = 2.0
     direction: str = _choice(*DIRECTIONS)
-    translation_enabled: bool = True
-    rotation_enabled: bool = True
     rotation_mode: str = _choice(*ROTATION_MODES)
     # arbitrary
     waypoints: np.ndarray = field(
@@ -244,7 +240,6 @@ class TrajectoryConfig:
     interp: str = _choice(*INTERP_MODES)
 
     def __post_init__(self):
-        check_positive(self, "dt")
         check_choice("type", self.type, TYPES)
         # Check the selected type's keys now, so that gen cannot fail on
         # them after the run directory exists; the other types' keys may
@@ -279,8 +274,8 @@ class TrajectoryConfig:
             check_choice("interp", self.interp, INTERP_MODES)
 
     def duration(self) -> tuple[str, float]:
-        """(key, seconds): the selected type's duration and the key named
-        when it is out of range."""
+        """(key, seconds): the selected type's duration, which its generator
+        samples, and the key named when it is out of range."""
         if self.type == "sine":
             return "run_time", self.wait_time + self.run_time
         if self.type == "circular":
@@ -318,8 +313,6 @@ class Config:
         return dumps_config(self) == dumps_config(other)
 
     def __post_init__(self):
-        if self.trajectory.dt != self.sim.dt:
-            raise ConfigError("trajectory.dt: must equal sim.dt")
         if self.filter_params.cutoff_hz >= 0.5 / self.sim.dt:
             raise ConfigError("filter.cutoff_hz: must be below the Nyquist rate of sim.dt")
         # post filters the reconstruction (filtfilt pads 3 * order samples)
@@ -336,8 +329,8 @@ class Config:
                               f"at sim.dt, at most {MAX_SAMPLES}")
 
     def build_trajectory(self) -> PoseSeries:
-        """Generate the trajectory described by the [trajectory] block."""
-        return GENERATORS[self.trajectory.type](self.trajectory, self.limits)
+        """Generate the trajectory described by the [trajectory] block at sim.dt."""
+        return GENERATORS[self.trajectory.type](self.trajectory, self.sim.dt, self.limits)
 
 
 # Section name -> (Config attribute, dataclass), in file order.

@@ -1,12 +1,14 @@
 """Target trajectory generators for the stage.
 
 Each generator takes the ``[trajectory]`` section (``config.TrajectoryConfig``),
-which declares, defaults and checks every key, and reads only its own type's
-keys; ``GENERATORS`` maps the section's ``type`` to its generator.  All
-generators return a PoseSeries of N = sample_count(duration, dt) samples,
-sample k at t = k * dt.  When workspace limits are passed, samples falling
-outside the box raise a TrajectoryBoundsWarning but are kept (the caller
-decides what to do).
+which declares, defaults and checks every key, reads only its own type's
+keys, and samples at the step dt it is given (a run passes its one clock,
+``[sim] dt``); ``GENERATORS`` maps the section's ``type`` to its generator.
+All generators return a PoseSeries of N = sample_count(seconds, dt)
+samples, sample k at t = k * dt, where ``seconds`` is the section's
+``duration()``.  When workspace limits are passed, samples falling outside
+the box raise a TrajectoryBoundsWarning but are kept (the caller decides
+what to do).
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ def sample_count(duration: float, dt: float) -> int:
     return int(round(duration / dt)) + 1
 
 
-def _time_grid(duration: float, dt: float) -> np.ndarray:
+def _time_grid(p: TrajectoryConfig, dt: float) -> np.ndarray:
+    # Sample times over the section's duration.
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return np.arange(sample_count(duration, dt)) * dt
+    _, seconds = p.duration()
+    return np.arange(sample_count(seconds, dt)) * dt
 
 
 def _series(dt: float, positions, orientations, limits: WorkspaceLimits | None) -> PoseSeries:
@@ -59,7 +63,7 @@ def _series(dt: float, positions, orientations, limits: WorkspaceLimits | None) 
     return PoseSeries(positions, orientations, dt)
 
 
-def gen_sine(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_sine(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Single-axis sinusoid: home plus offsets during wait_time, then a zero
     phase amplitude * sin(2 pi frequency t) on the selected axis for
     run_time.
@@ -68,7 +72,7 @@ def gen_sine(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> Pose
     degrees); offsets shift the position channels throughout, wait
     included.
     """
-    t = _time_grid(p.wait_time + p.run_time, p.dt)
+    t = _time_grid(p, dt)
     positions = np.tile(np.asarray(p.offsets, dtype=float), (len(t), 1))
     orientations = np.zeros((len(t), 3))
     running = t >= p.wait_time - 1e-12
@@ -79,20 +83,20 @@ def gen_sine(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> Pose
         positions[:, axis] += value
     else:
         orientations[:, axis] = value
-    return _series(p.dt, positions, orientations, limits)
+    return _series(dt, positions, orientations, limits)
 
 
-def gen_step(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_step(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Home pose before step_time, step_target (x y z rx ry rz) from
     step_time on (right-continuous), until total_time."""
-    t = _time_grid(p.total_time, p.dt)
+    t = _time_grid(p, dt)
     after = t >= p.step_time - 1e-12
     positions = np.where(after[:, None], p.step_target[:3], 0.0)
     orientations = np.where(after[:, None], p.step_target[3:], 0.0)
-    return _series(p.dt, positions, orientations, limits)
+    return _series(dt, positions, orientations, limits)
 
 
-def gen_arbitrary(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_arbitrary(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
     """Piecewise interpolation through the waypoints (x y z rx ry rz rows).
 
     segment_times[i] is the duration from waypoint i to i+1.  interp
@@ -101,7 +105,7 @@ def gen_arbitrary(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) ->
     """
     channels = np.atleast_2d(np.asarray(p.waypoints, dtype=float))
     knots = np.concatenate([[0.0], np.cumsum(p.segment_times)])
-    t = _time_grid(knots[-1], p.dt)
+    t = _time_grid(p, dt)
     values = channels  # one waypoint: no segment, one sample
     if len(channels) > 1:  # sample k lies at fraction u[k] of segment j[k]
         j = np.minimum(np.searchsorted(knots, t, side="right") - 1, len(knots) - 2)
@@ -110,33 +114,32 @@ def gen_arbitrary(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) ->
             u = 0.5 * (1.0 - np.cos(np.pi * u))
         values = channels[j] + u[:, None] * (channels[j + 1] - channels[j])
     positions, orientations = values[:, :3], values[:, 3:]
-    return _series(p.dt, positions, orientations, limits)
+    return _series(dt, positions, orientations, limits)
 
 
-def gen_circular(p: TrajectoryConfig, limits: WorkspaceLimits | None = None) -> PoseSeries:
-    """Circle in the x-y plane with optional yaw motion: rounds full circles
-    at circle_frequency, starting at (radius, 0).
+def gen_circular(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
+    """Circle in the x-y plane with yaw motion: rounds full circles at
+    circle_frequency, starting at (radius, 0); radius 0 holds the position
+    at home.
 
     direction 'ccw' runs the phase forward and 'cw' flips its sign.
-    rotation_mode 'oscillate' sweeps yaw as rot_angle_deg * sin(phase);
-    'continuous' spins the yaw through a full turn per round (wrapped to
-    (-180, 180]), ignoring rot_angle_deg.
+    rotation_mode 'oscillate' sweeps yaw as rot_angle_deg * sin(phase), so
+    rot_angle_deg 0 holds the yaw at home; 'continuous' spins the yaw
+    through a full turn per round (wrapped to (-180, 180]), ignoring
+    rot_angle_deg.
     """
-    t = _time_grid(p.rounds / p.circle_frequency, p.dt)
+    t = _time_grid(p, dt)
     sign = 1.0 if p.direction == "ccw" else -1.0
     phase = sign * 2.0 * math.pi * p.circle_frequency * t
     positions = np.zeros((len(t), 3))
+    positions[:, 0] = p.radius * np.cos(phase)
+    positions[:, 1] = p.radius * np.sin(phase)
     orientations = np.zeros((len(t), 3))
-    if p.translation_enabled:
-        positions[:, 0] = p.radius * np.cos(phase)
-        positions[:, 1] = p.radius * np.sin(phase)
-    if p.rotation_enabled:
-        if p.rotation_mode == "oscillate":
-            orientations[:, 2] = p.rot_angle_deg * np.sin(phase)
-        else:
-            wrapped = np.degrees(np.mod(phase + math.pi, 2.0 * math.pi) - math.pi)
-            orientations[:, 2] = wrapped
-    return _series(p.dt, positions, orientations, limits)
+    if p.rotation_mode == "oscillate":
+        orientations[:, 2] = p.rot_angle_deg * np.sin(phase)
+    else:
+        orientations[:, 2] = np.degrees(np.mod(phase + math.pi, 2.0 * math.pi) - math.pi)
+    return _series(dt, positions, orientations, limits)
 
 
 # The section's type -> its generator; the keys are the type's option list.

@@ -56,7 +56,7 @@ def pipeline_dir(tmp_path_factory):
 
 def test_criterion_1_peak_acceleration():
     start = time.perf_counter()
-    traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0))
+    traj = gen_sine(TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0), 1e-3)
     analytic = (2 * math.pi * 10.0) ** 2 * 0.010  # m/s^2
     series = differentiate(traj)
     numeric = np.max(np.abs(series.lin_acc[:, 0])) / 1000.0
@@ -194,8 +194,7 @@ def test_criterion_5_gravity_offset_law():
 def test_criterion_6_saturation_invariants():
     start = time.perf_counter()
     cfg = default_config()
-    traj = gen_sine(TrajectoryConfig(dt=cfg.sim.dt, run_time=2.0, wait_time=0.5, frequency=10.0,
-                                     amplitude=10.0))
+    traj = gen_sine(TrajectoryConfig(run_time=2.0, wait_time=0.5, frequency=10.0, amplitude=10.0), cfg.sim.dt)
     log = run_sim(solve_trajectory(cfg, traj), cfg.sim, cfg.actuator, cfg.robot)
     peak_tau = float(np.max(np.abs(log.tau)))
     peak_current = float(np.max(np.abs(log.current)))
@@ -248,8 +247,9 @@ def test_criterion_7_filter_response():
 def test_criterion_8_circular_closure():
     start = time.perf_counter()
     traj = gen_circular(
-        TrajectoryConfig(type="circular", dt=1e-3, radius=20.0, rot_angle_deg=10.0, rounds=20,
-                         circle_frequency=2.0, direction="cw")
+        TrajectoryConfig(type="circular", radius=20.0, rot_angle_deg=10.0, rounds=20, circle_frequency=2.0,
+                         direction="cw"),
+        1e-3,
     )
     pos_gap = float(np.max(np.abs(traj.position[-1] - traj.position[0])))
     rot_gap = float(np.max(np.abs(traj.orientation_deg[-1] - traj.orientation_deg[0])))

@@ -121,12 +121,16 @@ class TestPipeline:
             f"at most {MAX_SAMPLES}\n")
         assert not (runs_root / "long").exists()
 
-    def test_mismatched_sample_clocks_rejected(self, runs_root, tmp_path, capsys):
-        path = tmp_path / "clocks.cfg"
-        path.write_text(FAST_CFG + "\n[sim]\ndt = 0.002\n")
-        assert run_cli("all", "--config", str(path), "--run-id", "clocks") == 2
-        assert "config error: trajectory.dt: must equal sim.dt" in capsys.readouterr().err
-        assert not (runs_root / "clocks").exists()
+    def test_removed_trajectory_keys_rejected(self, runs_root, tmp_path, capsys):
+        # [sim] dt is the one clock, radius = 0 holds the circle's position
+        # and rot_angle_deg = 0 its oscillating yaw: these keys are gone.
+        path = tmp_path / "old.cfg"
+        for line in ("dt = 0.001", "translation_enabled = false", "rotation_enabled = true"):
+            path.write_text(FAST_CFG + line + "\n")
+            assert run_cli("all", "--config", str(path), "--run-id", "old") == 2
+            key = line.split(" = ")[0]
+            assert capsys.readouterr().err == f"config error: line 8: unknown key trajectory.{key}\n"
+            assert not (runs_root / "old").exists()
 
     def test_generator_parameters_checked_before_run_dir(self, runs_root, tmp_path, capsys):
         path = tmp_path / "freq.cfg"
@@ -177,7 +181,7 @@ class TestPipeline:
         assert "config error" in capsys.readouterr().err
 
     def test_profile_flag_changes_rates(self, runs_root, fast_config):
-        # --dt takes precedence over --profile, and one value sets both clocks.
+        # --dt takes precedence over --profile, and sets the one clock.
         for flags, dt in ((("--profile", "sim"), 1.0 / 240.0),
                           (("--profile", "sim", "--dt", "0.002"), 0.002)):
             assert run_cli("all", "--config", fast_config, "--run-id", "clock", *flags) == 0
@@ -187,7 +191,7 @@ class TestPipeline:
                     section = line
                 elif line.startswith("dt = "):
                     clocks[section] = line
-            assert clocks == {"[sim]": f"dt = {dt!r}", "[trajectory]": f"dt = {dt!r}"}
+            assert clocks == {"[sim]": f"dt = {dt!r}"}
 
     @pytest.mark.parametrize("flags", [("--profile", "sim"), ("--dt", "0.000333333333333")])
     def test_non_decimal_rate_runs_end_to_end(self, runs_root, fast_config, flags):

@@ -2,13 +2,14 @@ import dataclasses
 import os
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadstage.cli import build_parser, effective_config
+from quadstage.cli import build_parser, effective_config, main
 from quadstage.config import (
     MAX_SAMPLES,
     Config,
@@ -25,6 +26,7 @@ from quadstage.config import (
 )
 from quadstage.kinematics import LEG_NAMES, LegGeometry
 from quadstage.logio import (
+    FLOAT_FORMAT,
     JOINT_TARGET_COLUMNS,
     SIM_LOG_COLUMNS,
     LogFormatError,
@@ -36,7 +38,7 @@ from quadstage.logio import (
     write_trajectory,
 )
 from quadstage.simenv import SimLog
-from quadstage.trajectory import gen_sine, sample_count
+from quadstage.trajectory import TrajectoryBoundsWarning, gen_sine, sample_count
 
 MINIMAL = """
 [robot]
@@ -99,7 +101,6 @@ zero_phase = true
 
 [trajectory]
 type = sine
-dt = 0.001
 run_time = 3.0
 wait_time = 2.0
 motion = translation
@@ -115,8 +116,6 @@ rot_angle_deg = 10.0
 rounds = 20
 circle_frequency = 2.0
 direction = cw
-translation_enabled = true
-rotation_enabled = true
 rotation_mode = oscillate
 waypoints = 0.0 0.0 0.0 0.0 0.0 0.0
 segment_times =\x20
@@ -159,10 +158,8 @@ POSITIVE = st.floats(1e-3, 1e4)
 
 
 def _value(name, default, sim_dt):
-    """Strategy for a valid value of one config key, chosen by its default;
-    once the sim dt is drawn, the trajectory dt equals it."""
-    if name == "dt" and sim_dt is not None:
-        return st.just(sim_dt)
+    """Strategy for a valid value of one config key, chosen by its default
+    and, for the filter cutoff, the drawn sim dt."""
     if name == "cutoff_hz":
         return st.floats(1e-3, 0.49 / sim_dt)
     if name in ("kp", "kd"):
@@ -264,8 +261,8 @@ class TestConfig:
     def test_default_snapshot_is_pinned(self):
         cfg = default_config()
         assert dumps_config(cfg) == DEFAULT_SNAPSHOT
-        assert config_hash(cfg) == "a47327923402679d"
-        assert config_hash(loads_config(README_OVERRIDE)) == "227ec69fd4c2f9b3"
+        assert config_hash(cfg) == "3a9ae20b623a074f"
+        assert config_hash(loads_config(README_OVERRIDE)) == "7ba5695e198926e2"
 
     @settings(max_examples=60, deadline=None)
     @given(configs())
@@ -274,6 +271,17 @@ class TestConfig:
         back = loads_config(text)
         assert dumps_config(back) == text
         assert config_hash(back) == config_hash(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs())
+    def test_trajectory_lasts_its_duration(self, cfg):
+        # Each generator samples the seconds that duration() gives, the
+        # figure the load-time sample-count checks use.
+        _, seconds = cfg.trajectory.duration()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryBoundsWarning)
+            traj = cfg.build_trajectory()
+        assert len(traj) == sample_count(seconds, cfg.sim.dt)
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -290,7 +298,7 @@ class TestConfig:
             ("sim", "payload_mass", "-0.1"),
             ("filter", "order", "3"),
             ("filter", "cutoff_hz", "600"),
-            ("trajectory", "dt", "-0.001"),
+            ("trajectory", "frequency", "-1"),
             ("trajectory", "axis", "w"),
             ("postprocess", "z_offset_mode", "body"),
         ],
@@ -392,7 +400,7 @@ class TestConfig:
         cfg = loads_config(at_bound)
         assert sample_count(cfg.trajectory.run_time, cfg.sim.dt) == MAX_SAMPLES
         for body, samples in ((f"run_time = {MAX_SAMPLES / 1000}\nwait_time = 0", MAX_SAMPLES + 1),
-                              ("dt = 5e-324\n[sim]\ndt = 5e-324", "inf")):
+                              ("[sim]\ndt = 5e-324", "inf")):
             with pytest.raises(ConfigError, match=rf"^trajectory\.run_time: too long: sample count {samples} "
                                                   rf"at sim\.dt, at most {MAX_SAMPLES}$"):
                 loads_config(f"[trajectory]\n{body}\n")
@@ -411,9 +419,15 @@ class TestConfig:
         cfg = loads_config("[trajectory]\nstep_time = 5\ntotal_time = 4\nsegment_times = -1 2\n")
         assert cfg.trajectory.step_time == 5.0
 
-    def test_one_sample_clock(self):
-        with pytest.raises(ConfigError, match=r"^trajectory\.dt: must equal sim\.dt$"):
-            loads_config("[sim]\ndt = 0.002\n")
+    def test_one_sample_clock(self, tmp_path):
+        # [sim] dt alone sets the step of every stage: the 5 s built-in sine
+        # runs end to end, and the sim_log.csv t column is k * dt.
+        path = tmp_path / "clock.cfg"
+        path.write_text("[sim]\ndt = 0.002\n")
+        assert main(["all", "--config", str(path), "--run-id", "clock", "--runs-root", str(tmp_path)]) == 0
+        _, _, data = read_table(tmp_path / "clock" / "sim_log.csv", "sim_log", SIM_LOG_COLUMNS)
+        t = np.arange(2501) * 0.002
+        assert np.array_equal(data[:, 0], [float(format(v, FLOAT_FORMAT)) for v in t])
 
     def test_hash_tracks_content(self):
         cfg = default_config()
@@ -422,16 +436,16 @@ class TestConfig:
         assert config_hash(cfg) != base
 
     def test_profiles_set_rates(self):
-        # --dt, else the --profile rate, else the config's, for both clocks.
-        def rates(*flags):
-            cfg = effective_config(build_parser().parse_args(["gen", *flags]))
-            return cfg.sim.dt, cfg.trajectory.dt
+        # --dt, else the --profile rate, else the config's sets sim.dt,
+        # the one clock.
+        def rate(*flags):
+            return effective_config(build_parser().parse_args(["gen", *flags])).sim.dt
 
-        assert rates("--profile", "sim") == (1.0 / 240.0, 1.0 / 240.0)
-        assert rates("--profile", "hw") == (1e-3, 1e-3)
-        assert rates("--profile", "sim", "--dt", "0.002") == (0.002, 0.002)
-        assert rates("--dt", "0.002") == (0.002, 0.002)
-        assert rates() == (1e-3, 1e-3)
+        assert rate("--profile", "sim") == 1.0 / 240.0
+        assert rate("--profile", "hw") == 1e-3
+        assert rate("--profile", "sim", "--dt", "0.002") == 0.002
+        assert rate("--dt", "0.002") == 0.002
+        assert rate() == 1e-3
 
     @settings(max_examples=30, deadline=None)
     @given(configs())
@@ -507,8 +521,7 @@ def _changed(value):
 
 
 def _other(name, value):
-    """A different value for config key `name` that its own section accepts
-    (a changed dt is off the other section's, which only Config checks)."""
+    """A different value for config key `name` that its own section accepts."""
     if name in CHOICES:
         return next(choice for choice in CHOICES[name] if choice != value)
     if isinstance(value, bool):
@@ -622,7 +635,7 @@ class TestTables:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
-        traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=0.1, wait_time=0.0, frequency=5.0, amplitude=1.0))
+        traj = gen_sine(TrajectoryConfig(run_time=0.1, wait_time=0.0, frequency=5.0, amplitude=1.0), 1e-3)
         write_trajectory(path, traj, "e" * 16)
         with pytest.raises(LogFormatError, match="expected a 'sim_log'"):
             read_log(path, dt=1e-3)
@@ -634,8 +647,7 @@ class TestTables:
             read_table(path, "plot")
 
     def test_trajectory_round_trip(self, tmp_path):
-        traj = gen_sine(TrajectoryConfig(dt=1e-3, run_time=0.25, wait_time=0.1, frequency=4.0,
-                                         amplitude=12.0))
+        traj = gen_sine(TrajectoryConfig(run_time=0.25, wait_time=0.1, frequency=4.0, amplitude=12.0), 1e-3)
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj, "f" * 16)
         _, back = read_trajectory(path, dt=1e-3)
@@ -645,7 +657,7 @@ class TestTables:
 
     def test_time_column_checked_against_dt(self, tmp_path):
         dt = 1.0 / 240.0
-        traj = gen_sine(TrajectoryConfig(dt=dt, run_time=0.2, wait_time=0.1, frequency=4.0, amplitude=12.0))
+        traj = gen_sine(TrajectoryConfig(run_time=0.2, wait_time=0.1, frequency=4.0, amplitude=12.0), dt)
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj, "f" * 16)
         _, back = read_trajectory(path, dt=dt)

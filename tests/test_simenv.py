@@ -23,7 +23,7 @@ def home_targets(cfg, n):
 
 
 def sine_targets(cfg, params):
-    traj = gen_sine(params)
+    traj = gen_sine(params, cfg.sim.dt)
     q = np.empty((len(traj), 12))
     for k in range(len(traj)):
         q[k] = solve_platform_ik(traj.pose(k), cfg.robot, cfg.platform)
@@ -183,8 +183,8 @@ class TestRunSim:
         assert np.max(np.abs(log.q - targets)) < band
 
     def test_log_shape_and_determinism(self, cfg):
-        targets = sine_targets(cfg, TrajectoryConfig(dt=cfg.sim.dt, run_time=0.5, wait_time=0.1,
-                                                     frequency=2.0, amplitude=20.0))
+        targets = sine_targets(cfg, TrajectoryConfig(run_time=0.5, wait_time=0.1, frequency=2.0,
+                                                     amplitude=20.0))
         log1 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         log2 = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert len(log1) == len(targets)
@@ -193,16 +193,16 @@ class TestRunSim:
             assert np.array_equal(getattr(log1, name), getattr(log2, name))
 
     def test_tracking_with_lag_and_finite_rmse(self, cfg):
-        targets = sine_targets(cfg, TrajectoryConfig(dt=cfg.sim.dt, run_time=1.5, wait_time=0.2,
-                                                     frequency=2.0, amplitude=20.0))
+        targets = sine_targets(cfg, TrajectoryConfig(run_time=1.5, wait_time=0.2, frequency=2.0,
+                                                     amplitude=20.0))
         log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         rmse = np.sqrt(np.mean((log.q_target - log.q) ** 2))
         assert 0.0 < rmse < 0.2
         assert np.all(np.isfinite(log.q))
 
     def test_clamp_invariants(self, cfg):
-        targets = sine_targets(cfg, TrajectoryConfig(dt=cfg.sim.dt, run_time=1.0, wait_time=0.2,
-                                                     frequency=10.0, amplitude=10.0))
+        targets = sine_targets(cfg, TrajectoryConfig(run_time=1.0, wait_time=0.2, frequency=10.0,
+                                                     amplitude=10.0))
         log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert np.max(np.abs(log.tau)) <= cfg.actuator.tau_max + 1e-12
         assert np.max(np.abs(log.current)) <= cfg.actuator.i_max + 1e-12

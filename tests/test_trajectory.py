@@ -16,11 +16,6 @@ from quadstage.trajectory import (
 DT = 1e-3
 
 
-def section(**keys):
-    """The [trajectory] section at DT with the given keys."""
-    return TrajectoryConfig(dt=DT, **keys)
-
-
 def rows(poses):
     """PlatformPoses as x y z rx ry rz rows."""
     return np.array([np.concatenate([p.position, p.orientation_deg]) for p in poses])
@@ -48,8 +43,9 @@ def arbitrary_by_loop(channels, segment_times, t, mode):
 
 class TestSine:
     def test_wait_holds_home_plus_offsets(self):
-        params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0, offsets=[1.0, 2.0, 3.0])
-        traj = gen_sine(params)
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0,
+                                  offsets=[1.0, 2.0, 3.0])
+        traj = gen_sine(params, DT)
         wait = traj.t < 0.5 - 1e-12
         assert np.allclose(traj.position[wait], [1.0, 2.0, 3.0], atol=1e-12)
         assert np.allclose(traj.position[0], [1.0, 2.0, 3.0], atol=1e-15)
@@ -57,15 +53,15 @@ class TestSine:
 
     def test_quarter_period_peak(self):
         # sin(2 pi * 2 Hz * 0.125 s) = sin(pi/2) = 1.
-        params = section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0)
-        traj = gen_sine(params)
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=20.0)
+        traj = gen_sine(params, DT)
         k = int(round((0.5 + 0.125) / DT))
         assert traj.position[k, 0] == pytest.approx(20.0, abs=1e-9)
 
     def test_rotation_axis(self):
-        params = section(run_time=1.0, wait_time=0.0, motion="rotation", axis="y", frequency=2.0,
-                         amplitude=10.0)
-        traj = gen_sine(params)
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.0, motion="rotation", axis="y", frequency=2.0,
+                                  amplitude=10.0)
+        traj = gen_sine(params, DT)
         k = int(round(0.125 / DT))
         assert traj.orientation_deg[k, 1] == pytest.approx(10.0, abs=1e-9)
         assert np.allclose(traj.position, 0.0)
@@ -73,46 +69,48 @@ class TestSine:
     def test_peak_acceleration_ten_hz(self):
         # Analytic peak acceleration (2 pi f)^2 A for f=10 Hz, A=10 mm is
         # 39.478 m/s^2, just over 4 g.
-        params = section(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0)
-        traj = gen_sine(params)
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=10.0, amplitude=10.0)
+        traj = gen_sine(params, DT)
         acc = np.gradient(np.gradient(traj.position[:, 0], DT), DT) / 1000.0
         peak = (2 * math.pi * 10.0) ** 2 * 0.010
         assert np.max(np.abs(acc)) == pytest.approx(peak, rel=2e-3)
 
     def test_zero_amplitude_equals_home_step(self):
-        sine = gen_sine(section(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=0.0))
-        step = gen_step(section(type="step", step_target=np.zeros(6), step_time=0.5, total_time=1.5))
+        sine = gen_sine(TrajectoryConfig(run_time=1.0, wait_time=0.5, frequency=2.0, amplitude=0.0), DT)
+        step = gen_step(TrajectoryConfig(type="step", step_target=np.zeros(6), step_time=0.5,
+                                         total_time=1.5), DT)
         assert np.array_equal(sine.position, step.position)
         assert np.array_equal(sine.orientation_deg, step.orientation_deg)
 
     def test_uniform_timestamps(self):
-        traj = gen_sine(section(run_time=0.37, wait_time=0.21, frequency=3.0, amplitude=5.0))
+        traj = gen_sine(TrajectoryConfig(run_time=0.37, wait_time=0.21, frequency=3.0, amplitude=5.0), DT)
         assert all_timestamps_uniform(traj)
 
     def test_workspace_warning(self):
         limits = WorkspaceLimits()
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=300.0)
         with pytest.warns(TrajectoryBoundsWarning):
-            gen_sine(section(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=300.0), limits)
+            gen_sine(params, DT, limits)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gen_sine(section(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=20.0), limits)
+            gen_sine(TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=20.0), DT, limits)
 
     def test_nan_parameters_rejected(self):
         with pytest.raises(ValueError, match="^frequency: must be positive$"):
-            section(run_time=1.0, wait_time=0.0, frequency=float("nan"))
-        # The section is mutable: a dt set after construction is checked by the generator.
-        params = section(run_time=1.0, wait_time=0.0)
-        params.dt = float("nan")
+            TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=float("nan"))
+        # The step is an argument, so the generator checks it.
+        params = TrajectoryConfig(run_time=1.0, wait_time=0.0)
         with pytest.raises(ValueError, match="^dt must be positive$"):
-            gen_sine(params)
+            gen_sine(params, float("nan"))
 
 
 class TestStep:
     def test_pre_and_post_step(self):
         target = PlatformPose([5.0, -4.0, 3.0], [1.0, 2.0, -3.0])
-        traj = gen_step(section(type="step", step_target=rows([target])[0], step_time=1.0, total_time=2.0))
+        traj = gen_step(TrajectoryConfig(type="step", step_target=rows([target])[0], step_time=1.0,
+                                         total_time=2.0), DT)
         k = int(round(1.0 / DT))
         assert np.allclose(traj.position[k - 1], 0.0)
         assert np.allclose(traj.orientation_deg[k - 1], 0.0)
@@ -121,28 +119,30 @@ class TestStep:
 
     def test_bad_step_time(self):
         with pytest.raises(ValueError):
-            gen_step(section(type="step", step_target=np.zeros(6), step_time=3.0, total_time=2.0))
+            gen_step(TrajectoryConfig(type="step", step_target=np.zeros(6), step_time=3.0, total_time=2.0),
+                     DT)
 
 
 class TestArbitrary:
     def test_single_waypoint_constant(self):
         pose = PlatformPose([7.0, 0.0, 0.0], [0.0, 5.0, 0.0])
-        traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([pose]), segment_times=[]))
+        traj = gen_arbitrary(TrajectoryConfig(type="arbitrary", waypoints=rows([pose]), segment_times=[]), DT)
         assert len(traj) == 1
         assert np.allclose(traj.position[0], pose.position)
 
     def test_linear_midpoint(self):
         a = PlatformPose.home()
         b = PlatformPose([10.0, 0.0, 0.0], np.zeros(3))
-        traj = gen_arbitrary(section(type="arbitrary", waypoints=rows([a, b]), segment_times=[1.0]))
+        params = TrajectoryConfig(type="arbitrary", waypoints=rows([a, b]), segment_times=[1.0])
+        traj = gen_arbitrary(params, DT)
         k = int(round(0.5 / DT))
         assert traj.position[k, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_sample_count(self):
         a, b, c = PlatformPose.home(), PlatformPose([1, 0, 0], np.zeros(3)), PlatformPose.home()
         segment_times = [0.8, 1.3]
-        params = section(type="arbitrary", waypoints=rows([a, b, c]), segment_times=segment_times)
-        traj = gen_arbitrary(params)
+        params = TrajectoryConfig(type="arbitrary", waypoints=rows([a, b, c]), segment_times=segment_times)
+        traj = gen_arbitrary(params, DT)
         assert len(traj) == round(sum(segment_times) / DT) + 1
 
     def test_hits_every_waypoint(self):
@@ -152,8 +152,8 @@ class TestArbitrary:
             PlatformPose([-4, 2, 0], [0, 0, 5]),
         ]
         for mode in ("linear", "cosine"):
-            traj = gen_arbitrary(section(type="arbitrary", waypoints=rows(poses), segment_times=[0.5, 0.75],
-                                         interp=mode))
+            traj = gen_arbitrary(TrajectoryConfig(type="arbitrary", waypoints=rows(poses),
+                                                  segment_times=[0.5, 0.75], interp=mode), DT)
             for knot, pose in zip((0.0, 0.5, 1.25), poses):
                 k = int(round(knot / DT))
                 assert np.max(np.abs(traj.position[k] - pose.position)) < 1e-9
@@ -162,7 +162,8 @@ class TestArbitrary:
     def test_mismatched_lengths(self):
         home = PlatformPose.home()
         with pytest.raises(ValueError):
-            gen_arbitrary(section(type="arbitrary", waypoints=rows([home, home]), segment_times=[1.0, 2.0]))
+            gen_arbitrary(TrajectoryConfig(type="arbitrary", waypoints=rows([home, home]),
+                                           segment_times=[1.0, 2.0]), DT)
 
     @pytest.mark.parametrize("mode", ["linear", "cosine"])
     def test_matches_per_sample_loop(self, mode, rng):
@@ -170,8 +171,9 @@ class TestArbitrary:
         # knot: cosine easing may differ from math.cos by its last bit.
         waypoints = rng.uniform(-20.0, 20.0, (6, 6))
         segment_times = [0.2573, 0.5, 0.1237, 0.3, 0.0105]
-        traj = gen_arbitrary(section(type="arbitrary", waypoints=waypoints, segment_times=segment_times,
-                                     interp=mode))
+        params = TrajectoryConfig(type="arbitrary", waypoints=waypoints, segment_times=segment_times,
+                                  interp=mode)
+        traj = gen_arbitrary(params, DT)
         expected = arbitrary_by_loop(waypoints, segment_times, traj.t, mode)
         values = np.column_stack([traj.position, traj.orientation_deg])
         if mode == "linear":
@@ -180,57 +182,57 @@ class TestArbitrary:
             assert np.all(np.abs(values - expected) <= np.spacing(np.abs(expected)))
 
 
+def circle(**keys):
+    """The circular trajectory at DT with the given [trajectory] keys."""
+    return gen_circular(TrajectoryConfig(type="circular", **keys), DT)
+
+
 class TestCircular:
     def test_starts_at_radius_offset(self):
-        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
-                                    circle_frequency=2.0, direction="ccw"))
+        traj = circle(radius=50.0, rot_angle_deg=0.0, rounds=1, circle_frequency=2.0, direction="ccw")
         assert np.allclose(traj.position[0], [50.0, 0.0, 0.0], atol=1e-12)
 
     def test_ccw_quarter_turn(self):
-        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
-                                    circle_frequency=2.0, direction="ccw"))
+        traj = circle(radius=50.0, rot_angle_deg=0.0, rounds=1, circle_frequency=2.0, direction="ccw")
         k = int(round(0.125 / DT))  # quarter of the 0.5 s period
         assert np.allclose(traj.position[k], [0.0, 50.0, 0.0], atol=1e-9)
 
     def test_cw_flips_phase(self):
-        traj = gen_circular(section(type="circular", radius=50.0, rot_angle_deg=0.0, rounds=1,
-                                    circle_frequency=2.0, direction="cw"))
+        traj = circle(radius=50.0, rot_angle_deg=0.0, rounds=1, circle_frequency=2.0, direction="cw")
         k = int(round(0.125 / DT))
         assert np.allclose(traj.position[k], [0.0, -50.0, 0.0], atol=1e-9)
 
     def test_twenty_rounds_duration_and_closure(self):
-        params = section(type="circular", radius=20.0, rot_angle_deg=10.0, rounds=20, circle_frequency=2.0,
-                         direction="cw")
-        traj = gen_circular(params)
+        traj = circle(radius=20.0, rot_angle_deg=10.0, rounds=20, circle_frequency=2.0, direction="cw")
         assert traj.duration == pytest.approx(10.0, abs=1e-12)
         assert np.max(np.abs(traj.position[-1] - traj.position[0])) < 1e-9
         assert np.max(np.abs(traj.orientation_deg[-1] - traj.orientation_deg[0])) < 1e-9
 
     def test_oscillating_rotation_peak(self):
-        params = section(type="circular", radius=0.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
-                         direction="ccw", translation_enabled=False)
-        traj = gen_circular(params)
+        traj = circle(radius=0.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0, direction="ccw")
         k = int(round(0.125 / DT))
         assert traj.orientation_deg[k, 2] == pytest.approx(10.0, abs=1e-9)
 
     def test_continuous_rotation_closure(self):
-        params = section(type="circular", radius=0.0, rot_angle_deg=0.0, rounds=3, circle_frequency=1.0,
-                         direction="ccw", translation_enabled=False, rotation_mode="continuous")
-        traj = gen_circular(params)
+        traj = circle(radius=0.0, rot_angle_deg=0.0, rounds=3, circle_frequency=1.0, direction="ccw",
+                      rotation_mode="continuous")
         assert abs(traj.orientation_deg[-1, 2] - traj.orientation_deg[0, 2]) < 1e-9
 
     def test_disabled_channels_stay_home(self):
-        params = section(type="circular", radius=50.0, rot_angle_deg=10.0, rounds=1, circle_frequency=2.0,
-                         direction="ccw", translation_enabled=False, rotation_enabled=False)
-        traj = gen_circular(params)
-        assert np.allclose(traj.position, 0.0)
-        assert np.allclose(traj.orientation_deg, 0.0)
+        # radius 0 holds the position at home in either rotation_mode;
+        # rot_angle_deg 0 holds the yaw there when it oscillates, while the
+        # continuous spin ignores it.  Some zeros are -0.0: compare with ==.
+        for mode in ("oscillate", "continuous"):
+            traj = circle(radius=0.0, rot_angle_deg=0.0, rounds=1, circle_frequency=2.0, direction="ccw",
+                          rotation_mode=mode)
+            assert np.all(traj.position == 0.0)
+            assert np.all(traj.orientation_deg[:, :2] == 0.0)
+            assert np.all(traj.orientation_deg[:, 2] == 0.0) == (mode == "oscillate")
 
     def test_nan_radius_rejected(self):
         with pytest.raises(ValueError, match="^radius: must be >= 0$"):
-            section(type="circular", radius=float("nan"))
+            TrajectoryConfig(type="circular", radius=float("nan"))
 
     def test_uniform_timestamps(self):
-        traj = gen_circular(section(type="circular", radius=10.0, rot_angle_deg=0.0, rounds=2,
-                                    circle_frequency=3.0, direction="ccw"))
+        traj = circle(radius=10.0, rot_angle_deg=0.0, rounds=2, circle_frequency=3.0, direction="ccw")
         assert all_timestamps_uniform(traj)
