@@ -167,6 +167,14 @@ def _timestep(text: str) -> float:
     return dt
 
 
+def _run_id(text: str) -> str:
+    """--run-id: one directory name, so the run stays inside the runs root."""
+    if text in ("", ".", "..") or any(sep and sep in text for sep in (os.sep, os.altsep)):
+        raise argparse.ArgumentTypeError(
+            f"expected one directory name, not empty, '.', '..' or a path, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadstage",
@@ -182,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="config file (defaults to the built-in configuration)")
-        p.add_argument("--run-id", default="default", help="run directory name")
+        p.add_argument("--run-id", type=_run_id, default="default",
+                       help="run directory name, inside the runs root")
         p.add_argument(
             "--runs-root",
             default=None,

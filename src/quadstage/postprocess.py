@@ -9,12 +9,16 @@ triad against its nominal counterpart gives the orientation.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import align_vectors, cross, line_closest_midpoint, rotation_to_euler
-from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, check_positive, leg_fk
+from .geometry import (DEGENERACY_EPS, GIMBAL_LOCK_EPS_DEG, DegenerateInputError, GimbalLockWarning,
+                       ParallelLinesError, _check, align_vectors, cross, line_closest_midpoint,
+                       rotation_to_euler)
+from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, _leg_fk_core, check_positive, leg_fk
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
@@ -111,26 +115,6 @@ def _triad(points) -> np.ndarray:
     return np.stack([x_axis, y_axis, cross(x_axis, y_axis)], axis=-2)
 
 
-def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str):
-    # Position (..., 3) and Euler angles (..., 3) over the leading axes of
-    # q (..., 12): one call per leg to leg_fk and one per batch to each
-    # geometry function, so a stack is reconstructed in a single pass.
-    if z_offset_mode not in Z_OFFSET_MODES:
-        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
-    feet = np.stack([leg_fk(q[..., 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
-                    axis=-2)
-    fl, fr, bl, br = np.moveaxis(feet, -2, 0)
-    center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
-    # align_vectors unit-normalizes both triads itself.
-    rotation = align_vectors(_triad(platform.corner_offsets), _triad(feet))
-    if z_offset_mode == Z_OFFSET_PLATFORM:
-        offset_dir = rotation[..., 2]  # R @ z_hat
-    else:
-        offset_dir = np.array([0.0, 0.0, 1.0])
-    center = center_corners + platform.z_offset * offset_dir
-    return center - platform.home_center, rotation_to_euler(rotation)
-
-
 def reconstruct_pose(
     q,
     robot,
@@ -146,13 +130,108 @@ def reconstruct_pose(
     for any attainable pose).  Orientation aligns the nominal corner triad
     (FL->BL, FL->FR, and their cross product) onto the measured one.
 
-    This is the single-sample case of reconstruct_series: both run the
-    same code.
+    One pose runs on Python floats, several times faster than the array
+    pass of reconstruct_series on a single row: the same formulas in the
+    same order, with numpy only for the 3x3 Kabsch SVD and its
+    determinant-sign correction.  It gives reconstruct_series' row to
+    float round-off and raises the same errors, without a sample index.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (NUM_JOINTS,):
         raise ValueError(f"q must be ({NUM_JOINTS},), got {q.shape}")
-    return PlatformPose(*_reconstruct(q, robot, platform, z_offset_mode))
+    return PlatformPose(*_reconstruct_floats(q.tolist(), robot, platform, z_offset_mode))
+
+
+def _sub(a, b) -> list:
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _det(m) -> float:
+    # Determinant of a 3x3 matrix given as rows.
+    return _dot(m[0], _cross(m[1], m[2]))
+
+
+def _reconstruct_floats(q: list, robot, platform: PlatformGeometry, z_offset_mode: str):
+    # reconstruct_pose on the twelve joint angles as floats: position and
+    # Euler angles as lists, through reconstruct_series' checks and order
+    # of operations (leg_fk, line_closest_midpoint, align_vectors and
+    # rotation_to_euler written out on 3-vectors).
+    if not all(map(math.isfinite, q)):
+        raise ValueError("q must be finite")
+    if z_offset_mode not in Z_OFFSET_MODES:
+        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
+    feet = []
+    for i, geom in enumerate(robot):
+        foot = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, math)
+        feet.append([f + h for f, h in zip(foot, geom.hip_mount.tolist())])
+    fl, fr, bl, br = feet
+    # line_closest_midpoint(fl, br - fl, fr, bl - fr)
+    d1, d2 = _sub(br, fl), _sub(bl, fr)
+    n1, n2 = math.sqrt(_dot(d1, d1)), math.sqrt(_dot(d2, d2))
+    if n1 < DEGENERACY_EPS or n2 < DEGENERACY_EPS:
+        raise ValueError("line direction must be nonzero")
+    u1, u2 = [c / n1 for c in d1], [c / n2 for c in d2]
+    n = _cross(u1, u2)
+    nn = _dot(n, n)
+    if math.sqrt(nn) < DEGENERACY_EPS:
+        raise ParallelLinesError("line directions are parallel")
+    r = _sub(fr, fl)
+    t1, t2 = _dot(r, _cross(u2, n)) / nn, _dot(r, _cross(u1, n)) / nn
+    center = [0.5 * ((a + t1 * b) + (c + t2 * d)) for a, b, c, d in zip(fl, u1, fr, u2)]
+    # align_vectors(_triad(corner_offsets), _triad(feet))
+    triads = []
+    for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet):
+        x_axis, y_axis = _sub(c_bl, c_fl), _sub(c_fr, c_fl)
+        triads.append([x_axis, y_axis, _cross(x_axis, y_axis)])
+    norms = [[math.sqrt(_dot(v, v)) for v in triad] for triad in triads]
+    if min(norms[0] + norms[1]) < DEGENERACY_EPS:
+        raise DegenerateInputError("zero-length vector in input set")
+    s, t = ([[c / nv for c in v] for v, nv in zip(triad, nt)] for triad, nt in zip(triads, norms))
+    h = [[s[0][i] * t[0][j] + s[1][i] * t[1][j] + s[2][i] * t[2][j] for j in range(3)]
+         for i in range(3)]
+    u, sing, vt = np.linalg.svd(h)
+    sing = sing.tolist()
+    if sing[1] <= DEGENERACY_EPS * max(sing[0], 1.0):
+        raise DegenerateInputError("vector set is collinear; rotation is not unique")
+    v, u_t = vt.T, u.T
+    rotation = (v @ u_t).tolist()
+    if _det(rotation) < 0.0:  # R = V diag(1, 1, -1) U^T, as align_vectors
+        v[:, 2] *= -1.0
+        rotation = (v @ u_t).tolist()
+    if z_offset_mode == Z_OFFSET_PLATFORM:
+        offset_dir = [row[2] for row in rotation]  # R @ z_hat
+    else:
+        offset_dir = [0.0, 0.0, 1.0]
+    position = [c + platform.z_offset * d - home for c, d, home in
+                zip(center, offset_dir, platform.home_center.tolist())]
+    return position, _euler_floats(rotation)
+
+
+def _euler_floats(r) -> list:
+    # rotation_to_euler on one rotation given as nested float lists, with
+    # its 1e-6 rotation check and gimbal-lock warning (no sample index).
+    columns = list(zip(*r))
+    gram = [_dot(columns[i], columns[j]) - (i == j) for i in range(3) for j in range(3)]
+    if not (all(abs(g) <= 1e-6 for g in gram) and abs(_det(r) - 1.0) <= 1e-6):
+        raise ValueError("input is not a rotation matrix (orthonormality/det check failed)")
+    sy = min(1.0, max(-1.0, r[0][2]))
+    ry = math.asin(sy)
+    if 90.0 - math.degrees(abs(ry)) < GIMBAL_LOCK_EPS_DEG:
+        warnings.warn("pitch at +/-90 deg: roll/yaw are not separable, reporting yaw = 0",
+                      GimbalLockWarning, stacklevel=2)
+        combined = math.atan2(r[1][0], r[1][1])
+        rx, rz = (combined if sy > 0 else -combined), 0.0
+    else:
+        rx, rz = math.atan2(-r[1][2], r[2][2]), math.atan2(-r[0][1], r[0][0])
+    return [math.degrees(rx), math.degrees(ry), math.degrees(rz)]
 
 
 def reconstruct_series(
@@ -164,17 +243,32 @@ def reconstruct_series(
 ) -> PoseSeries:
     """reconstruct_pose applied to every row of an (N, 12) joint log.
 
-    The whole log is reconstructed in one array pass.  A failing check
-    (ValueError for a zero diagonal, ParallelLinesError,
+    The whole log is reconstructed in one array pass: one call per leg to
+    leg_fk and one to each geometry function.  A failing check (ValueError
+    for a non-finite row or a zero diagonal, ParallelLinesError,
     DegenerateInputError, a non-rotation) raises the same exception type
-    as reconstruct_pose, with the first offending sample index in its
-    message; a GimbalLockWarning is issued once and names the first
-    locked sample.
+    and message as reconstruct_pose, with the first offending sample index
+    added; a GimbalLockWarning is issued once and names the first locked
+    sample.
     """
-    q_series = np.asarray(q_series, dtype=float)
-    if q_series.ndim != 2 or q_series.shape[1] != NUM_JOINTS:
+    q = np.asarray(q_series, dtype=float)
+    if q.ndim != 2 or q.shape[1] != NUM_JOINTS:
         raise ValueError("q_series must be (N, 12)")
-    return PoseSeries(*_reconstruct(q_series, robot, platform, z_offset_mode), dt)
+    _check(np.logical_not(np.all(np.isfinite(q), axis=-1)), ValueError, "q must be finite")
+    if z_offset_mode not in Z_OFFSET_MODES:
+        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
+    feet = np.stack([leg_fk(q[:, 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
+                    axis=-2)
+    fl, fr, bl, br = np.moveaxis(feet, -2, 0)
+    center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
+    # align_vectors unit-normalizes both triads itself.
+    rotation = align_vectors(_triad(platform.corner_offsets), _triad(feet))
+    if z_offset_mode == Z_OFFSET_PLATFORM:
+        offset_dir = rotation[..., 2]  # R @ z_hat
+    else:
+        offset_dir = np.array([0.0, 0.0, 1.0])
+    center = center_corners + platform.z_offset * offset_dir
+    return PoseSeries(center - platform.home_center, rotation_to_euler(rotation), dt)
 
 
 def _butter(order: int, cutoff_hz: float, fs: float):

@@ -111,6 +111,21 @@ class TestPipeline:
         assert "config error" not in err
         assert not (runs_root / "bad").exists()
 
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../escape", "a/b", "ABSOLUTE"])
+    def test_bad_run_id_rejected_at_parsing(self, runs_root, tmp_path, capsys, run_id):
+        # A run id is one directory name inside the runs root: a path would
+        # put the artifacts elsewhere, and "" straight into the runs root.
+        if run_id == "ABSOLUTE":
+            run_id = str(tmp_path / "outside")
+        with pytest.raises(SystemExit) as exited:
+            run_cli("gen", "--run-id", run_id)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --run-id: expected one directory name, not empty, '.', '..' " \
+               f"or a path, got {run_id!r}" in err
+        assert not runs_root.exists()
+        assert not (tmp_path / "outside").exists() and not (tmp_path / "escape").exists()
+
     def test_too_long_trajectory_checked_before_run_dir(self, runs_root, capsys, monkeypatch):
         # The built-in 5 s sine at 5 us is 1000001 samples, one over the
         # bound: load rejects it before any array or directory is made.

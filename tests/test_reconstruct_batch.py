@@ -4,7 +4,8 @@ The reference below is the original one-sample-at-a-time reconstruction
 (scalar FK, determinant line midpoint, single-matrix Kabsch and math-module
 Euler extraction).  The batched reconstruct_series reorders float
 operations, so the two agree to a tolerance fixed here from float64
-round-off, not bit for bit.
+round-off, not bit for bit.  The one-pose reconstruct_pose runs the same
+formulas on Python floats; it is held to its series row more tightly.
 """
 
 import dataclasses
@@ -16,17 +17,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadstage import default_config
-from quadstage.geometry import DegenerateInputError, rot_x
+from quadstage.geometry import (
+    DegenerateInputError,
+    GimbalLockWarning,
+    ParallelLinesError,
+    euler_to_rotation,
+    rot_x,
+    rotation_to_euler,
+)
 from quadstage.kinematics import (
     PlatformPose,
     UnreachableError,
     leg_ik,
     solve_platform_ik,
 )
-from quadstage.postprocess import reconstruct_pose, reconstruct_series
+from quadstage.postprocess import _euler_floats, reconstruct_pose, reconstruct_series
 
 POSITION_TOL_MM = 1e-9
 ANGLE_TOL_DEG = 1e-9
+# reconstruct_pose against its reconstruct_series row: measured 0 mm and
+# 7.1e-15 deg apart (math against numpy atan2/asin) over 18000 noisy rows.
+ONE_POSE_TOL_MM = 1e-12
+ONE_POSE_TOL_DEG = 1e-12
 
 LIMITS = default_config().limits
 
@@ -156,3 +168,84 @@ def test_series_of_stacked_solve_recovers_poses(poses, knee_front, knee_back):
     series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, "platform")
     assert np.max(np.abs(series.position - values[:, :3])) <= POSITION_TOL_MM
     assert np.max(wrapped_deg(series.orientation_deg, values[:, 3:])) <= ANGLE_TOL_DEG
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poses=st.lists(pose_values, min_size=1, max_size=12),
+    knee_front=st.sampled_from([-1, 1]),
+    knee_back=st.sampled_from([-1, 1]),
+    hip_offset_y=st.sampled_from([0.0, 40.0]),
+    noise_rad=st.sampled_from([0.0, 1e-3, 2e-2]),
+    mode=st.sampled_from(["world", "platform"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pose_matches_series_row(poses, knee_front, knee_back, hip_offset_y, noise_rad, mode,
+                                     seed):
+    # reconstruct_pose runs on Python floats, reconstruct_series on arrays.
+    cfg = default_config()
+    cfg.robot = dataclasses.replace(cfg.robot, knee_sign_front=knee_front, knee_sign_back=knee_back,
+                                    hip_offset_y=hip_offset_y)
+    values = np.array(poses)
+    try:
+        q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), cfg.robot, cfg.platform)
+    except UnreachableError:
+        assume(False)
+    q = q + noise_rad * np.random.default_rng(seed).standard_normal(q.shape)
+    series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, mode)
+    for k, row in enumerate(q):
+        one = reconstruct_pose(row, cfg.robot, cfg.platform, mode)
+        assert np.max(np.abs(one.position - series.position[k])) <= ONE_POSE_TOL_MM
+        assert np.max(np.abs(one.orientation_deg - series.orientation_deg[k])) <= ONE_POSE_TOL_DEG
+
+
+@pytest.mark.parametrize("case, error", [
+    ("zero diagonal", ValueError),  # BR foot on FL: the FL->BR diagonal has zero length
+    ("parallel diagonals", ParallelLinesError),  # FR on FL and BL on BR
+    ("zero triad edge", DegenerateInputError),  # BL on FL: the FL->BL edge has zero length
+    ("nan", ValueError),
+    ("inf", ValueError),
+])
+def test_one_pose_raises_as_series_row(stage, case, error):
+    home = solve_platform_ik(PlatformPose.home(), stage.robot, stage.platform)
+    q = np.tile(home, (3, 1))
+    feet = stage.platform.home_center + stage.platform.corner_offsets
+    moves = {"zero diagonal": [(3, 0)], "parallel diagonals": [(1, 0), (2, 3)],
+             "zero triad edge": [(2, 0)]}
+    for leg, corner in moves.get(case, []):
+        q[1, 3 * leg : 3 * leg + 3] = leg_ik(feet[corner], stage.robot[leg])
+    if case in ("nan", "inf"):
+        q[1, 4] = float(case)
+    with pytest.raises(error) as series_err:
+        reconstruct_series(q, stage.robot, stage.platform, 1e-3)
+    with pytest.raises(error) as pose_err:
+        reconstruct_pose(q[1], stage.robot, stage.platform)
+    assert type(pose_err.value) is type(series_err.value)
+    assert str(series_err.value) == f"{pose_err.value} at sample 1"
+
+
+@pytest.mark.parametrize("euler", [(10.0, 90.0, 20.0), (-35.0, -90.0, 5.0), (0.0, 90.0, 0.0),
+                                   (170.0, -90.0, -60.0), (12.0, -34.0, 170.0)])
+def test_float_euler_step_matches_rotation_to_euler(euler):
+    # Gimbal lock (ry = +/-90 deg) is outside what the leg angles reach in
+    # the workspace, so the float Euler step is checked on its own.
+    r = euler_to_rotation(euler)
+    if abs(euler[1]) == 90.0:
+        with pytest.warns(GimbalLockWarning) as array_warning:
+            expected = rotation_to_euler(r)
+        with pytest.warns(GimbalLockWarning) as float_warning:
+            found = _euler_floats(r.tolist())
+        assert [str(w.message) for w in float_warning] == [str(w.message) for w in array_warning]
+    else:
+        expected, found = rotation_to_euler(r), _euler_floats(r.tolist())
+    assert np.max(np.abs(np.array(found) - expected)) <= ONE_POSE_TOL_DEG
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3),
+                                    rot_x(0.3) + 1e-5])
+def test_float_euler_step_rejects_non_rotation(matrix):
+    with pytest.raises(ValueError) as array_err:
+        rotation_to_euler(matrix)
+    with pytest.raises(ValueError) as float_err:
+        _euler_floats(matrix.tolist())
+    assert str(float_err.value) == str(array_err.value)
