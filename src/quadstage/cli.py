@@ -91,9 +91,8 @@ def _upstream(stage: str, run_dir: str, name: str, digest: str) -> str:
     return path
 
 
-def stage_gen(cfg: Config, run_dir: str) -> list:
+def stage_gen(cfg: Config, run_dir: str, digest: str) -> list:
     traj = cfg.build_trajectory()
-    digest = config_hash(cfg)
     snapshot = os.path.join(run_dir, SNAPSHOT_FILE)
     logio.atomic_write_text(snapshot, dumps_config(cfg))
     path = os.path.join(run_dir, TRAJECTORY_FILE)
@@ -101,8 +100,7 @@ def stage_gen(cfg: Config, run_dir: str) -> list:
     return [snapshot, path]
 
 
-def stage_ik(cfg: Config, run_dir: str) -> list:
-    digest = config_hash(cfg)
+def stage_ik(cfg: Config, run_dir: str, digest: str) -> list:
     traj_path = _upstream("ik", run_dir, TRAJECTORY_FILE, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
     q = solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits)
@@ -111,8 +109,7 @@ def stage_ik(cfg: Config, run_dir: str) -> list:
     return [path]
 
 
-def stage_sim(cfg: Config, run_dir: str) -> list:
-    digest = config_hash(cfg)
+def stage_sim(cfg: Config, run_dir: str, digest: str) -> list:
     targets_path = _upstream("sim", run_dir, JOINT_TARGETS_FILE, digest)
     _, q_targets = logio.read_joint_targets(targets_path, dt=cfg.sim.dt)
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
@@ -121,8 +118,7 @@ def stage_sim(cfg: Config, run_dir: str) -> list:
     return [path]
 
 
-def stage_post(cfg: Config, run_dir: str) -> list:
-    digest = config_hash(cfg)
+def stage_post(cfg: Config, run_dir: str, digest: str) -> list:
     traj_path = _upstream("post", run_dir, TRAJECTORY_FILE, digest)
     log_path = _upstream("post", run_dir, SIM_LOG_FILE, digest)
     _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
@@ -228,11 +224,12 @@ def main(argv=None) -> int:
     runs_root = args.runs_root or os.environ.get(RUNS_ROOT_ENV, "runs")
     run_dir = os.path.join(runs_root, args.run_id)
     os.makedirs(run_dir, exist_ok=True)
+    digest = config_hash(cfg)  # once per command; each stage writes and checks it
 
     stages = list(STAGES) if args.stage == "all" else [args.stage]
     for stage in stages:
         try:
-            artifacts = STAGES[stage](cfg, run_dir)
+            artifacts = STAGES[stage](cfg, run_dir, digest)
         except StageError as err:
             print(err, file=sys.stderr)
             return 1

@@ -106,10 +106,39 @@ def _where(mask) -> str:
     return at_sample(int(first[0]) if mask.ndim == 1 else tuple(int(i) for i in first))
 
 
+def _any(mask) -> bool:
+    # True if any sample is set in a mask, or in one bool (one sample).
+    return bool(mask) if isinstance(mask, (bool, np.bool_)) else bool(mask.any())
+
+
 def _check(bad, error: type, message: str) -> None:
     # Raise error(message) if any sample is bad, naming the first one.
-    if bad.any():
+    if _any(bad):
         raise error(message + _where(bad))
+
+
+# The formula cores below take a 3-vector as its three components, floats
+# (lib = math) or arrays over samples (lib = np); a 3x3 matrix as its rows.
+# For each lib, the clamp into [-1, 1] ahead of acos or asin, and where().
+_CLIP_UNIT = {math: lambda x: min(1.0, max(-1.0, x)), np: lambda x: np.clip(x, -1.0, 1.0)}
+_WHERE = {math: lambda mask, a, b: a if mask else b, np: np.where}
+
+
+def _sub(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _det(rows):
+    # Determinant of a 3x3 matrix as the triple product of its rows.
+    return _dot(rows[0], _cross(rows[1], rows[2]))
 
 
 def cross(a, b) -> np.ndarray:
@@ -118,9 +147,17 @@ def cross(a, b) -> np.ndarray:
     Same result as np.cross, which costs about four times more on one
     vector pair.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return np.stack(_cross(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
+
+
+def _is_rotation(rows, tol: float):
+    # is_rotation's test on a matrix given as rows: the upper triangle of
+    # its Gram matrix within tol of I and its determinant within tol of 1.
+    columns = tuple(zip(*rows))
+    ok = abs(_det(rows) - 1.0) <= tol
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        ok = ok & (abs(_dot(columns[i], columns[j]) - float(i == j)) <= tol)
+    return ok
 
 
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
@@ -132,10 +169,29 @@ def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
         return False
-    gram = np.swapaxes(r, -1, -2) @ r
-    return (np.max(np.abs(gram - np.eye(3)), axis=(-2, -1)) <= tol) & (
-        np.abs(np.linalg.det(r) - 1.0) <= tol
-    )
+    return _is_rotation(np.moveaxis(r, (-2, -1), (0, 1)), tol)
+
+
+_NOT_ROTATION = "input is not a rotation matrix (orthonormality/det check failed)"
+
+
+def _euler_deg(rows, lib):
+    # rotation_to_euler on a matrix given as rows, with its 1e-6 rotation
+    # check and gimbal-lock warning: the three angles in degrees.
+    _check(np.logical_not(_is_rotation(rows, 1e-6)), ValueError, _NOT_ROTATION)
+    where = _WHERE[lib]
+    sy = _CLIP_UNIT[lib](rows[0][2])
+    ry = lib.asin(sy)
+    locked = 90.0 - lib.degrees(abs(ry)) < GIMBAL_LOCK_EPS_DEG
+    if _any(locked):
+        warnings.warn("pitch at +/-90 deg: roll/yaw are not separable, reporting yaw = 0"
+                      + _where(locked), GimbalLockWarning, stacklevel=3)
+    # At sy = +1: r[1,0] = sin(rx + rz), r[1,1] = cos(rx + rz).
+    # At sy = -1: r[1,0] = sin(rz - rx), r[1,1] = cos(rz - rx).
+    combined = lib.atan2(rows[1][0], rows[1][1])
+    rx = where(locked, where(sy > 0, combined, -combined), lib.atan2(-rows[1][2], rows[2][2]))
+    rz = where(locked, 0.0, lib.atan2(-rows[0][1], rows[0][0]))
+    return lib.degrees(rx), lib.degrees(ry), lib.degrees(rz)
 
 
 def rotation_to_euler(r: np.ndarray) -> np.ndarray:
@@ -150,24 +206,9 @@ def rotation_to_euler(r: np.ndarray) -> np.ndarray:
     warning name the first offending sample index.
     """
     r = np.asarray(r, dtype=float)
-    _check(np.logical_not(is_rotation(r, tol=1e-6)), ValueError,
-           "input is not a rotation matrix (orthonormality/det check failed)")
-    sy = np.clip(r[..., 0, 2], -1.0, 1.0)
-    ry = np.arcsin(sy)
-    locked = 90.0 - np.degrees(np.abs(ry)) < GIMBAL_LOCK_EPS_DEG
-    if np.any(locked):
-        warnings.warn(
-            "pitch at +/-90 deg: roll/yaw are not separable, reporting yaw = 0" + _where(locked),
-            GimbalLockWarning,
-            stacklevel=2,
-        )
-    # At sy = +1: r[1,0] = sin(rx + rz), r[1,1] = cos(rx + rz).
-    # At sy = -1: r[1,0] = sin(rz - rx), r[1,1] = cos(rz - rx).
-    combined = np.arctan2(r[..., 1, 0], r[..., 1, 1])
-    rx = np.where(locked, np.where(sy > 0, combined, -combined),
-                  np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
-    rz = np.where(locked, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
-    return np.degrees(np.stack([rx, ry, rz], axis=-1))
+    if r.shape[-2:] != (3, 3):
+        raise ValueError(_NOT_ROTATION)
+    return np.stack(_euler_deg(np.moveaxis(r, (-2, -1), (0, 1)), np), axis=-1)
 
 
 def align_vectors(source, target) -> np.ndarray:
@@ -229,23 +270,22 @@ def line_closest_midpoint(p1, d1, p2, d2) -> np.ndarray:
         ValueError: a direction vector is zero.
         On a stack both messages name the first offending sample index.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    n1 = np.linalg.norm(d1, axis=-1)
-    n2 = np.linalg.norm(d2, axis=-1)
+    p1, d1, p2, d2 = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in (p1, d1, p2, d2))
+    return np.stack(_midpoint(p1, d1, p2, d2, np), axis=-1)
+
+
+def _midpoint(p1, d1, p2, d2, lib) -> list:
+    # line_closest_midpoint on lines given as components, with its checks.
+    n1, n2 = lib.sqrt(_dot(d1, d1)), lib.sqrt(_dot(d2, d2))
     _check((n1 < DEGENERACY_EPS) | (n2 < DEGENERACY_EPS), ValueError,
            "line direction must be nonzero")
-    u1 = d1 / n1[..., None]
-    u2 = d2 / n2[..., None]
-    n = cross(u1, u2)
-    nn = np.sum(n * n, axis=-1)
-    _check(np.sqrt(nn) < DEGENERACY_EPS, ParallelLinesError, "line directions are parallel")
-    r = p2 - p1
+    u1 = d1[0] / n1, d1[1] / n1, d1[2] / n1
+    u2 = d2[0] / n2, d2[1] / n2, d2[2] / n2
+    n = _cross(u1, u2)
+    nn = _dot(n, n)
+    _check(lib.sqrt(nn) < DEGENERACY_EPS, ParallelLinesError, "line directions are parallel")
+    r = _sub(p2, p1)
     # det([r, u, n]) = r . (u x n)
-    t1 = np.sum(r * cross(u2, n), axis=-1) / nn
-    t2 = np.sum(r * cross(u1, n), axis=-1) / nn
-    c1 = p1 + t1[..., None] * u1
-    c2 = p2 + t2[..., None] * u2
-    return 0.5 * (c1 + c2)
+    t1 = _dot(r, _cross(u2, n)) / nn
+    t2 = _dot(r, _cross(u1, n)) / nn
+    return [0.5 * ((a + t1 * b) + (c + t2 * d)) for a, b, c, d in zip(p1, u1, p2, u2)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _check, _plane_rotations, at_sample, euler_to_rotation
+from .geometry import _CLIP_UNIT, _check, _plane_rotations, at_sample, euler_to_rotation
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -240,10 +240,6 @@ def _leg_fk_core(q_aa, q_hip, q_knee, geom: LegGeometry, lib):
     return xp, c * y - s * zp, s * y + c * zp
 
 
-# The clamp into [-1, 1] ahead of acos, for each lib of _leg_ik_core.
-_CLIP_UNIT = {math: lambda x: min(1.0, max(-1.0, x)), np: lambda x: np.clip(x, -1.0, 1.0)}
-
-
 def _leg_ik_core(x, y, z, geom: LegGeometry, lib):
     # leg_ik's closed form for a target (x, y, z) from the hip mount, math
     # scalars for one target or numpy arrays for a stack: the joint angles
@@ -338,14 +334,21 @@ def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
     # d/dq_aa of Rx(q_aa) (xp, y, zp) is x_hat x (Rx (xp, y, zp)); the hip
     # and knee columns are Rx (-zp, 0, xp) and Rx (kx, 0, kz).
     jac[..., 1, 0] = -(s * y + c * zp)
-    jac[..., 2, 0] = c * y - s * zp
     jac[..., 0, 1] = -zp
     jac[..., 1, 1] = -s * xp
-    jac[..., 2, 1] = c * xp
     jac[..., 0, 2] = kx
     jac[..., 1, 2] = -s * kz
-    jac[..., 2, 2] = c * kz
+    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 2] = _foot_z_row(q_aa, q_hip, q_knee, geom, lib)
     return jac
+
+
+def _foot_z_row(q_aa, q_hip, q_knee, geom: LegGeometry, lib):
+    # leg_jacobian's row 2, d(foot_z)/dq of foot_z = s y + c zp, as three
+    # components: math scalars for one configuration or numpy arrays.
+    xp, zp = _planar_foot(q_hip, q_knee, geom, lib)
+    y = geom.side_sign * geom.hip_offset_y
+    c, s = lib.cos(q_aa), lib.sin(q_aa)
+    return c * y - s * zp, c * xp, c * (geom.l_lower * lib.sin(q_hip + q_knee))
 
 
 def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
@@ -423,6 +426,16 @@ def check_pose_bounds(pose: PlatformPose, limits: WorkspaceLimits):
     return trans, rot
 
 
+def _joint_vector(q) -> np.ndarray:
+    # q as a (12,) float array, or ValueError if it is not a finite 12-vector.
+    q = np.asarray(q, dtype=float)
+    if q.shape != (NUM_JOINTS,):
+        raise ValueError(f"q must be ({NUM_JOINTS},), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
+    return q
+
+
 def workspace_check(
     pose: PlatformPose,
     q,
@@ -434,13 +447,15 @@ def workspace_check(
 
     Checks the translation box and per-axis rotation bounds; when q and the
     geometry are supplied it also reports the four ball-joint pivot angles
-    against the pivot cone and any soft joint-limit excursions.
+    against the pivot cone and any soft joint-limit excursions.  A q that
+    is not a finite 12-vector raises ValueError, as in reconstruct_pose.
     """
+    if q is not None:
+        q = _joint_vector(q)
     trans, rot = check_pose_bounds(pose, limits)
     report = WorkspaceReport(valid=not (trans or rot), translation_violations=trans, rotation_violations=rot)
     if q is None or robot is None or platform is None:
         return report
-    q = np.asarray(q, dtype=float)
     angles = report.pivot_angles_deg = pivot_angles_deg(q, robot, platform, pose)
     for i in np.flatnonzero(angles > limits.ball_pivot_max):
         report.pivot_violations.append((LEG_NAMES[i], float(angles[i]), limits.ball_pivot_max))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -64,13 +64,11 @@ class LogFormatError(ValueError):
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via temp file + rename."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    # A fresh name in the same directory, created 0666 less the umask as
+    # open() would; O_EXCL never takes over an existing file.
+    tmp_path = os.path.join(os.path.dirname(path), f".tmp_{secrets.token_hex(8)}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             # In slices: one write of the whole text encodes a copy of all of it.
             for start in range(0, len(text), _WRITE_CHARS):

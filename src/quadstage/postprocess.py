@@ -10,15 +10,14 @@ triad against its nominal counterpart gives the orientation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (DEGENERACY_EPS, GIMBAL_LOCK_EPS_DEG, DegenerateInputError, GimbalLockWarning,
-                       ParallelLinesError, _check, align_vectors, cross, line_closest_midpoint,
-                       rotation_to_euler)
-from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, _leg_fk_core, check_positive, leg_fk
+from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _dot, _euler_deg,
+                       _midpoint, _sub, align_vectors, line_closest_midpoint, rotation_to_euler)
+from .kinematics import (NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core,
+                         check_positive, leg_fk)
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
@@ -44,6 +43,7 @@ class PoseSeries(PlatformPose):
 
     def __post_init__(self):
         super().__post_init__()
+        check_positive(self, "dt")
         if self.position.ndim != 2:
             raise ValueError("position and orientation_deg must be (N, 3) stacks")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
@@ -107,12 +107,17 @@ class JointRmse:
         return self.per_joint_deg.reshape(4, 3).mean(axis=1)
 
 
-def _triad(points) -> np.ndarray:
-    # Corner axis triad (..., 3, 3): FL->BL, FL->FR and their cross product,
-    # from corner points (..., 4, 3) ordered FL/FR/BL/BR.
-    x_axis = points[..., 2, :] - points[..., 0, :]
-    y_axis = points[..., 1, :] - points[..., 0, :]
-    return np.stack([x_axis, y_axis, cross(x_axis, y_axis)], axis=-2)
+def _triad(fl, fr, bl) -> tuple:
+    # Corner axis triad FL->BL, FL->FR and their cross product, as rows, from
+    # the FL, FR and BL corners given as components (floats or arrays).
+    x_axis, y_axis = _sub(bl, fl), _sub(fr, fl)
+    return x_axis, y_axis, _cross(x_axis, y_axis)
+
+
+def _triads(points) -> np.ndarray:
+    # _triad of corner points (..., 4, 3) ordered FL/FR/BL/BR, as (..., 3, 3).
+    triad = _triad(*np.moveaxis(points, (-2, -1), (0, 1))[:3])
+    return np.moveaxis(np.array(triad), (0, 1), (-2, -1))
 
 
 def reconstruct_pose(
@@ -131,41 +136,23 @@ def reconstruct_pose(
     (FL->BL, FL->FR, and their cross product) onto the measured one.
 
     One pose runs on Python floats, several times faster than the array
-    pass of reconstruct_series on a single row: the same formulas in the
-    same order, with numpy only for the 3x3 Kabsch SVD and its
-    determinant-sign correction.  It gives reconstruct_series' row to
-    float round-off and raises the same errors, without a sample index.
+    pass of reconstruct_series on a single row.  Both paths share their
+    formula cores: the one-pose path calls the cores of leg_fk,
+    line_closest_midpoint, the corner triad and rotation_to_euler on math
+    floats, and runs align_vectors' steps in its order, with numpy only for
+    the 3x3 Kabsch SVD and its determinant-sign correction.  It gives
+    reconstruct_series' row to float round-off and raises the same errors,
+    without a sample index.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (NUM_JOINTS,):
-        raise ValueError(f"q must be ({NUM_JOINTS},), got {q.shape}")
+    q = _joint_vector(q)
     return PlatformPose(*_reconstruct_floats(q.tolist(), robot, platform, z_offset_mode))
 
 
-def _sub(a, b) -> list:
-    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> list:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _det(m) -> float:
-    # Determinant of a 3x3 matrix given as rows.
-    return _dot(m[0], _cross(m[1], m[2]))
-
-
 def _reconstruct_floats(q: list, robot, platform: PlatformGeometry, z_offset_mode: str):
-    # reconstruct_pose on the twelve joint angles as floats: position and
-    # Euler angles as lists, through reconstruct_series' checks and order
-    # of operations (leg_fk, line_closest_midpoint, align_vectors and
-    # rotation_to_euler written out on 3-vectors).
-    if not all(map(math.isfinite, q)):
-        raise ValueError("q must be finite")
+    # reconstruct_pose on the twelve finite joint angles as floats: position
+    # and Euler angles, through reconstruct_series' checks and order of
+    # operations (the formula cores of leg_fk, line_closest_midpoint, the
+    # triad and rotation_to_euler on math, align_vectors written out).
     if z_offset_mode not in Z_OFFSET_MODES:
         raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
     feet = []
@@ -173,24 +160,9 @@ def _reconstruct_floats(q: list, robot, platform: PlatformGeometry, z_offset_mod
         foot = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, math)
         feet.append([f + h for f, h in zip(foot, geom.hip_mount.tolist())])
     fl, fr, bl, br = feet
-    # line_closest_midpoint(fl, br - fl, fr, bl - fr)
-    d1, d2 = _sub(br, fl), _sub(bl, fr)
-    n1, n2 = math.sqrt(_dot(d1, d1)), math.sqrt(_dot(d2, d2))
-    if n1 < DEGENERACY_EPS or n2 < DEGENERACY_EPS:
-        raise ValueError("line direction must be nonzero")
-    u1, u2 = [c / n1 for c in d1], [c / n2 for c in d2]
-    n = _cross(u1, u2)
-    nn = _dot(n, n)
-    if math.sqrt(nn) < DEGENERACY_EPS:
-        raise ParallelLinesError("line directions are parallel")
-    r = _sub(fr, fl)
-    t1, t2 = _dot(r, _cross(u2, n)) / nn, _dot(r, _cross(u1, n)) / nn
-    center = [0.5 * ((a + t1 * b) + (c + t2 * d)) for a, b, c, d in zip(fl, u1, fr, u2)]
-    # align_vectors(_triad(corner_offsets), _triad(feet))
-    triads = []
-    for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet):
-        x_axis, y_axis = _sub(c_bl, c_fl), _sub(c_fr, c_fl)
-        triads.append([x_axis, y_axis, _cross(x_axis, y_axis)])
+    center = _midpoint(fl, _sub(br, fl), fr, _sub(bl, fr), math)
+    # align_vectors(_triads(corner_offsets), _triads(feet))
+    triads = [_triad(c_fl, c_fr, c_bl) for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet)]
     norms = [[math.sqrt(_dot(v, v)) for v in triad] for triad in triads]
     if min(norms[0] + norms[1]) < DEGENERACY_EPS:
         raise DegenerateInputError("zero-length vector in input set")
@@ -212,26 +184,7 @@ def _reconstruct_floats(q: list, robot, platform: PlatformGeometry, z_offset_mod
         offset_dir = [0.0, 0.0, 1.0]
     position = [c + platform.z_offset * d - home for c, d, home in
                 zip(center, offset_dir, platform.home_center.tolist())]
-    return position, _euler_floats(rotation)
-
-
-def _euler_floats(r) -> list:
-    # rotation_to_euler on one rotation given as nested float lists, with
-    # its 1e-6 rotation check and gimbal-lock warning (no sample index).
-    columns = list(zip(*r))
-    gram = [_dot(columns[i], columns[j]) - (i == j) for i in range(3) for j in range(3)]
-    if not (all(abs(g) <= 1e-6 for g in gram) and abs(_det(r) - 1.0) <= 1e-6):
-        raise ValueError("input is not a rotation matrix (orthonormality/det check failed)")
-    sy = min(1.0, max(-1.0, r[0][2]))
-    ry = math.asin(sy)
-    if 90.0 - math.degrees(abs(ry)) < GIMBAL_LOCK_EPS_DEG:
-        warnings.warn("pitch at +/-90 deg: roll/yaw are not separable, reporting yaw = 0",
-                      GimbalLockWarning, stacklevel=2)
-        combined = math.atan2(r[1][0], r[1][1])
-        rx, rz = (combined if sy > 0 else -combined), 0.0
-    else:
-        rx, rz = math.atan2(-r[1][2], r[2][2]), math.atan2(-r[0][1], r[0][0])
-    return [math.degrees(rx), math.degrees(ry), math.degrees(rz)]
+    return position, _euler_deg(rotation, math)
 
 
 def reconstruct_series(
@@ -262,7 +215,7 @@ def reconstruct_series(
     fl, fr, bl, br = np.moveaxis(feet, -2, 0)
     center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
     # align_vectors unit-normalizes both triads itself.
-    rotation = align_vectors(_triad(platform.corner_offsets), _triad(feet))
+    rotation = align_vectors(_triads(platform.corner_offsets), _triads(feet))
     if z_offset_mode == Z_OFFSET_PLATFORM:
         offset_dir = rotation[..., 2]  # R @ z_hat
     else:

@@ -6,8 +6,9 @@ static load: the supported mass pulls each corner toward the hip plane
 (the mount hangs the stage upside down relative to the model frame, where
 legs point to -z), and the per-corner force maps to joint torques through
 the leg Jacobian transpose.  As that force acts along -z, only the z row
-of each leg Jacobian (d foot_z / d q) enters; gravity_torque evaluates that
-row in closed form, and the tests hold it to leg_jacobian's J^T f.
+of each leg Jacobian (d foot_z / d q) enters; gravity_torque evaluates it
+with leg_jacobian's z-row core, and the tests hold it to leg_jacobian's
+J^T f.
 Integration is semi-implicit Euler (velocity first, then position), which
 keeps stiff PD gains stable at 1 kHz without a solver.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, _planar_foot, check_non_negative, check_positive
+from .kinematics import NUM_JOINTS, _foot_z_row, check_non_negative, check_positive
 from .kinematics import leg_jacobian  # not called here: perfbench/layers.py wraps simenv.leg_jacobian
 
 
@@ -118,14 +119,11 @@ def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
     The load splits evenly over the four corners as a force
     f = (0, 0, -F), F = total_mass * g / 4, and maps through each leg's
     Jacobian transpose: J^T f = -F J[2, :], so only the z row of
-    leg_jacobian is needed.  That row, d(foot_z)/dq of
-    foot_z = s y + c zp, is (c y - s zp, c xp, c kz), with c, s the cosine
-    and sine of q_aa, y the signed lateral offset, kz = l_lower
-    sin(q_hip + q_knee) and xp, zp the planar foot of _planar_foot.  It is
-    evaluated on math scalars in leg_jacobian's order of operations, and
-    the tests hold the result to leg_jacobian's J^T f bit for bit.  This is
-    the torque the controller must supply to hold the configuration; the
-    integrator subtracts it from the applied torque.
+    leg_jacobian is needed.  It comes from leg_jacobian's own z-row core,
+    on math scalars, and the tests hold the result to leg_jacobian's
+    J^T f bit for bit.  This is the torque the controller must supply to
+    hold the configuration; the integrator subtracts it from the applied
+    torque.
     """
     q = np.asarray(q, dtype=float).tolist()
     if total_mass == 0.0:
@@ -133,12 +131,7 @@ def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
     fz = -total_mass * g / 4.0
     z_rows = []
     for i, geom in enumerate(robot):
-        q_aa, q_hip, q_knee = q[3 * i : 3 * i + 3]
-        xp, zp = _planar_foot(q_hip, q_knee, geom)
-        kz = geom.l_lower * math.sin(q_hip + q_knee)
-        y = geom.side_sign * geom.hip_offset_y
-        c, s = math.cos(q_aa), math.sin(q_aa)
-        z_rows += (c * y - s * zp, c * xp, c * kz)
+        z_rows += _foot_z_row(*q[3 * i : 3 * i + 3], geom, math)
     # mm/rad -> m/rad, then times fz.  The matmul J^T f sums from +0, so an
     # entry that is zero comes out +0 whatever its sign; so does + 0.0.
     return np.array([(row * 1e-3) * fz + 0.0 for row in z_rows])

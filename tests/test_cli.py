@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadstage import cli
 from quadstage.cli import main
 from quadstage.config import MAX_SAMPLES, Config
 from quadstage.logio import REPORT_POSE_KEYS, read_log, read_trajectory, write_trajectory
@@ -64,6 +65,18 @@ class TestPipeline:
             a = (runs_root / "whole" / name).read_bytes()
             b = (runs_root / "steps" / name).read_bytes()
             assert a == b, name
+
+    def test_config_hashed_once_per_command(self, runs_root, fast_config, monkeypatch):
+        calls = []
+        digest = cli.config_hash
+
+        def counting_config_hash(cfg):
+            calls.append(cfg)
+            return digest(cfg)
+
+        monkeypatch.setattr(cli, "config_hash", counting_config_hash)
+        assert run_cli("all", "--config", fast_config, "--run-id", "hashed") == 0
+        assert len(calls) == 1
 
     def test_sim_without_ik_fails(self, runs_root, fast_config, capsys):
         assert run_cli("sim", "--config", fast_config, "--run-id", "naked") == 1

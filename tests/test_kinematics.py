@@ -387,6 +387,16 @@ class TestWorkspaceCheck:
         names = [name for name, _, _ in report.joint_limit_violations]
         assert "fl_knee_fe" in names
 
+    @pytest.mark.parametrize("q, message", [
+        (np.full(12, np.nan), r"^q must be finite$"),
+        (np.r_[np.zeros(11), np.inf], r"^q must be finite$"),
+        (np.zeros(11), r"^q must be \(12,\), got \(11,\)$"),
+    ])
+    def test_bad_joint_vector_rejected(self, cfg, q, message):
+        # A NaN joint vector must not pass as valid with NaN pivot angles.
+        with pytest.raises(ValueError, match=message):
+            workspace_check(PlatformPose.home(), q, cfg.limits, cfg.robot, cfg.platform)
+
     def test_limits_validate(self):
         with pytest.raises(ValueError):
             WorkspaceLimits(x_max=-1.0)

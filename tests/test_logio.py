@@ -294,3 +294,16 @@ def test_all_writes_every_table_value_by_value(tmp_path, monkeypatch):
     assert len(calls) == len({path for path, *_ in calls}) == 21
     for path, kind, digest, columns, rows in calls:
         assert Path(path).read_bytes() == reference_text(kind, digest, columns, rows).encode(), path
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # Reading the umask means setting it, which would race with other
+    # threads creating files; the writer lets the kernel apply it instead.
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    path = tmp_path / "note.txt"
+    logio.atomic_write_text(path, "text\n")
+    assert path.read_text() == "text\n"
+    assert os.listdir(tmp_path) == ["note.txt"]

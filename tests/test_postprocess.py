@@ -198,6 +198,11 @@ class TestPoseSeries:
         pose.position[0] = 7.0
         assert series.position[3, 0] == 1.0
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+    def test_sample_step_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="^dt: must be positive$"):
+            PoseSeries(np.zeros((40, 3)), np.zeros((40, 3)), dt)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
         positions = np.zeros((4, 3))

@@ -21,6 +21,7 @@ from quadstage.geometry import (
     DegenerateInputError,
     GimbalLockWarning,
     ParallelLinesError,
+    _euler_deg,
     euler_to_rotation,
     rot_x,
     rotation_to_euler,
@@ -31,7 +32,7 @@ from quadstage.kinematics import (
     leg_ik,
     solve_platform_ik,
 )
-from quadstage.postprocess import _euler_floats, reconstruct_pose, reconstruct_series
+from quadstage.postprocess import reconstruct_pose, reconstruct_series
 
 POSITION_TOL_MM = 1e-9
 ANGLE_TOL_DEG = 1e-9
@@ -234,10 +235,10 @@ def test_float_euler_step_matches_rotation_to_euler(euler):
         with pytest.warns(GimbalLockWarning) as array_warning:
             expected = rotation_to_euler(r)
         with pytest.warns(GimbalLockWarning) as float_warning:
-            found = _euler_floats(r.tolist())
+            found = _euler_deg(r.tolist(), math)
         assert [str(w.message) for w in float_warning] == [str(w.message) for w in array_warning]
     else:
-        expected, found = rotation_to_euler(r), _euler_floats(r.tolist())
+        expected, found = rotation_to_euler(r), _euler_deg(r.tolist(), math)
     assert np.max(np.abs(np.array(found) - expected)) <= ONE_POSE_TOL_DEG
 
 
@@ -247,5 +248,5 @@ def test_float_euler_step_rejects_non_rotation(matrix):
     with pytest.raises(ValueError) as array_err:
         rotation_to_euler(matrix)
     with pytest.raises(ValueError) as float_err:
-        _euler_floats(matrix.tolist())
+        _euler_deg(matrix.tolist(), math)
     assert str(float_err.value) == str(array_err.value)
