@@ -56,40 +56,24 @@ def rot_z(angle_rad: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _plane_rotations(angle_rad, i: int, j: int) -> np.ndarray:
-    # Stack (..., 3, 3) of rotations by angle_rad in the (i, j) coordinate
-    # plane, positive from axis i toward axis j: rot_x is (1, 2), rot_y
-    # (2, 0), rot_z (0, 1).
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    r = np.zeros(c.shape + (3, 3))
-    r[..., 3 - i - j, 3 - i - j] = 1.0
-    r[..., i, i] = r[..., j, j] = c
-    r[..., i, j] = -s
-    r[..., j, i] = s
-    return r
-
-
 def euler_to_rotation(euler_deg) -> np.ndarray:
     """Rotation matrix from intrinsic x-y-z Euler angles in degrees.
 
     Array-first: euler_deg is (..., 3) and the result is (..., 3, 3), each
-    matrix rot_x @ rot_y @ rot_z computed by the same matrix products as
-    for one 3-vector.  On a stack, the non-finite check names the first
-    offending sample index.
+    matrix rot_x @ rot_y @ rot_z in closed form, on floats for one 3-vector
+    and equal to it bit for bit in a stack.  On a stack, the non-finite
+    check names the first offending sample index.
     """
     e = np.asarray(euler_deg, dtype=float)
     if e.shape[-1:] != (3,):
         raise ValueError(f"expected 3 Euler angles, got shape {e.shape}")
+    finite = np.isfinite(e)
+    if not finite.all():  # then name the first bad sample of a stack
+        _check(np.logical_not(np.all(finite, axis=-1)), ValueError, "Euler angles must be finite")
     if e.ndim == 1:
-        if not np.isfinite(e).all():
-            raise ValueError("Euler angles must be finite")
-        rx, ry, rz = np.radians(e)
-        return rot_x(rx) @ rot_y(ry) @ rot_z(rz)
-    _check(np.logical_not(np.all(np.isfinite(e), axis=-1)), ValueError,
-           "Euler angles must be finite")
-    rad = np.radians(e)
-    return (_plane_rotations(rad[..., 0], 1, 2) @ _plane_rotations(rad[..., 1], 2, 0)
-            @ _plane_rotations(rad[..., 2], 0, 1))
+        return np.array(_euler_rows(*map(math.radians, e.tolist()), math))
+    rows = _euler_rows(*np.moveaxis(np.radians(e), -1, 0), np)
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def at_sample(k) -> str:
@@ -119,6 +103,9 @@ def _check(bad, error: type, message: str) -> None:
 
 # The formula cores below take a 3-vector as its three components, floats
 # (lib = math) or arrays over samples (lib = np); a 3x3 matrix as its rows.
+# numpy's cos, sin, radians and degrees gave math's bits on every input
+# tried (x86-64, numpy 2.4; acos, asin and atan2 did not), so _euler_rows
+# gives one pose and a stack equal results, as the tests check.
 # For each lib, the clamp into [-1, 1] ahead of acos or asin, and where().
 _CLIP_UNIT = {math: lambda x: min(1.0, max(-1.0, x)), np: lambda x: np.clip(x, -1.0, 1.0)}
 _WHERE = {math: lambda mask, a, b: a if mask else b, np: np.where}
@@ -139,6 +126,17 @@ def _cross(a, b) -> tuple:
 def _det(rows):
     # Determinant of a 3x3 matrix as the triple product of its rows.
     return _dot(rows[0], _cross(rows[1], rows[2]))
+
+
+def _euler_rows(rx, ry, rz, lib) -> tuple:
+    # Rx(rx) @ Ry(ry) @ Rz(rz) in closed form, as its rows, for angles in radians.
+    cx, sx = lib.cos(rx), lib.sin(rx)
+    cy, sy = lib.cos(ry), lib.sin(ry)
+    cz, sz = lib.cos(rz), lib.sin(rz)
+    sxsy, cxsy = sx * sy, cx * sy
+    return ((cy * cz, -(cy * sz), sy),
+            (sxsy * cz + cx * sz, cx * cz - sxsy * sz, -(sx * cy)),
+            (sx * sz - cxsy * cz, cxsy * sz + sx * cz, cx * cy))
 
 
 def cross(a, b) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _CLIP_UNIT, _check, _plane_rotations, at_sample, euler_to_rotation
+from .geometry import _CLIP_UNIT, _check, _dot, _euler_rows, at_sample, euler_to_rotation
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -363,13 +363,6 @@ def _corners(pose: PlatformPose, r, geom: PlatformGeometry) -> np.ndarray:
             + geom.corner_offsets @ np.swapaxes(r, -1, -2))
 
 
-def _lower_link_rotation(q_leg) -> np.ndarray:
-    # Body-frame orientation (..., 3, 3) of the lower link (the foot that carries
-    # the ball-joint socket) for (..., 3) joint angles: rot_x(q_aa) @ rot_y(-(q_hip + q_knee)).
-    q_aa, q_hip, q_knee = q_leg[..., 0], q_leg[..., 1], q_leg[..., 2]
-    return _plane_rotations(q_aa, 1, 2) @ _plane_rotations(-(q_hip + q_knee), 2, 0)
-
-
 def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -> np.ndarray:
     """Ball-joint pivot angle per corner (deg).
 
@@ -380,29 +373,41 @@ def pivot_angles_deg(q, robot, platform: PlatformGeometry, pose: PlatformPose) -
     leg swings away from its home configuration.
 
     Array-first: q is (12,) with one pose or (N, 12) with a stacked pose of
-    N samples, and the result is (4,) or (N, 4).
+    N samples, and the result is (4,) or (N, 4).  One pose runs on floats
+    and equals its stacked row bit for bit.
     """
     return _pivot_angles(q, robot, platform, pose.rotation())
 
 
 def _pivot_angles(q, robot, platform: PlatformGeometry, r) -> np.ndarray:
-    # pivot_angles_deg with the pose's rotation r already built.
-    home_axes = _home_socket_axes(tuple(robot), platform)
-    legs = np.asarray(q, dtype=float).reshape(*np.shape(q)[:-1], 4, 3)
-    sockets = (_lower_link_rotation(legs) @ home_axes[:, :, None])[..., 0]
-    normal = r[..., None, :, 2]  # R @ z, once per corner
-    return np.degrees(np.arccos(np.clip(np.sum(sockets * normal, axis=-1), -1.0, 1.0)))
+    # pivot_angles_deg with the pose's rotation r already built.  Both paths
+    # take np.arccos of the cosines: math.acos can differ in the last bit.
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        lib, joints, normal = math, q.tolist(), r[:, 2].tolist()
+    else:
+        lib, joints, normal = np, np.moveaxis(q, -1, 0), np.moveaxis(r[..., 2], -1, 0)
+    cosines = [_pivot_cos(*joints[3 * i : 3 * i + 3], axis, normal, lib)
+               for i, axis in enumerate(_home_socket_axes(tuple(robot), platform))]
+    cosines = np.array(cosines) if lib is math else np.stack(cosines, axis=-1)  # np.stack is slow on floats
+    return np.degrees(np.arccos(cosines))
+
+
+def _pivot_cos(q_aa, q_hip, q_knee, home_axis, normal, lib):
+    # Cosine of one corner's pivot angle, clipped into [-1, 1]: the socket
+    # axis Rx(q_aa) @ Ry(-(q_hip + q_knee)) @ home_axis, the lower link's
+    # orientation applied to its home socket axis, dotted with the normal R z.
+    link = _euler_rows(q_aa, -(q_hip + q_knee), 0.0, lib)
+    return _CLIP_UNIT[lib](_dot([_dot(row, home_axis) for row in link], normal))
 
 
 @functools.lru_cache(maxsize=16)
-def _home_socket_axes(legs: tuple, platform: PlatformGeometry) -> np.ndarray:
-    # Socket axis of each lower link at the home pose, (4, 3) and read-only:
-    # row 2 of its home orientation, R^T z.  Keyed on the frozen geometry objects.
+def _home_socket_axes(legs: tuple, platform: PlatformGeometry) -> tuple:
+    # Socket axis (3-tuple) of each lower link at the home pose: row 2 of its home
+    # orientation Rx(q_aa) @ Ry(-(q_hip + q_knee)), R^T z.  Keyed on the frozen geometry.
     home_corners = platform.home_center + platform.corner_offsets
-    q_home = np.array([leg_ik(corner, leg) for corner, leg in zip(home_corners, legs)])
-    axes = _lower_link_rotation(q_home)[:, 2]
-    axes.flags.writeable = False
-    return axes
+    q_home = [leg_ik(corner, leg).tolist() for corner, leg in zip(home_corners, legs)]
+    return tuple(_euler_rows(q_aa, -(q_hip + q_knee), 0.0, math)[2] for q_aa, q_hip, q_knee in q_home)
 
 
 def outside_box(positions, orientations_deg, limits: WorkspaceLimits) -> np.ndarray:
@@ -453,21 +458,15 @@ def workspace_check(
     if q is not None:
         q = _joint_vector(q)
     trans, rot = check_pose_bounds(pose, limits)
-    report = WorkspaceReport(valid=not (trans or rot), translation_violations=trans, rotation_violations=rot)
     if q is None or robot is None or platform is None:
-        return report
-    angles = report.pivot_angles_deg = pivot_angles_deg(q, robot, platform, pose)
-    for i in np.flatnonzero(angles > limits.ball_pivot_max):
-        report.pivot_violations.append((LEG_NAMES[i], float(angles[i]), limits.ball_pivot_max))
-    legs = q.reshape(4, 3)
-    limit = np.radians([geom.joint_limit_deg for geom in robot])
-    for i, j in np.argwhere(np.abs(legs) > limit[:, None]):
-        report.joint_limit_violations.append(
-            (f"{LEG_NAMES[i]}_{JOINT_NAMES[j]}", math.degrees(legs[i, j]), robot[i].joint_limit_deg)
-        )
-    if report.pivot_violations or report.joint_limit_violations:
-        report.valid = False
-    return report
+        return WorkspaceReport(not (trans or rot), trans, rot)
+    angles = pivot_angles_deg(q, robot, platform, pose)
+    cone = limits.ball_pivot_max
+    pivot = [(leg, angle, cone) for leg, angle in zip(LEG_NAMES, angles.tolist()) if angle > cone]
+    joints = [(f"{leg}_{name}", math.degrees(angle), geom.joint_limit_deg)
+              for leg, geom, q_leg in zip(LEG_NAMES, robot, q.reshape(4, 3).tolist())
+              for name, angle in zip(JOINT_NAMES, q_leg) if abs(angle) > math.radians(geom.joint_limit_deg)]
+    return WorkspaceReport(not (trans or rot or pivot or joints), trans, rot, angles, pivot, joints)
 
 
 def solve_platform_ik(
@@ -485,10 +484,10 @@ def solve_platform_ik(
     default pivot angles are reported through workspace_check instead of
     rejected here).
 
-    One pose builds its rotation once, for the corners and the pivot test,
-    and solves its four legs on Python floats: leg_ik's closed form for
-    every leg first (the first unreachable leg raises), then leg_fk's
-    re-check of every leg to 1e-6 mm, then with check_pivot the cone.
+    One pose builds its rotation once and solves on Python floats: leg_ik's
+    closed form for every leg first (the first unreachable leg raises),
+    then leg_fk's re-check of every leg to 1e-6 mm, then with check_pivot
+    the cone, on pivot_angles_deg's bits.
 
     A stacked pose (position and orientation_deg (N, 3)), such as a
     postprocess.PoseSeries passed as is, gives (N, 12) in one array pass:
@@ -531,13 +530,12 @@ def solve_platform_ik(
         err = math.hypot(hx + fx - cx, hy + fy - cy, hz + fz - cz)
         if not err <= 1e-6:
             raise KinematicsError(f"leg {LEG_NAMES[i]} solution inconsistent: {err:.2e} mm")
-    q = np.array(q)
     if check_pivot:
         angles = _pivot_angles(q, robot, platform, r)
         worst = int(np.argmax(angles))
         if angles[worst] > limits.ball_pivot_max:
             raise BallPivotError(worst, float(angles[worst]), limits.ball_pivot_max)
-    return q
+    return np.array(q)
 
 
 def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.ndarray:

@@ -44,6 +44,8 @@ class PoseSeries(PlatformPose):
     def __post_init__(self):
         super().__post_init__()
         check_positive(self, "dt")
+        if self.dt == math.inf:
+            raise ValueError("dt: must be finite")
         if self.position.ndim != 2:
             raise ValueError("position and orientation_deg must be (N, 3) stacks")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):

@@ -84,6 +84,8 @@ class SimParams:
 
     def __post_init__(self):
         check_positive(self, "dt")
+        if self.dt == math.inf:
+            raise ValueError("dt: must be finite")
         check_non_negative(self, "payload_mass", "platform_mass")
         self.kp = _per_joint(self.kp, "kp")
         self.kd = _per_joint(self.kd, "kd")

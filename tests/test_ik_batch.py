@@ -119,6 +119,15 @@ class TestStackedSolve:
         positions, orientations = poses
         assert_matches_loop(positions, orientations, cfg, limits, check_pivot=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(pose=st.tuples(*(st.floats(-bound, bound) for bound in (*BOX, *[LIMITS.rot_max] * 3))))
+    def test_check_pivot_one_pose_matches_one_row_stack(self, pose):
+        # Any pose of the workspace box, its faces included: the one-pose
+        # solve on floats and a one-row stack raise the same error or give
+        # the same q.
+        positions, orientations = np.array([pose[:3]]), np.array([pose[3:]])
+        assert_matches_loop(positions, orientations, default_config(), LIMITS, check_pivot=True)
+
     def test_check_pivot_solves_only_flagged_samples(self, cfg, monkeypatch):
         # Inside the cone no sample goes through the one-pose path; past it,
         # only the first flagged sample does, and raises as it does alone.
@@ -202,6 +211,11 @@ class TestStackedShapes:
         rows = np.array([euler_to_rotation(a) for a in angles])
         assert np.max(np.abs(stack - rows)) <= 1e-15
         assert euler_to_rotation(angles.reshape(2, 100, 3)).shape == (2, 100, 3, 3)
+
+    def test_euler_one_pose_equals_stack_row_bit_for_bit(self, rng):
+        angles = rng.uniform(-180.0, 180.0, (2000, 3))
+        rows = np.array([euler_to_rotation(a) for a in angles])
+        assert np.array_equal(euler_to_rotation(angles), rows)
 
     def test_euler_stack_names_non_finite_sample(self):
         angles = np.zeros((4, 3))

@@ -203,6 +203,10 @@ class TestPoseSeries:
         with pytest.raises(ValueError, match="^dt: must be positive$"):
             PoseSeries(np.zeros((40, 3)), np.zeros((40, 3)), dt)
 
+    def test_sample_step_must_be_finite(self):
+        with pytest.raises(ValueError, match="^dt: must be finite$"):
+            PoseSeries(np.zeros((40, 3)), np.zeros((40, 3)), np.inf)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
         positions = np.zeros((4, 3))

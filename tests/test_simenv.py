@@ -246,6 +246,10 @@ class TestParams:
         with pytest.raises(ValueError, match="^dt: must be positive$"):
             SimParams(dt=float("nan"))
 
+    def test_sim_params_reject_infinite_dt(self):
+        with pytest.raises(ValueError, match="^dt: must be finite$"):
+            SimParams(dt=float("inf"))
+
     def test_actuator_params_reject_nan_clamp(self):
         with pytest.raises(ValueError, match="^tau_max: must be positive$"):
             ActuatorParams(tau_max=float("nan"))
