@@ -223,7 +223,11 @@ def main(argv=None) -> int:
         return 2
     runs_root = args.runs_root or os.environ.get(RUNS_ROOT_ENV, "runs")
     run_dir = os.path.join(runs_root, args.run_id)
-    os.makedirs(run_dir, exist_ok=True)
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except OSError as err:
+        print(f"run directory error: cannot create {run_dir}: {err.strerror}", file=sys.stderr)
+        return 2
     digest = config_hash(cfg)  # once per command; each stage writes and checks it
 
     stages = list(STAGES) if args.stage == "all" else [args.stage]

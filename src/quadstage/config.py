@@ -9,11 +9,13 @@ The format is sections and key/value pairs::
 Each section is a dataclass (``_SECTIONS`` names them), and each of its
 fields is the only declaration of a key.  The field order is the file
 order.  The annotation picks the parser and formatter (``float``, ``int``,
-``bool``, ``float | np.ndarray`` for per-joint gains); vectors and choice
-strings carry theirs in ``field(metadata={"codec": ...})``.  A field's
-check lives in its dataclass's ``__post_init__``.  ``TrajectoryConfig`` is
-itself the input of the trajectory generators (``trajectory.GENERATORS``
-maps its ``type`` to one) and checks only the selected type's keys.
+``bool``, ``str``, ``float | np.ndarray`` for per-joint gains); vectors
+carry theirs in ``field(metadata={"codec": ...})``, choice strings their
+options.  The codecs only parse; each value is checked once, in its
+section's ``__post_init__``, whether it comes from a file or from Python.
+``TrajectoryConfig`` is itself the input of the trajectory generators
+(``trajectory.GENERATORS`` maps its ``type`` to one); it checks every
+choice and pose vector, but only the selected type's ranges.
 ``sim.dt`` is the whole pipeline's one sample clock: the generators sample
 at it, and no other key sets a step.  The checks across sections, the
 filter cutoff below the Nyquist rate of ``sim.dt`` and a trajectory long
@@ -21,9 +23,10 @@ enough to filter but at most ``MAX_SAMPLES`` long at ``sim.dt``, are in
 ``Config.__post_init__``.
 
 Every key is optional and falls back to the shipped default, but unknown
-sections, unknown keys, duplicates, and malformed lines are rejected with
-the offending line number, and so are non-finite numbers (nan, inf).
-Every error about a value names it as ``<section>.<key>: <reason>``.
+sections, unknown keys, duplicates, malformed lines and values that do not
+parse (non-finite numbers, a ``waypoints`` row of other than 6 numbers)
+are rejected with the offending line number.  Every error about a value
+names it as ``<section>.<key>: <reason>``.
 Floats are written with shortest round-trip precision so write -> load
 is exact.
 """
@@ -84,25 +87,24 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected true or false, got {text!r}")
 
 
-def _parse_floats(text: str, count: int | None = None) -> np.ndarray:
-    parts = text.split()
-    if count is not None and len(parts) != count:
-        raise ConfigError(f"expected {count} numbers, got {len(parts)}")
-    return np.array([_parse_float(p) for p in parts])
+def _parse_floats(text: str) -> np.ndarray:
+    return np.array([_parse_float(p) for p in text.split()])
 
 
 def _parse_gains(text: str) -> np.ndarray:
     values = _parse_floats(text)
-    if len(values) not in (1, 12):
-        raise ConfigError(f"expected 1 or 12 numbers, got {len(values)}")
     return values[0] if len(values) == 1 else values
 
 
 def _parse_pose_rows(text: str) -> np.ndarray:
-    rows = [row.strip() for row in text.split(";") if row.strip()]
+    # Ragged rows make no array, so the row length is checked here.
+    rows = [row.split() for row in text.split(";") if row.strip()]
     if not rows:
         raise ConfigError("expected at least one 'x y z rx ry rz' group")
-    return np.array([_parse_floats(row, 6) for row in rows])
+    for row in rows:
+        if len(row) != 6:
+            raise ConfigError(f"expected 6 numbers, got {len(row)}")
+    return np.array([[_parse_float(p) for p in row] for row in rows])
 
 
 def _fmt_floats(values) -> str:
@@ -126,38 +128,33 @@ _CODECS = {
     "float": (_parse_float, lambda v: repr(float(v))),
     "int": (_parse_int, lambda v: repr(int(v))),
     "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "str": (str, str),
     "float | np.ndarray": (_parse_gains, _fmt_gains),
 }
 
 
-def _floats(default, count: int | None = None):
-    """A float-vector field of `count` numbers (any number when None)."""
-    return field(
-        default_factory=lambda: np.array(default, dtype=float),
-        metadata={"codec": (lambda text: _parse_floats(text, count), _fmt_floats)},
-    )
+def _floats(default):
+    """A float-vector field of any length; its section checks the length."""
+    return field(default_factory=lambda: np.array(default, dtype=float),
+                 metadata={"codec": (_parse_floats, _fmt_floats)})
 
 
 def _choice(*options: str):
-    """A string field holding one of `options`; the first is the default."""
-
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ConfigError(f"expected one of {', '.join(options)}; got {text!r}")
-        return text
-
-    return field(default=options[0], metadata={"codec": (parse, str)})
+    """A string field for one of `options` (the first is the default)."""
+    return field(default=options[0], metadata={"options": options})
 
 
-def check_choice(name: str, value: str, options) -> None:
-    """ValueError "<name>: must be one of ..." unless value is one of options."""
-    if value not in options:
-        raise ValueError(f"{name}: must be one of {', '.join(options)}")
+def _check_choices(section) -> None:
+    # Every choice field of the section, whatever else it selects.
+    for f in fields(section):
+        options = f.metadata.get("options")
+        if options and getattr(section, f.name) not in options:
+            raise ValueError(f"{f.name}: must be one of {', '.join(options)}")
 
 
 def _check_poses(name: str, value, shape) -> None:
-    # A pose field of the trajectory: x y z rx ry rz numbers (one row per
-    # pose), or x y z for a (3,) shape; finite.
+    # A pose field: x y z rx ry rz numbers (one row per pose), or x y z
+    # for a (3,) shape; finite.
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
         numbers = "x y z" if shape == (3,) else "x y z rx ry rz"
@@ -174,10 +171,10 @@ def _check_poses(name: str, value, shape) -> None:
 class RobotGeometry:
     """The four legs; indexing and iterating give their LegGeometry, FL/FR/BL/BR."""
 
-    hip_mount_fl: np.ndarray = _floats([200.0, 150.0, 0.0], 3)
-    hip_mount_fr: np.ndarray = _floats([200.0, -150.0, 0.0], 3)
-    hip_mount_bl: np.ndarray = _floats([-200.0, 150.0, 0.0], 3)
-    hip_mount_br: np.ndarray = _floats([-200.0, -150.0, 0.0], 3)
+    hip_mount_fl: np.ndarray = _floats([200.0, 150.0, 0.0])
+    hip_mount_fr: np.ndarray = _floats([200.0, -150.0, 0.0])
+    hip_mount_bl: np.ndarray = _floats([-200.0, 150.0, 0.0])
+    hip_mount_br: np.ndarray = _floats([-200.0, -150.0, 0.0])
     hip_offset_y: float = 0.0
     l_upper: float = 375.0
     l_lower: float = 375.0
@@ -186,6 +183,8 @@ class RobotGeometry:
     joint_limit_deg: float = 170.0
 
     def __post_init__(self):
+        for leg in LEG_NAMES:
+            _check_poses(f"hip_mount_{leg}", getattr(self, f"hip_mount_{leg}"), (3,))
         for name in ("knee_sign_front", "knee_sign_back"):
             if getattr(self, name) not in (-1, 1):
                 raise ValueError(f"{name}: must be +1 or -1")
@@ -219,11 +218,11 @@ class TrajectoryConfig:
     axis: str = _choice(*AXES)
     frequency: float = 2.0
     amplitude: float = 20.0
-    offsets: np.ndarray = _floats([0.0] * 3, 3)
+    offsets: np.ndarray = _floats([0.0] * 3)
     # step
     step_time: float = 1.0
     total_time: float = 4.0
-    step_target: np.ndarray = _floats([0.0] * 6, 6)
+    step_target: np.ndarray = _floats([0.0] * 6)
     # circular
     radius: float = 20.0
     rot_angle_deg: float = 10.0
@@ -240,38 +239,32 @@ class TrajectoryConfig:
     interp: str = _choice(*INTERP_MODES)
 
     def __post_init__(self):
-        check_choice("type", self.type, TYPES)
-        # Check the selected type's keys now, so that gen cannot fail on
-        # them after the run directory exists; the other types' keys may
-        # hold anything.
+        _check_choices(self)
+        _check_poses("offsets", self.offsets, (3,))
+        _check_poses("step_target", self.step_target, (6,))
+        n = len(np.atleast_2d(self.waypoints))
+        if n < 1:
+            raise ValueError("waypoints: need at least one waypoint")
+        _check_poses("waypoints", np.atleast_2d(self.waypoints), (n, 6))
+        # The selected type's ranges are checked now, so that gen cannot
+        # fail on them after the run directory exists; other types' are not.
         if self.type == "sine":
             check_positive(self, "frequency")
             check_non_negative(self, "run_time", "wait_time")
-            check_choice("motion", self.motion, MOTIONS)
-            check_choice("axis", self.axis, AXES)
-            _check_poses("offsets", self.offsets, (3,))
         elif self.type == "circular":
             check_non_negative(self, "radius")
             if not self.rounds >= 1:
                 raise ValueError("rounds: must be >= 1")
             check_positive(self, "circle_frequency")
-            check_choice("direction", self.direction, DIRECTIONS)
-            check_choice("rotation_mode", self.rotation_mode, ROTATION_MODES)
         elif self.type == "step":
             if not 0.0 <= self.step_time <= self.total_time:
                 raise ValueError("step_time: must be within [0, total_time]")
-            _check_poses("step_target", self.step_target, (6,))
         else:
-            n = len(np.atleast_2d(self.waypoints))
-            if n < 1:
-                raise ValueError("waypoints: need at least one waypoint")
             if len(self.segment_times) != n - 1:
                 raise ValueError(f"segment_times: need {n - 1} segment times for "
                                  f"{n} waypoints, got {len(self.segment_times)}")
             if not all(s > 0 for s in self.segment_times):
                 raise ValueError("segment_times: must be positive")
-            _check_poses("waypoints", np.atleast_2d(self.waypoints), (n, 6))
-            check_choice("interp", self.interp, INTERP_MODES)
 
     def duration(self) -> tuple[str, float]:
         """(key, seconds): the selected type's duration, which its generator
@@ -290,7 +283,7 @@ class PostprocessConfig:
     z_offset_mode: str = _choice(*Z_OFFSET_MODES)
 
     def __post_init__(self):
-        check_choice("z_offset_mode", self.z_offset_mode, Z_OFFSET_MODES)
+        _check_choices(self)
 
 
 @dataclass

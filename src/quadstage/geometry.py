@@ -9,7 +9,7 @@ Conventions used throughout the package:
   ``det(R) = +1``.
 
 All functions are pure and safe to call from multiple threads.  The
-array-first ones (is_rotation, rotation_to_euler, align_vectors,
+array-first ones (euler_to_rotation, rotation_to_euler, align_vectors,
 line_closest_midpoint) also take stacks over leading axes; a check that
 fails on a stack names the first offending sample index.
 """
@@ -139,35 +139,14 @@ def _euler_rows(rx, ry, rz, lib) -> tuple:
             (sx * sz - cxsy * cz, cxsy * sz + sx * cz, cx * cy))
 
 
-def cross(a, b) -> np.ndarray:
-    """Cross product over the last axis of two (..., 3) arrays.
-
-    Same result as np.cross, which costs about four times more on one
-    vector pair.
-    """
-    return np.stack(_cross(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
-
-
 def _is_rotation(rows, tol: float):
-    # is_rotation's test on a matrix given as rows: the upper triangle of
+    # The rotation test on a matrix given as rows: the upper triangle of
     # its Gram matrix within tol of I and its determinant within tol of 1.
     columns = tuple(zip(*rows))
     ok = abs(_det(rows) - 1.0) <= tol
     for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
         ok = ok & (abs(_dot(columns[i], columns[j]) - float(i == j)) <= tol)
     return ok
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
-    """True if r is orthonormal with det +1 within tol.
-
-    r may be one (3, 3) matrix or a stack (..., 3, 3); the result is then a
-    boolean array over the leading axes.  Any other shape gives False.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape[-2:] != (3, 3):
-        return False
-    return _is_rotation(np.moveaxis(r, (-2, -1), (0, 1)), tol)
 
 
 _NOT_ROTATION = "input is not a rotation matrix (orthonormality/det check failed)"

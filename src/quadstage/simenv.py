@@ -28,6 +28,9 @@ import numpy as np
 from .kinematics import NUM_JOINTS, _foot_z_row, check_non_negative, check_positive
 from .kinematics import leg_jacobian  # not called here: perfbench/layers.py wraps simenv.leg_jacobian
 
+# Standard gravity (m/s^2): the stage weight is total_mass * GRAVITY.
+GRAVITY = 9.81
+
 
 class SimulationUnstableError(RuntimeError):
     """State became non-finite; reports the failing tick."""
@@ -71,13 +74,13 @@ class SimParams:
     """Controller and load configuration for a run.
 
     kp and kd accept a scalar or a per-joint 12-vector; they are stored as
-    12-vectors.
+    12-vectors.  The load is the weight of payload_mass + platform_mass
+    under the fixed GRAVITY.
     """
 
     dt: float = 1.0 / 1000.0
     kp: float | np.ndarray = 180.0
     kd: float | np.ndarray = 3.6
-    gravity: float = 9.81
     payload_mass: float = 0.3
     platform_mass: float = 0.3
     gravity_compensation: bool = False
@@ -115,11 +118,11 @@ class SimLog:
         return np.arange(len(self)) * self.dt
 
 
-def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
-    """Static joint load (N m) from the supported mass.
+def gravity_torque(q, total_mass: float, robot) -> np.ndarray:
+    """Static joint load (N m) from the supported mass under GRAVITY.
 
     The load splits evenly over the four corners as a force
-    f = (0, 0, -F), F = total_mass * g / 4, and maps through each leg's
+    f = (0, 0, -F), F = total_mass * GRAVITY / 4, and maps through each leg's
     Jacobian transpose: J^T f = -F J[2, :], so only the z row of
     leg_jacobian is needed.  It comes from leg_jacobian's own z-row core,
     on math scalars, and the tests hold the result to leg_jacobian's
@@ -130,7 +133,7 @@ def gravity_torque(q, total_mass: float, robot, g: float = 9.81) -> np.ndarray:
     q = np.asarray(q, dtype=float).tolist()
     if total_mass == 0.0:
         return np.zeros(NUM_JOINTS)
-    fz = -total_mass * g / 4.0
+    fz = -total_mass * GRAVITY / 4.0
     z_rows = []
     for i, geom in enumerate(robot):
         z_rows += _foot_z_row(*q[3 * i : 3 * i + 3], geom, math)
@@ -179,7 +182,7 @@ def sim_step(
         SimulationUnstableError: the new state is not finite; .tick is the
             tick index passed in.
     """
-    tau_g = gravity_torque(q, params.total_mass, robot, params.gravity)
+    tau_g = gravity_torque(q, params.total_mass, robot)
     tau, current = pd_control(q_target, q, qdot, params, actuator, tau_g)
     qddot = (tau - tau_g) / actuator.reflected_inertia
     qdot = qdot + params.dt * qddot

@@ -174,7 +174,7 @@ def test_criterion_5_gravity_offset_law():
     targets = np.tile(q0, (5000, 1))
     log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
     q_end = log.q[-1]
-    tau_g = gravity_torque(q_end, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
+    tau_g = gravity_torque(q_end, cfg.sim.total_mass, cfg.robot)
     residual = float(np.max(np.abs((q0 - q_end) - tau_g / cfg.sim.kp)))
     offset = float(np.max(np.abs(q0 - q_end)))
 

@@ -160,6 +160,22 @@ class TestPipeline:
             assert capsys.readouterr().err == f"config error: line 8: unknown key trajectory.{key}\n"
             assert not (runs_root / "old").exists()
 
+    def test_removed_gravity_key_rejected(self, runs_root, tmp_path, capsys):
+        # g = 9.81 m/s^2 is the fixed simenv.GRAVITY, no longer a key.
+        path = tmp_path / "old.cfg"
+        path.write_text("[sim]\ngravity = 9.81\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "old") == 2
+        assert capsys.readouterr().err == "config error: line 2: unknown key sim.gravity\n"
+        assert not (runs_root / "old").exists()
+
+    def test_unusable_runs_root_exits_before_any_stage(self, tmp_path, fast_config, capsys, monkeypatch):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setattr(cli, "STAGES", {})  # a stage that ran would exit 1
+        assert run_cli("gen", "--config", fast_config, "--runs-root", str(not_a_dir)) == 2
+        run_dir = os.path.join(str(not_a_dir), "default")
+        assert capsys.readouterr() == ("", f"run directory error: cannot create {run_dir}: Not a directory\n")
+
     def test_generator_parameters_checked_before_run_dir(self, runs_root, tmp_path, capsys):
         path = tmp_path / "freq.cfg"
         path.write_text(FAST_CFG.replace("frequency = 2.0", "frequency = -1"))

@@ -37,7 +37,7 @@ from quadstage.logio import (
     write_table,
     write_trajectory,
 )
-from quadstage.simenv import SimLog
+from quadstage.simenv import SimLog, SimParams
 from quadstage.trajectory import TrajectoryBoundsWarning, gen_sine, sample_count
 
 MINIMAL = """
@@ -89,7 +89,6 @@ reflected_inertia = 0.035
 dt = 0.001
 kp = 180.0
 kd = 3.6
-gravity = 9.81
 payload_mass = 0.3
 platform_mass = 0.3
 gravity_compensation = false
@@ -261,8 +260,8 @@ class TestConfig:
     def test_default_snapshot_is_pinned(self):
         cfg = default_config()
         assert dumps_config(cfg) == DEFAULT_SNAPSHOT
-        assert config_hash(cfg) == "3a9ae20b623a074f"
-        assert config_hash(loads_config(README_OVERRIDE)) == "7ba5695e198926e2"
+        assert config_hash(cfg) == "8d2da70f9931b948"
+        assert config_hash(loads_config(README_OVERRIDE)) == "47ab3d4ac9affd4f"
 
     @settings(max_examples=60, deadline=None)
     @given(configs())
@@ -306,6 +305,38 @@ class TestConfig:
     def test_bad_value_names_section_and_key(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"(^|: ){re.escape(section)}\.{key}: "):
             loads_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "section, cls, key, text, value, reason",
+        [
+            # The direction and the step pose are checked whatever the type:
+            # sine is the default.
+            ("trajectory", TrajectoryConfig, "direction", "left", "left", "must be one of cw, ccw"),
+            ("trajectory", TrajectoryConfig, "step_target", "0 0 0 0 0", np.zeros(5),
+             "must be x y z rx ry rz numbers, got shape (5,)"),
+            ("robot", RobotGeometry, "hip_mount_fl", "200 150", np.array([200.0, 150.0]),
+             "must be x y z numbers, got shape (2,)"),
+            ("sim", SimParams, "kp", "1 2 3", np.array([1.0, 2.0, 3.0]), "must be a scalar or a 12-vector"),
+        ],
+    )
+    def test_one_check_per_value(self, section, cls, key, text, value, reason):
+        # A file and a section built in Python meet the same check.
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {re.escape(reason)}$"):
+            loads_config(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=rf"^{key}: {re.escape(reason)}$"):
+            cls(**{key: value})
+
+    def test_choices_and_poses_checked_whatever_the_type(self):
+        # Each of these values would give a snapshot that does not load.
+        with pytest.raises(ValueError, match="^axis: must be one of x, y, z$"):
+            TrajectoryConfig(type="circular", axis="w")
+        with pytest.raises(ValueError, match=r"^waypoints: must be x y z rx ry rz numbers, got shape \(2, 5\)$"):
+            TrajectoryConfig(waypoints=np.zeros((2, 5)))
+
+    def test_waypoint_row_of_three_numbers_rejected(self):
+        text = "[trajectory]\ntype = arbitrary\nwaypoints = 0 0 0 0 0 0 ; 1 2 3\nsegment_times = 1\n"
+        with pytest.raises(ConfigError, match=r"^line 3: trajectory\.waypoints: expected 6 numbers, got 3$"):
+            loads_config(text)
 
     @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -352,7 +383,8 @@ class TestConfig:
              "segment_times: need 0 segment times for 1 waypoints, got 1"),
             ({"type": "arbitrary", "waypoints": np.array([[0.0] * 6, [1.0] + [0.0] * 5]),
               "segment_times": np.array([-1.0])}, "segment_times: must be positive"),
-            # Reached only from Python: a config file cannot hold these values.
+            # Non-finite numbers and short waypoint rows are reached only from
+            # Python: a config file cannot hold them.
             ({"type": "arbitrary", "interp": "bogus"}, "interp: must be one of linear, cosine"),
             ({"type": "arbitrary", "waypoints": np.array([[0.0] * 5 + [float("nan")]])},
              "waypoints: must be finite"),

@@ -6,6 +6,7 @@ import pytest
 from quadstage.config import TrajectoryConfig
 from quadstage.kinematics import LegGeometry, PlatformPose, leg_jacobian, solve_platform_ik
 from quadstage.simenv import (
+    GRAVITY,
     ActuatorParams,
     SimParams,
     SimulationUnstableError,
@@ -49,7 +50,7 @@ class TestGravityTorque:
         mass, g, h = 1.5, 9.81, 1e-6
         for _ in range(50):
             q = rng.uniform(-1.2, 1.2, 12)
-            tau = gravity_torque(q, mass, cfg.robot, g)
+            tau = gravity_torque(q, mass, cfg.robot)
             for i, geom in enumerate(cfg.robot):
                 for j in range(3):
                     dq = np.zeros(3)
@@ -73,11 +74,11 @@ class TestGravityTorque:
         for k in range(1000):
             q = fixed[k] if k < len(fixed) else rng.uniform(-3.0, 3.0, 12)
             mass = rng.uniform(0.01, 5.0)
-            f = np.array([0.0, 0.0, -mass * cfg.sim.gravity / 4.0])
+            f = np.array([0.0, 0.0, -mass * GRAVITY / 4.0])
             expected = np.concatenate(
                 [(leg_jacobian(q[3 * i : 3 * i + 3], geom) * 1e-3).T @ f for i, geom in enumerate(robot)]
             )
-            tau = gravity_torque(q, mass, robot, cfg.sim.gravity)
+            tau = gravity_torque(q, mass, robot)
             assert np.array_equal(tau.view(np.uint64), expected.view(np.uint64)), (q, mass)
 
 
@@ -155,7 +156,7 @@ class TestSimStep:
         q, qdot = q0, np.zeros(12)
         for k in range(6000):
             q, qdot, _, _ = sim_step(q, qdot, q0, cfg.sim, cfg.actuator, cfg.robot, k)
-        tau_g = gravity_torque(q, cfg.sim.total_mass, cfg.robot, cfg.sim.gravity)
+        tau_g = gravity_torque(q, cfg.sim.total_mass, cfg.robot)
         assert np.max(np.abs((q0 - q) - tau_g / cfg.sim.kp)) < 1e-6
 
     def test_unstable_error_names_the_tick_passed_in(self, cfg):
