@@ -12,10 +12,11 @@ order.  The annotation picks the parser and formatter (``float``, ``int``,
 ``bool``, ``str``, ``float | np.ndarray`` for per-joint gains); vectors
 carry theirs in ``field(metadata={"codec": ...})``, choice strings their
 options.  The codecs only parse; each value is checked once, in its
-section's ``__post_init__``, whether it comes from a file or from Python.
-``TrajectoryConfig`` is itself the input of the trajectory generators
-(``trajectory.GENERATORS`` maps its ``type`` to one); it checks every
-choice and pose vector, but only the selected type's ranges.
+section's ``__post_init__`` (numbers by ``kinematics.check_fields``),
+whether it comes from a file or from Python.  ``TrajectoryConfig`` is the
+input of the trajectory generators (``trajectory.GENERATORS`` maps its
+``type`` to one); it checks every choice, pose vector and number, but
+only the selected type's ranges.
 ``sim.dt`` is the whole pipeline's one sample clock: the generators sample
 at it, and no other key sets a step.  The checks across sections, the
 filter cutoff below the Nyquist rate of ``sim.dt`` and a trajectory long
@@ -24,9 +25,9 @@ enough to filter but at most ``MAX_SAMPLES`` long at ``sim.dt``, are in
 
 Every key is optional and falls back to the shipped default, but unknown
 sections, unknown keys, duplicates, malformed lines and values that do not
-parse (non-finite numbers, a ``waypoints`` row of other than 6 numbers)
-are rejected with the offending line number.  Every error about a value
-names it as ``<section>.<key>: <reason>``.
+parse (not a number, integer or ``true``/``false``; a ``waypoints`` row
+of other than 6 numbers) are rejected with the offending line number.
+Every error about a value names it as ``<section>.<key>: <reason>``.
 Floats are written with shortest round-trip precision so write -> load
 is exact.
 """
@@ -39,8 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kinematics import (LEG_NAMES, LegGeometry, PlatformGeometry, WorkspaceLimits, check_non_negative,
-                         check_positive)
+from .kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, WorkspaceLimits, check_fields
 from .postprocess import Z_OFFSET_MODES, FilterParams, PoseSeries
 from .simenv import ActuatorParams, SimParams
 from .trajectory import (AXES, DIRECTIONS, GENERATORS, INTERP_MODES, MOTIONS, ROTATION_MODES, TYPES,
@@ -64,12 +64,9 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def _parse_int(text: str) -> int:
@@ -153,14 +150,12 @@ def _check_choices(section) -> None:
 
 
 def _check_poses(name: str, value, shape) -> None:
-    # A pose field: x y z rx ry rz numbers (one row per pose), or x y z
-    # for a (3,) shape; finite.
+    # A pose field's shape: x y z rx ry rz numbers (one row per pose), or
+    # x y z for a (3,) shape.
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
         numbers = "x y z" if shape == (3,) else "x y z rx ry rz"
         raise ValueError(f"{name}: must be {numbers} numbers, got shape {value.shape}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name}: must be finite")
 
 
 # Sections defined here; platform, workspace, actuator, sim and filter are
@@ -188,6 +183,8 @@ class RobotGeometry:
         for name in ("knee_sign_front", "knee_sign_back"):
             if getattr(self, name) not in (-1, 1):
                 raise ValueError(f"{name}: must be +1 or -1")
+        # Before the legs are built, so that an error names hip_mount_<leg>.
+        check_fields(self, positive=("l_upper", "l_lower", "joint_limit_deg"))
         object.__setattr__(self, "legs", tuple(
             LegGeometry(getattr(self, f"hip_mount_{leg}"), self.l_upper, self.l_lower, self.hip_offset_y,
                         side="left" if leg[1] == "l" else "right",
@@ -248,14 +245,13 @@ class TrajectoryConfig:
         _check_poses("waypoints", np.atleast_2d(self.waypoints), (n, 6))
         # The selected type's ranges are checked now, so that gen cannot
         # fail on them after the run directory exists; other types' are not.
+        positive, non_negative = (), ()
         if self.type == "sine":
-            check_positive(self, "frequency")
-            check_non_negative(self, "run_time", "wait_time")
+            positive, non_negative = ("frequency",), ("run_time", "wait_time")
         elif self.type == "circular":
-            check_non_negative(self, "radius")
             if not self.rounds >= 1:
                 raise ValueError("rounds: must be >= 1")
-            check_positive(self, "circle_frequency")
+            positive, non_negative = ("circle_frequency",), ("radius",)
         elif self.type == "step":
             if not 0.0 <= self.step_time <= self.total_time:
                 raise ValueError("step_time: must be within [0, total_time]")
@@ -265,6 +261,7 @@ class TrajectoryConfig:
                                  f"{n} waypoints, got {len(self.segment_times)}")
             if not all(s > 0 for s in self.segment_times):
                 raise ValueError("segment_times: must be positive")
+        check_fields(self, positive, non_negative)
 
     def duration(self) -> tuple[str, float]:
         """(key, seconds): the selected type's duration, which its generator

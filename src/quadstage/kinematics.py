@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,18 +28,25 @@ JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
 NUM_JOINTS = 12
 
 
-def check_positive(obj, *names: str) -> None:
-    """ValueError "<name>: must be positive" for the first field not > 0 (NaN included)."""
-    for name in names:
+def check_fields(obj, positive=(), non_negative=()) -> None:
+    """ValueError "<name>: <reason>" for a dataclass's first bad number.
+
+    The positive fields must be positive, then the non_negative ones >= 0
+    (NaN fails both); then, by (deferred, so string) annotation, every float
+    or array entry must be finite and every int a whole number.
+    """
+    for name in positive:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name}: must be positive")
-
-
-def check_non_negative(obj, *names: str) -> None:
-    """ValueError "<name>: must be >= 0" for the first field not >= 0 (NaN included)."""
-    for name in names:
+    for name in non_negative:
         if not getattr(obj, name) >= 0:
             raise ValueError(f"{name}: must be >= 0")
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", "np.ndarray", "float | np.ndarray") and not np.isfinite(value).all():
+            raise ValueError(f"{f.name}: must be finite")
+        if f.type == "int" and not value % 1 == 0:
+            raise ValueError(f"{f.name}: must be a whole number")
 
 
 class KinematicsError(ValueError):
@@ -109,11 +116,11 @@ class LegGeometry:
             raise ValueError("hip_mount must be a 3-vector")
         hip_mount.flags.writeable = False
         object.__setattr__(self, "hip_mount", hip_mount)
-        check_positive(self, "l_upper", "l_lower", "joint_limit_deg")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.knee_sign not in (-1, 1):
             raise ValueError("knee_sign must be +1 or -1")
+        check_fields(self, positive=("l_upper", "l_lower", "joint_limit_deg"))
 
     @property
     def side_sign(self) -> float:
@@ -139,8 +146,7 @@ class PlatformGeometry:
     home_height: float = 340.0
 
     def __post_init__(self):
-        check_positive(self, "length_x", "width_y", "home_height")
-        check_non_negative(self, "z_offset")
+        check_fields(self, positive=("length_x", "width_y", "home_height"), non_negative=("z_offset",))
         hx, hy, z0 = self.length_x / 2.0, self.width_y / 2.0, self.z_offset
         corners = np.array([[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]])
         center = np.array([0.0, 0.0, -self.home_height + z0])
@@ -192,7 +198,7 @@ class WorkspaceLimits:
     ball_pivot_max: float = 30.0
 
     def __post_init__(self):
-        check_positive(self, "x_max", "y_max", "z_max", "rot_max", "ball_pivot_max")
+        check_fields(self, positive=("x_max", "y_max", "z_max", "rot_max", "ball_pivot_max"))
 
 
 @dataclass(eq=False)
@@ -219,14 +225,11 @@ def leg_fk(q_leg, geom: LegGeometry) -> np.ndarray:
     """Foot (ball-joint) position in the body frame for one leg (mm).
 
     Array-first: q_leg is (..., 3) joint angles [hip_aa, hip_fe, knee_fe]
-    in radians and the result is (..., 3).
+    in radians and the result is (..., 3); a (3,) q_leg is the N = 1 case.
     """
     q = np.asarray(q_leg, dtype=float)
-    # One configuration runs on math scalars, which is about twice as fast
-    # as numpy ufuncs on 0-d values.
-    lib = math if q.ndim == 1 else np
     foot = np.empty_like(q)
-    foot[..., 0], foot[..., 1], foot[..., 2] = _leg_fk_core(q[..., 0], q[..., 1], q[..., 2], geom, lib)
+    foot[..., 0], foot[..., 1], foot[..., 2] = _leg_fk_core(q[..., 0], q[..., 1], q[..., 2], geom, np)
     foot += geom.hip_mount
     return foot
 
@@ -320,16 +323,16 @@ def _leg_ik_stack(p, geom: LegGeometry) -> tuple[np.ndarray, np.ndarray]:
 def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
     """Analytic Jacobian d(foot position)/d(joint angles) in mm/rad.
 
-    Array-first like leg_fk: q_leg is (..., 3) joint angles and the result
-    is (..., 3, 3), column j the foot velocity per unit rate of joint j.
+    Array-first like leg_fk, (3,) the N = 1 case: q_leg is (..., 3) joint
+    angles and the result is (..., 3, 3), column j the foot velocity per
+    unit rate of joint j.
     """
     q = np.asarray(q_leg, dtype=float)
-    lib = math if q.ndim == 1 else np
     q_aa, q_hip, q_knee = q[..., 0], q[..., 1], q[..., 2]
-    xp, zp = _planar_foot(q_hip, q_knee, geom, lib)
+    xp, zp = _planar_foot(q_hip, q_knee, geom, np)
     y = geom.side_sign * geom.hip_offset_y
-    c, s = lib.cos(q_aa), lib.sin(q_aa)
-    kx, kz = geom.l_lower * lib.cos(q_hip + q_knee), geom.l_lower * lib.sin(q_hip + q_knee)
+    c, s = np.cos(q_aa), np.sin(q_aa)
+    kx, kz = geom.l_lower * np.cos(q_hip + q_knee), geom.l_lower * np.sin(q_hip + q_knee)
     jac = np.zeros(q.shape + (3,))
     # d/dq_aa of Rx(q_aa) (xp, y, zp) is x_hat x (Rx (xp, y, zp)); the hip
     # and knee columns are Rx (-zp, 0, xp) and Rx (kx, 0, kz).
@@ -338,7 +341,7 @@ def leg_jacobian(q_leg, geom: LegGeometry) -> np.ndarray:
     jac[..., 1, 1] = -s * xp
     jac[..., 0, 2] = kx
     jac[..., 1, 2] = -s * kz
-    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 2] = _foot_z_row(q_aa, q_hip, q_knee, geom, lib)
+    jac[..., 2, 0], jac[..., 2, 1], jac[..., 2, 2] = _foot_z_row(q_aa, q_hip, q_knee, geom, np)
     return jac
 
 

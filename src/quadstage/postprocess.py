@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _dot, _euler_deg,
                        _midpoint, _sub, align_vectors, line_closest_midpoint, rotation_to_euler)
 from .kinematics import (NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core,
-                         check_positive, leg_fk)
+                         check_fields, leg_fk)
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
@@ -43,9 +43,7 @@ class PoseSeries(PlatformPose):
 
     def __post_init__(self):
         super().__post_init__()
-        check_positive(self, "dt")
-        if self.dt == math.inf:
-            raise ValueError("dt: must be finite")
+        check_fields(self, positive=("dt",))
         if self.position.ndim != 2:
             raise ValueError("position and orientation_deg must be (N, 3) stacks")
         for name in ("lin_vel", "ang_vel", "lin_acc", "ang_acc"):
@@ -77,9 +75,9 @@ class FilterParams:
     zero_phase: bool = True
 
     def __post_init__(self):
-        check_positive(self, "cutoff_hz")
         if self.order < 2 or self.order % 2:
             raise ValueError("order: must be a positive even integer")
+        check_fields(self, positive=("cutoff_hz",))
 
 
 @dataclass(eq=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import NUM_JOINTS, _foot_z_row, check_non_negative, check_positive
+from .kinematics import NUM_JOINTS, _foot_z_row, check_fields
 from .kinematics import leg_jacobian  # not called here: perfbench/layers.py wraps simenv.leg_jacobian
 
 # Standard gravity (m/s^2): the stage weight is total_mass * GRAVITY.
@@ -63,7 +63,7 @@ class ActuatorParams:
     reflected_inertia: float = 0.035
 
     def __post_init__(self):
-        check_positive(self, "tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia")
+        check_fields(self, positive=("tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia"))
 
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
         return tau / (self.gear_ratio * self.kt_motor)
@@ -86,12 +86,9 @@ class SimParams:
     gravity_compensation: bool = False
 
     def __post_init__(self):
-        check_positive(self, "dt")
-        if self.dt == math.inf:
-            raise ValueError("dt: must be finite")
-        check_non_negative(self, "payload_mass", "platform_mass")
         self.kp = _per_joint(self.kp, "kp")
         self.kd = _per_joint(self.kd, "kd")
+        check_fields(self, positive=("dt",), non_negative=("payload_mass", "platform_mass"))
 
     @property
     def total_mass(self) -> float:
@@ -131,8 +128,6 @@ def gravity_torque(q, total_mass: float, robot) -> np.ndarray:
     torque.
     """
     q = np.asarray(q, dtype=float).tolist()
-    if total_mass == 0.0:
-        return np.zeros(NUM_JOINTS)
     fz = -total_mass * GRAVITY / 4.0
     z_rows = []
     for i, geom in enumerate(robot):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadstage.cli import build_parser, effective_config, main
 from quadstage.config import (
+    _SECTIONS,
     MAX_SAMPLES,
     Config,
     ConfigError,
@@ -24,7 +25,7 @@ from quadstage.config import (
     loads_config,
     write_config,
 )
-from quadstage.kinematics import LEG_NAMES, LegGeometry
+from quadstage.kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, WorkspaceLimits
 from quadstage.logio import (
     FLOAT_FORMAT,
     JOINT_TARGET_COLUMNS,
@@ -37,7 +38,7 @@ from quadstage.logio import (
     write_table,
     write_trajectory,
 )
-from quadstage.simenv import SimLog, SimParams
+from quadstage.simenv import ActuatorParams, SimLog, SimParams
 from quadstage.trajectory import TrajectoryBoundsWarning, gen_sine, sample_count
 
 MINIMAL = """
@@ -344,9 +345,56 @@ class TestConfig:
         [("sim", "dt", "{}"), ("robot", "hip_mount_fl", "200 {} 0"), ("sim", "kp", "{}")],
     )
     def test_non_finite_number_rejected(self, section, key, value, number):
-        message = rf"^line 2: {section}\.{key}: expected a finite number, got '{re.escape(number)}'$"
-        with pytest.raises(ConfigError, match=message):
+        # nan and inf parse; the section rejects them, NaN and -inf at a
+        # bound first, with the message of the same value built in Python.
+        bound = {"dt": "must be positive", "kp": "must be non-negative"}.get(key)
+        reason = bound if bound and number != "inf" else "must be finite"
+        message = rf"^{section}\.{key}: {reason}$"
+        with pytest.raises(ConfigError, match=message) as from_file:
             loads_config(f"[{section}]\n{key} = {value.format(number)}\n")
+        numbers = np.array([float(p) for p in value.format(number).split()])
+        cls = {"sim": SimParams, "robot": RobotGeometry}[section]
+        with pytest.raises(ValueError) as from_python:
+            cls(**{key: numbers if len(numbers) > 1 else numbers[0]})
+        assert str(from_file.value) == f"{section}.{from_python.value}"
+
+    @pytest.mark.parametrize(
+        "cls, keys, message",
+        [
+            (TrajectoryConfig, {"type": "circular", "rounds": 2.5}, "rounds: must be a whole number"),
+            (TrajectoryConfig, {"radius": float("nan")}, "radius: must be finite"),
+            (TrajectoryConfig, {"amplitude": float("nan")}, "amplitude: must be finite"),
+            (SimParams, {"kp": float("inf")}, "kp: must be finite"),
+            (ActuatorParams, {"tau_max": float("inf")}, "tau_max: must be finite"),
+            (WorkspaceLimits, {"x_max": float("inf")}, "x_max: must be finite"),
+            (PlatformGeometry, {"z_offset": float("inf")}, "z_offset: must be finite"),
+            (LegGeometry, {"hip_mount": [float("nan"), 0.0, 0.0], "l_upper": 375.0, "l_lower": 375.0},
+             "hip_mount: must be finite"),
+        ],
+    )
+    def test_python_built_bad_number_rejected(self, cls, keys, message):
+        # No bound rejects these (or the type does not read the key): only
+        # the finite and whole-number checks do.
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            cls(**keys)
+
+    @pytest.mark.parametrize("section", list(_SECTIONS))
+    def test_every_number_field_checked(self, section):
+        # Every float or array entry must be finite and every int whole,
+        # whatever the key; this covers keys added later too.
+        cls = _SECTIONS[section][1]
+        for f in dataclasses.fields(cls):
+            if f.type == "int":
+                bad = 2.5
+            elif f.type in ("float", "float | np.ndarray"):
+                bad = float("inf")
+            elif f.type == "np.ndarray":
+                shape = np.shape(getattr(cls(), f.name))
+                bad = np.full(shape if np.prod(shape) else (1,), float("inf"))
+            else:
+                continue
+            with pytest.raises(ValueError, match=rf"^{f.name}: "):
+                cls(**{f.name: bad})
 
     @pytest.mark.parametrize(
         "body, message",
@@ -383,8 +431,8 @@ class TestConfig:
              "segment_times: need 0 segment times for 1 waypoints, got 1"),
             ({"type": "arbitrary", "waypoints": np.array([[0.0] * 6, [1.0] + [0.0] * 5]),
               "segment_times": np.array([-1.0])}, "segment_times: must be positive"),
-            # Non-finite numbers and short waypoint rows are reached only from
-            # Python: a config file cannot hold them.
+            # Short waypoint rows are reached only from Python: a config
+            # file cannot hold them.
             ({"type": "arbitrary", "interp": "bogus"}, "interp: must be one of linear, cosine"),
             ({"type": "arbitrary", "waypoints": np.array([[0.0] * 5 + [float("nan")]])},
              "waypoints: must be finite"),
