@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,7 +34,8 @@ def check_fields(obj, positive=(), non_negative=()) -> None:
 
     The positive fields must be positive, then the non_negative ones >= 0
     (NaN fails both); then, by (deferred, so string) annotation, every float
-    or array entry must be finite and every int a whole number.
+    or array entry must be finite and every int a whole number that a float
+    can hold.
     """
     for name in positive:
         if not getattr(obj, name) > 0:
@@ -47,6 +49,8 @@ def check_fields(obj, positive=(), non_negative=()) -> None:
             raise ValueError(f"{f.name}: must be finite")
         if f.type == "int" and not value % 1 == 0:
             raise ValueError(f"{f.name}: must be a whole number")
+        if f.type == "int" and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{f.name}: must be finite")
 
 
 class KinematicsError(ValueError):

@@ -12,10 +12,12 @@ J^T f.
 Integration is semi-implicit Euler (velocity first, then position), which
 keeps stiff PD gains stable at 1 kHz without a solver.
 
-run_sim owns the loop: it holds the joint state as two 12-vectors and
-calls sim_step once per target sample, which maps (q, qdot) at tick k to
-the state at tick k + 1 and the torque and current applied over the tick.
-Two runs over the same inputs produce bit-identical logs.
+run_sim owns the loop.  It binds a run's constants (gains, clamps, load,
+leg geometry) once into a tick, which maps (q, qdot) at tick k to the
+state at tick k + 1 and the torque and current applied over the tick.
+Each tick writes these in place into the rows of the log; sim_step,
+pd_control and gravity_torque run the same code on fresh arrays.  Two
+runs over the same inputs produce bit-identical logs.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class ActuatorParams:
 
     def __post_init__(self):
         check_fields(self, positive=("tau_max", "gear_ratio", "kt_motor", "i_max", "reflected_inertia"))
+
+    @property
+    def torque_limit(self) -> float:
+        """The tighter of the torque clamp and the current clamp's torque."""
+        return min(self.tau_max, self.i_max * self.gear_ratio * self.kt_motor)
 
     def current_from_torque(self, tau: np.ndarray) -> np.ndarray:
         return tau / (self.gear_ratio * self.kt_motor)
@@ -115,6 +122,16 @@ class SimLog:
         return np.arange(len(self)) * self.dt
 
 
+def _gravity_rows(q: list, fz: float, legs) -> list:
+    # gravity_torque as a list, from 12 floats and (first joint, geometry) per
+    # leg.  The matmul J^T f sums from +0, so an entry that is zero comes out
+    # +0 whatever its sign; so does + 0.0.
+    z_rows = []
+    for j, geom in legs:
+        z_rows += _foot_z_row(q[j], q[j + 1], q[j + 2], geom, math)
+    return [(row * 1e-3) * fz + 0.0 for row in z_rows]
+
+
 def gravity_torque(q, total_mass: float, robot) -> np.ndarray:
     """Static joint load (N m) from the supported mass under GRAVITY.
 
@@ -125,43 +142,66 @@ def gravity_torque(q, total_mass: float, robot) -> np.ndarray:
     on math scalars, and the tests hold the result to leg_jacobian's
     J^T f bit for bit.  This is the torque the controller must supply to
     hold the configuration; the integrator subtracts it from the applied
-    torque.
+    torque.  run_sim's tick computes it with the same code.
     """
-    q = np.asarray(q, dtype=float).tolist()
-    fz = -total_mass * GRAVITY / 4.0
-    z_rows = []
-    for i, geom in enumerate(robot):
-        z_rows += _foot_z_row(*q[3 * i : 3 * i + 3], geom, math)
-    # mm/rad -> m/rad, then times fz.  The matmul J^T f sums from +0, so an
-    # entry that is zero comes out +0 whatever its sign; so does + 0.0.
-    return np.array([(row * 1e-3) * fz + 0.0 for row in z_rows])
+    q, legs = np.asarray(q, dtype=float).tolist(), [(3 * i, geom) for i, geom in enumerate(robot)]
+    return np.array(_gravity_rows(q, -total_mass * GRAVITY / 4.0, legs))
 
 
-def pd_control(
-    q_target,
-    q,
-    qdot,
-    params: SimParams,
-    actuator: ActuatorParams,
-    tau_gravity,
-) -> tuple[np.ndarray, np.ndarray]:
+def _pd_clamp(tau, q_target, q, qdot, kp, kd, tau_ff, low, high, scratch) -> None:
+    # tau = kp (q_target - q) - kd qdot (+ tau_ff unless None), in place, then
+    # clamped to [low, high] as np.clip would be, without its argument handling.
+    np.subtract(q_target, q, out=tau)
+    np.subtract(np.multiply(kp, tau, out=tau), np.multiply(kd, qdot, out=scratch), out=tau)
+    if tau_ff is not None:
+        np.add(tau, tau_ff, out=tau)
+    np.minimum(np.maximum(tau, low, out=tau), high, out=tau)
+
+
+def pd_control(q_target, q, qdot, params: SimParams, actuator: ActuatorParams,
+               tau_gravity) -> tuple[np.ndarray, np.ndarray]:
     """PD torque and motor current with torque/current clamps.
 
     tau = kp (q_target - q) - kd qdot, plus the gravity feed-forward when
     params.gravity_compensation is set.  Torque is clamped to +/-tau_max,
     or to the torque of the +/-i_max current clamp when that binds first;
     the motor current follows from the clamped torque, so it is within
-    +/-i_max up to rounding.  The joint vectors are float arrays; both
-    results are new arrays.
+    +/-i_max up to rounding.  The joint vectors are 12-vectors; both
+    results are new arrays, from the PD and clamp code of run_sim's tick.
     """
-    tau = params.kp * (q_target - q) - params.kd * qdot
-    if params.gravity_compensation:
-        tau += tau_gravity
-    # The clamp as np.maximum / np.minimum in place: np.clip's values,
-    # without its Python-level argument handling on every tick.
-    tau_limit = min(actuator.tau_max, actuator.i_max * actuator.gear_ratio * actuator.kt_motor)
-    np.minimum(np.maximum(tau, -tau_limit, out=tau), tau_limit, out=tau)
+    tau, scratch, limit = np.empty(NUM_JOINTS), np.empty(NUM_JOINTS), actuator.torque_limit
+    tau_ff = tau_gravity if params.gravity_compensation else None
+    _pd_clamp(tau, q_target, q, qdot, params.kp, params.kd, tau_ff, -limit, limit, scratch)
     return tau, actuator.current_from_torque(tau)
+
+
+def _stepper(params: SimParams, actuator: ActuatorParams, robot):
+    # A run's tick, step(q, qdot, q_target, q_next, qdot_next, tau, current,
+    # tick), with its constants bound once; it writes its results in place.
+    # Scalars are bound as 12-vectors, which ufuncs take faster than floats.
+    kp, kd, fz = params.kp, params.kd, -params.total_mass * GRAVITY / 4.0
+    dt, inertia, nm_per_amp, high = (np.full(NUM_JOINTS, value) for value in (
+        params.dt, actuator.reflected_inertia, actuator.gear_ratio * actuator.kt_motor,
+        actuator.torque_limit))
+    low, tau_g, scratch = -high, np.empty(NUM_JOINTS), np.empty(NUM_JOINTS)
+    tau_ff = tau_g if params.gravity_compensation else None
+    legs = [(3 * i, geom) for i, geom in enumerate(robot)]
+
+    def step(q, qdot, q_target, q_next, qdot_next, tau, current, tick):
+        tau_g[:] = _gravity_rows(q.tolist(), fz, legs)
+        _pd_clamp(tau, q_target, q, qdot, kp, kd, tau_ff, low, high, scratch)
+        np.divide(tau, nm_per_amp, out=current)
+        # qddot = (tau - tau_g) / J; then qdot + dt qddot, and q + dt qdot.
+        np.divide(np.subtract(tau, tau_g, out=scratch), inertia, out=scratch)
+        np.add(qdot, np.multiply(dt, scratch, out=scratch), out=qdot_next)
+        np.add(q, np.multiply(dt, qdot_next, out=scratch), out=q_next)
+        # A non-finite entry makes the float sum non-finite, but so can a
+        # finite state overflow it (silently, unlike numpy): then test exactly.
+        finite = math.isfinite(sum(q_next.tolist(), sum(qdot_next.tolist())))
+        if not (finite or np.isfinite(q_next).all() and np.isfinite(qdot_next).all()):
+            raise SimulationUnstableError(tick)
+
+    return step
 
 
 def sim_step(
@@ -171,28 +211,20 @@ def sim_step(
 
     qddot = (tau_applied - tau_gravity_load) / reflected_inertia, then a
     semi-implicit Euler update of velocity and position.  Returns the new
-    (q, qdot) and the (tau, current) applied over the tick, as new arrays.
+    (q, qdot) and the (tau, current) applied over the tick, as new arrays:
+    this is run_sim's tick, run once on fresh arrays.
 
     Raises:
         SimulationUnstableError: the new state is not finite; .tick is the
             tick index passed in.
     """
-    tau_g = gravity_torque(q, params.total_mass, robot)
-    tau, current = pd_control(q_target, q, qdot, params, actuator, tau_g)
-    qddot = (tau - tau_g) / actuator.reflected_inertia
-    qdot = qdot + params.dt * qddot
-    q = q + params.dt * qdot
-    if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
-        raise SimulationUnstableError(tick)
-    return q, qdot, tau, current
+    out = tuple(np.empty(NUM_JOINTS) for _ in range(4))
+    q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
+    _stepper(params, actuator, robot)(q, qdot, q_target, *out, tick)
+    return out
 
 
-def run_sim(
-    joint_targets,
-    params: SimParams,
-    actuator: ActuatorParams,
-    robot,
-) -> SimLog:
+def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -> SimLog:
     """Track a joint-target sequence from rest at the first target.
 
     Returns one log record per target sample: record k holds the state at
@@ -203,23 +235,15 @@ def run_sim(
         SimulationUnstableError: a state went non-finite; .tick names the
             failing sample.
     """
-    targets = np.asarray(joint_targets, dtype=float)
+    targets = np.array(joint_targets, dtype=float)
     if targets.ndim != 2 or targets.shape[1] != NUM_JOINTS or len(targets) == 0:
         raise ValueError("joint_targets must be a non-empty (N, 12) array")
+    # Tick k writes row k + 1 of q and qdot; the last rows are never logged.
     n = len(targets)
-    log = SimLog(
-        dt=params.dt,
-        q_target=targets.copy(),
-        q=np.empty((n, NUM_JOINTS)),
-        qdot=np.empty((n, NUM_JOINTS)),
-        tau=np.empty((n, NUM_JOINTS)),
-        current=np.empty((n, NUM_JOINTS)),
-    )
-    q, qdot = log.q_target[0], np.zeros(NUM_JOINTS)
-    for k in range(n):
-        log.q[k] = q
-        log.qdot[k] = qdot
-        q, qdot, log.tau[k], log.current[k] = sim_step(
-            q, qdot, targets[k], params, actuator, robot, k
-        )
-    return log
+    q, qdot = np.empty((n + 1, NUM_JOINTS)), np.empty((n + 1, NUM_JOINTS))
+    tau, current = np.empty((n, NUM_JOINTS)), np.empty((n, NUM_JOINTS))
+    q[0], qdot[0] = targets[0], 0.0
+    step = _stepper(params, actuator, robot)
+    for k, rows in enumerate(zip(q, qdot, targets, q[1:], qdot[1:], tau, current)):
+        step(*rows, k)
+    return SimLog(params.dt, targets, q[:n], qdot[:n], tau, current)

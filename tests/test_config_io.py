@@ -378,6 +378,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             cls(**keys)
 
+    def test_int_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        # A whole number that float() cannot hold would overflow later, in
+        # duration(); the one number check rejects it, before any run dir.
+        with pytest.raises(ValueError, match="^rounds: must be finite$"):
+            TrajectoryConfig(type="circular", rounds=10**400)
+        path = tmp_path / "rounds.cfg"
+        path.write_text("[trajectory]\ntype = circular\nrounds = 1" + "0" * 400 + "\n")
+        runs = tmp_path / "runs"
+        assert main(["gen", "--config", str(path), "--run-id", "huge", "--runs-root", str(runs)]) == 2
+        assert capsys.readouterr().err == "config error: trajectory.rounds: must be finite\n"
+        assert not runs.exists()
+
     @pytest.mark.parametrize("section", list(_SECTIONS))
     def test_every_number_field_checked(self, section):
         # Every float or array entry must be finite and every int whole,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadstage.config import TrajectoryConfig
+from quadstage.config import TrajectoryConfig, default_config, loads_config
 from quadstage.kinematics import LegGeometry, PlatformPose, leg_jacobian, solve_platform_ik
 from quadstage.simenv import (
     GRAVITY,
@@ -16,6 +16,22 @@ from quadstage.simenv import (
     sim_step,
 )
 from quadstage.trajectory import gen_sine
+
+
+# The README's circular example: 20 mm, +/-10 deg yaw, 1.2 kg payload.
+README_CIRCLE = """\
+[trajectory]
+type = circular
+radius = 20.0
+rot_angle_deg = 10.0
+rounds = 20
+circle_frequency = 2.0
+direction = cw
+
+[sim]
+payload_mass = 1.2
+gravity_compensation = true
+"""
 
 
 def home_targets(cfg, n):
@@ -235,6 +251,46 @@ class TestRunSim:
         with pytest.raises(SimulationUnstableError) as err:
             run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert err.value.tick == 40
+
+    @pytest.mark.parametrize("sample", [57, 99])
+    def test_instability_reports_first_diverging_sample(self, cfg, sample):
+        # The last sample's new state is never logged, but still checked.
+        targets = home_targets(cfg, 100)
+        targets[sample, 7] = np.nan
+        with pytest.raises(SimulationUnstableError, match=f"^simulation diverged at tick {sample}$") as err:
+            run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        assert err.value.tick == sample
+
+    def test_finite_state_with_overflowing_dot_runs(self, cfg):
+        # At +/-1.5e308 rad the gravity load still drives the rates, so
+        # q . qdot (and the sum of q) overflows while every entry is finite.
+        for v in (1.5e308, -1.5e308):
+            targets = np.tile([v, v, 0.0], (50, 4))
+            log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+            assert np.isfinite(log.q).all() and np.isfinite(log.qdot).all()
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.dot(log.q[-1], log.qdot[-1]))
+
+    @pytest.mark.parametrize("config", ["default sine", "README circle"])
+    def test_equals_a_sim_step_loop_bit_for_bit(self, config):
+        # The README circle carries 1.2 kg with the gravity feed-forward on;
+        # the default sine runs without it.
+        cfg = default_config() if config == "default sine" else loads_config(README_CIRCLE)
+        assert cfg.sim.gravity_compensation == (config == "README circle")
+        targets = solve_platform_ik(cfg.build_trajectory(), cfg.robot, cfg.platform, cfg.limits)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        q, qdot = targets[0], np.zeros(12)
+        expected = {name: [] for name in ("q", "qdot", "tau", "current")}
+        for k, target in enumerate(targets):
+            expected["q"].append(q)
+            expected["qdot"].append(qdot)
+            q, qdot, tau, current = sim_step(q, qdot, target, cfg.sim, cfg.actuator, cfg.robot, k)
+            expected["tau"].append(tau)
+            expected["current"].append(current)
+        for name, rows in expected.items():
+            got, want = getattr(log, name), np.array(rows)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
     def test_rejects_empty_trajectory(self, cfg):
         with pytest.raises(ValueError):
