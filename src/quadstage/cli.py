@@ -10,9 +10,10 @@ chained::
     quadstage all  --run-id demo          # the whole chain
 
 Each run writes into <runs-root>/<run-id>/ (runs root from --runs-root or
-the QUADSTAGE_RUNS_ROOT environment variable, default ./runs).  Every
-artifact embeds the hash of the effective configuration; downstream
-stages refuse upstream artifacts produced under a different one.
+a non-empty QUADSTAGE_RUNS_ROOT environment variable, default ./runs).
+Every artifact embeds the hash of the effective configuration; a single
+stage refuses upstream artifacts produced under a different one.  `all`
+hands each stage its upstream data in memory, as read from the file.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .config import (
 )
 from .kinematics import solve_platform_ik
 from .postprocess import (
+    PoseSeries,
     differentiate,
     filter_series,
     joint_rmse,
@@ -72,64 +74,83 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-# Upstream artifact -> (its kind, the stage that writes it).
-UPSTREAM = {TRAJECTORY_FILE: (logio.TRAJECTORY_KIND, "gen"), JOINT_TARGETS_FILE: (logio.JOINT_TARGETS_KIND, "ik"),
-            SIM_LOG_FILE: (logio.SIM_LOG_KIND, "sim")}
+def _read_tracking(path, dt: float) -> tuple:
+    """(q_target, q) of a sim log: all that post reads of it."""
+    _, log = logio.read_log(path, dt)
+    return log.q_target, log.q
 
 
-def _upstream(stage: str, run_dir: str, name: str, digest: str) -> str:
-    """Path of upstream artifact `name`, once it exists and carries config
-    hash `digest`; no row is parsed, so a changed config is reported as such."""
+# Upstream artifact -> (its kind, the stage that writes it, what that stage
+# hands on from it, read back from its path at sample step dt).
+UPSTREAM = {
+    TRAJECTORY_FILE: (logio.TRAJECTORY_KIND, "gen", lambda path, dt: logio.read_trajectory(path, dt)[1]),
+    JOINT_TARGETS_FILE: (logio.JOINT_TARGETS_KIND, "ik", lambda path, dt: logio.read_joint_targets(path, dt)[1]),
+    SIM_LOG_FILE: (logio.SIM_LOG_KIND, "sim", _read_tracking),
+}
+
+
+def _upstream(stage: str, cfg: Config, run_dir: str, name: str, digest: str, handed):
+    """Upstream artifact `name` as its reader parses it.  In `all`, each
+    stage leaves in the dict `handed` what later stages use of its output,
+    as logio.as_read gives it.  A single stage (handed is None) reads the
+    file once it exists and carries config hash `digest`, checked before
+    any row is parsed, so a changed config is reported as such."""
+    if handed is not None:
+        return handed[name]
     path = os.path.join(run_dir, name)
-    kind, producer = UPSTREAM[name]
+    kind, producer, read = UPSTREAM[name]
     if not os.path.exists(path):
         raise StageError(stage, f"missing upstream artifact {path}; run '{producer}' first")
     found = logio.read_config_hash(path, kind)
     if found != digest:
         raise StageError(stage, f"config hash mismatch for {path}: artifact was produced under "
                                 f"{found}, current config is {digest}")
-    return path
+    return read(path, cfg.sim.dt)
 
 
-def stage_gen(cfg: Config, run_dir: str, digest: str) -> list:
+def stage_gen(cfg: Config, run_dir: str, digest: str, handed) -> list:
     traj = cfg.build_trajectory()
     snapshot = os.path.join(run_dir, SNAPSHOT_FILE)
     logio.atomic_write_text(snapshot, dumps_config(cfg))
     path = os.path.join(run_dir, TRAJECTORY_FILE)
     logio.write_trajectory(path, traj, digest)
+    if handed is not None:
+        handed[TRAJECTORY_FILE] = PoseSeries(logio.as_read(traj.position), logio.as_read(traj.orientation_deg),
+                                             cfg.sim.dt)
     return [snapshot, path]
 
 
-def stage_ik(cfg: Config, run_dir: str, digest: str) -> list:
-    traj_path = _upstream("ik", run_dir, TRAJECTORY_FILE, digest)
-    _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
+def stage_ik(cfg: Config, run_dir: str, digest: str, handed) -> list:
+    traj = _upstream("ik", cfg, run_dir, TRAJECTORY_FILE, digest, handed)
     q = solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits)
     path = os.path.join(run_dir, JOINT_TARGETS_FILE)
     logio.write_joint_targets(path, traj.t, q, digest)
+    if handed is not None:
+        handed[JOINT_TARGETS_FILE] = logio.as_read(q)
     return [path]
 
 
-def stage_sim(cfg: Config, run_dir: str, digest: str) -> list:
-    targets_path = _upstream("sim", run_dir, JOINT_TARGETS_FILE, digest)
-    _, q_targets = logio.read_joint_targets(targets_path, dt=cfg.sim.dt)
+def stage_sim(cfg: Config, run_dir: str, digest: str, handed) -> list:
+    q_targets = _upstream("sim", cfg, run_dir, JOINT_TARGETS_FILE, digest, handed)
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
     path = os.path.join(run_dir, SIM_LOG_FILE)
     logio.write_log(path, log, digest)
+    if handed is not None:
+        # q_target holds the targets as read, which as_read leaves as they are.
+        handed[SIM_LOG_FILE] = log.q_target, logio.as_read(log.q)
     return [path]
 
 
-def stage_post(cfg: Config, run_dir: str, digest: str) -> list:
-    traj_path = _upstream("post", run_dir, TRAJECTORY_FILE, digest)
-    log_path = _upstream("post", run_dir, SIM_LOG_FILE, digest)
-    _, traj = logio.read_trajectory(traj_path, dt=cfg.sim.dt)
-    _, log = logio.read_log(log_path, dt=cfg.sim.dt)
+def stage_post(cfg: Config, run_dir: str, digest: str, handed) -> list:
+    traj = _upstream("post", cfg, run_dir, TRAJECTORY_FILE, digest, handed)
+    q_target, q = _upstream("post", cfg, run_dir, SIM_LOG_FILE, digest, handed)
 
     target = differentiate(traj)
-    recon = reconstruct_series(log.q, cfg.robot, cfg.platform, log.dt,
+    recon = reconstruct_series(q, cfg.robot, cfg.platform, cfg.sim.dt,
                                cfg.postprocess.z_offset_mode)
     smoothed = differentiate(filter_series(recon, cfg.filter_params))
     pose_report = rmse_report(target, smoothed)
-    joints = joint_rmse(log.q_target, log.q)
+    joints = joint_rmse(q_target, q)
 
     written = []
     report_path = os.path.join(run_dir, REPORT_FILE)
@@ -221,7 +242,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    runs_root = args.runs_root or os.environ.get(RUNS_ROOT_ENV, "runs")
+    runs_root = args.runs_root or os.environ.get(RUNS_ROOT_ENV) or "runs"
     run_dir = os.path.join(runs_root, args.run_id)
     try:
         os.makedirs(run_dir, exist_ok=True)
@@ -230,10 +251,10 @@ def main(argv=None) -> int:
         return 2
     digest = config_hash(cfg)  # once per command; each stage writes and checks it
 
-    stages = list(STAGES) if args.stage == "all" else [args.stage]
+    stages, handed = (list(STAGES), {}) if args.stage == "all" else ([args.stage], None)
     for stage in stages:
         try:
-            artifacts = STAGES[stage](cfg, run_dir, digest)
+            artifacts = STAGES[stage](cfg, run_dir, digest, handed)
         except StageError as err:
             print(err, file=sys.stderr)
             return 1

@@ -12,6 +12,8 @@ The writer formats each distinct value of a column once (distinct by bit
 pattern, so -0.0, 0.0 and every nan stay apart), and a table's first
 column, the shared t = k * dt, once per process while it repeats; the
 bytes are those of formatting every value in turn.
+as_read gives the values a reader parses back from such a table, so that
+a pipeline run can hand them to the next stage without reading the file.
 Writes are atomic: a temp file in the same directory is renamed over the
 target, so readers never observe partial output.
 """
@@ -135,6 +137,15 @@ def write_table(path, kind: str, config_hash: str, columns, rows) -> None:
     if rows.size and rows.shape[-1] != len(columns):
         raise ValueError(f"rows have {rows.shape[-1]} fields, header has {len(columns)}")
     atomic_write_text(path, _format_table(kind, config_hash, columns, rows))
+
+
+def as_read(values) -> np.ndarray:
+    """values as read_table parses them from a written table: each distinct
+    value (by bit pattern) formatted with FLOAT_FORMAT and parsed once."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = (f"%{FLOAT_FORMAT} " * len(bits) % tuple(bits.view(np.float64).tolist())).split()
+    return np.array(text, dtype=float)[inverse].reshape(values.shape)
 
 
 def _identity_hash(path, line: str, kind: str) -> str:

@@ -229,13 +229,13 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
 
     Returns one log record per target sample: record k holds the state at
     t_k together with the torque and current that sim_step applies over
-    tick k.
+    tick k.  A float array of targets is the log's q_target as is, not a copy.
 
     Raises:
         SimulationUnstableError: a state went non-finite; .tick names the
             failing sample.
     """
-    targets = np.array(joint_targets, dtype=float)
+    targets = np.asarray(joint_targets, dtype=float)
     if targets.ndim != 2 or targets.shape[1] != NUM_JOINTS or len(targets) == 0:
         raise ValueError("joint_targets must be a non-empty (N, 12) array")
     # Tick k writes row k + 1 of q and qdot; the last rows are never logged.

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadstage import cli
+from quadstage import cli, logio
 from quadstage.cli import main
 from quadstage.config import MAX_SAMPLES, Config
 from quadstage.logio import REPORT_POSE_KEYS, read_log, read_trajectory, write_trajectory
@@ -19,6 +19,42 @@ wait_time = 0.2
 frequency = 2.0
 amplitude = 20.0
 """
+
+# The README's circular example: 20 mm, +/-10 deg yaw, 1.2 kg payload.
+README_CIRCLE = """
+[trajectory]
+type = circular
+radius = 20.0
+rot_angle_deg = 10.0
+rounds = 20
+circle_frequency = 2.0
+direction = cw
+
+[sim]
+payload_mass = 1.2
+gravity_compensation = true
+"""
+
+# The yaw wraps at +/-180 deg twice a round.
+CONTINUOUS_YAW = """
+[workspace]
+rot_max = 180
+[trajectory]
+type = circular
+radius = 0
+rotation_mode = continuous
+rounds = 2
+circle_frequency = 0.5
+"""
+
+# Config text and flags of the runs that `all` and the single stages must
+# write alike.  1/240 s (--profile sim) is not written exactly with 9 digits.
+STAGEWISE_RUNS = {
+    "sine": (FAST_CFG, ()),
+    "readme-circle": (README_CIRCLE, ()),
+    "profile-sim": (FAST_CFG, ("--profile", "sim")),
+    "continuous-yaw": (CONTINUOUS_YAW, ()),
+}
 
 ARTIFACTS = (
     "config_snapshot.cfg",
@@ -57,14 +93,43 @@ class TestPipeline:
         for name in ARTIFACTS:
             assert (runs_root / "r1" / name).exists(), name
 
-    def test_stagewise_equals_all(self, runs_root, fast_config):
-        assert run_cli("all", "--config", fast_config, "--run-id", "whole") == 0
+    @pytest.mark.parametrize("run", list(STAGEWISE_RUNS))
+    def test_stagewise_equals_all(self, runs_root, tmp_path, run):
+        # `all` hands each stage its upstream data in memory; a single stage
+        # reads it from the files.  Every file of the run comes out the same.
+        text, flags = STAGEWISE_RUNS[run]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert run_cli("all", "--config", str(path), "--run-id", "whole", *flags) == 0
         for stage in ("gen", "ik", "sim", "post"):
-            assert run_cli(stage, "--config", fast_config, "--run-id", "steps") == 0
-        for name in ARTIFACTS:
-            a = (runs_root / "whole" / name).read_bytes()
-            b = (runs_root / "steps" / name).read_bytes()
-            assert a == b, name
+            assert run_cli(stage, "--config", str(path), "--run-id", "steps", *flags) == 0
+        names = sorted(p.name for p in (runs_root / "whole").iterdir())
+        assert len(names) == 23
+        assert names == sorted(p.name for p in (runs_root / "steps").iterdir())
+        for name in names:
+            assert (runs_root / "whole" / name).read_bytes() == (runs_root / "steps" / name).read_bytes(), name
+
+    def test_all_reads_no_upstream_file(self, runs_root, fast_config, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an artifact was read")
+
+        monkeypatch.setattr(logio, "read_table", no_read)
+        monkeypatch.setattr(logio, "read_config_hash", no_read)
+        assert run_cli("all", "--config", fast_config, "--run-id", "handed") == 0
+
+    @pytest.mark.parametrize("stage, upstream, missing", [
+        ("ik", [], "trajectory.csv"),
+        ("sim", ["gen"], "joint_targets.csv"),
+        ("post", ["gen", "ik"], "sim_log.csv"),
+    ])
+    def test_single_stage_names_missing_upstream(self, runs_root, fast_config, capsys, stage, upstream,
+                                                 missing):
+        for name in upstream:
+            assert run_cli(name, "--config", fast_config, "--run-id", "gap") == 0
+        capsys.readouterr()
+        assert run_cli(stage, "--config", fast_config, "--run-id", "gap") == 1
+        assert capsys.readouterr().err == (f"stage {stage}: missing upstream artifact "
+                                           f"{runs_root / 'gap' / missing}; run '{cli.UPSTREAM[missing][1]}' first\n")
 
     def test_config_hashed_once_per_command(self, runs_root, fast_config, monkeypatch):
         calls = []
@@ -96,7 +161,8 @@ class TestPipeline:
         assert run_cli("ik", "--config", str(other), "--run-id", "mix") == 1
         assert "config hash mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage, upstream", [("ik", ["gen"]), ("post", ["gen", "ik", "sim"])])
+    @pytest.mark.parametrize("stage, upstream",
+                             [("ik", ["gen"]), ("post", ["gen", "ik", "sim"]), ("sim", ["gen", "ik"])])
     def test_hash_checked_before_rows(self, runs_root, fast_config, capsys, stage, upstream):
         # A 2 ms step does not match the 1 ms t column, but the changed
         # config is the cause the stage must name.
@@ -268,8 +334,7 @@ class TestPipeline:
         # The commanded yaw wraps at +/-180 deg twice a round; a rotation RMSE
         # taken across the wrap read ten times the joint tracking error.
         path = tmp_path / "yaw.cfg"
-        path.write_text("[workspace]\nrot_max = 180\n[trajectory]\ntype = circular\nradius = 0\n"
-                        "rotation_mode = continuous\nrounds = 2\ncircle_frequency = 0.5\n")
+        path.write_text(CONTINUOUS_YAW)
         assert run_cli("all", "--config", str(path), "--run-id", "yaw") == 0
         lines = (runs_root / "yaw" / "report.txt").read_text().splitlines()
         values = dict(line.split(" = ") for line in lines if " = " in line)
@@ -283,6 +348,13 @@ class TestPipeline:
         ) == 0
         assert (explicit / "here" / "trajectory.csv").exists()
         assert not (runs_root / "here").exists()
+
+    def test_empty_runs_root_env_means_unset(self, tmp_path, fast_config, monkeypatch):
+        monkeypatch.setenv("QUADSTAGE_RUNS_ROOT", "")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen", "--config", fast_config, "--run-id", "probe") == 0
+        assert (tmp_path / "runs" / "probe" / "trajectory.csv").exists()
+        assert not (tmp_path / "probe").exists()
 
     def test_sim_rejects_rate_mismatch(self, runs_root, fast_config, capsys):
         assert run_cli("gen", "--config", fast_config, "--run-id", "rate") == 0

@@ -24,6 +24,7 @@ from quadstage.logio import (
     TRAJECTORY_COLUMNS,
     TRAJECTORY_KIND,
     LogFormatError,
+    as_read,
     read_joint_targets,
     read_log,
     read_table,
@@ -261,6 +262,46 @@ def test_write_table_matches_value_by_value_text(tmp_path, rows):
     columns = [f"c{j}" for j in range(rows.shape[1])]
     write_table(path, PLOT_KIND, DIGEST, columns, rows)
     assert path.read_bytes() == reference_text(PLOT_KIND, DIGEST, columns, rows).encode()
+
+
+# Values whose 9-digit text is hard to parse back: both zeros, subnormals,
+# the ends of the float range, values near 1e-17 and exact ties of the
+# ninth digit, which round half to even.
+HARD = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1e-17, -2.7755575615628914e-17, 1.0000000000000001e-17, 123456788.5,
+     -123456789.5, 1234567885.0, 0.1, -1.5]
+)
+
+
+def stacks(elements):
+    """Strategy for (N, k) float stacks, 0..30 rows of 1..13 columns."""
+    shapes = st.tuples(st.integers(0, 30), st.integers(1, 13))
+    return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
+
+
+STACKS = st.one_of(stacks(ANY_FLOAT), stacks(HARD), stacks(st.one_of(ANY_FLOAT, HARD, REPEATED)))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=STACKS)
+def test_as_read_equals_reading_the_written_table(tmp_path, rows):
+    # The values `all` hands a stage are those it would read from the file.
+    path = tmp_path / "table.csv"
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    write_table(path, PLOT_KIND, DIGEST, columns, rows)
+    _, _, back = read_table(path, PLOT_KIND, columns)
+    handed = as_read(rows)
+    assert handed.shape == back.shape == rows.shape
+    assert np.array_equal(handed.view(np.int64), back.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=STACKS)
+def test_as_read_leaves_its_result_as_it_is(rows):
+    # So the sim log's q_target, the targets as read, is handed on as is.
+    once = as_read(rows)
+    assert np.array_equal(as_read(once).view(np.int64), once.view(np.int64))
 
 
 def test_first_column_text_is_never_stale(tmp_path):
