@@ -13,7 +13,6 @@ from .config import (
     dumps_config,
     load_config,
     loads_config,
-    write_config,
 )
 from .geometry import (
     DegenerateInputError,
@@ -64,7 +63,6 @@ from .simenv import (
     sim_step,
 )
 from .trajectory import (
-    TrajectoryBoundsWarning,
     gen_arbitrary,
     gen_circular,
     gen_sine,

@@ -319,8 +319,8 @@ class Config:
                               f"at sim.dt, at most {MAX_SAMPLES}")
 
     def build_trajectory(self) -> PoseSeries:
-        """Generate the trajectory described by the [trajectory] block at sim.dt."""
-        return GENERATORS[self.trajectory.type](self.trajectory, self.sim.dt, self.limits)
+        """The [trajectory] samples at sim.dt; ik, not this, checks them against [workspace]."""
+        return GENERATORS[self.trajectory.type](self.trajectory, self.sim.dt)
 
 
 # Section name -> (Config attribute, dataclass), in file order.
@@ -413,11 +413,6 @@ def dumps_config(cfg: Config) -> str:
             lines.append(f"{key} = {fmt(getattr(obj, key))}")
         lines.append("")
     return "\n".join(lines)
-
-
-def write_config(cfg: Config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(cfg))
 
 
 def config_hash(cfg: Config) -> str:

@@ -6,20 +6,18 @@ keys, and samples at the step dt it is given (a run passes its one clock,
 ``[sim] dt``); ``GENERATORS`` maps the section's ``type`` to its generator.
 All generators return a PoseSeries of N = sample_count(seconds, dt)
 samples, sample k at t = k * dt, where ``seconds`` is the section's
-``duration()``.  When workspace limits are passed, samples falling outside
-the box raise a TrajectoryBoundsWarning but are kept (the caller decides
-what to do).
+``duration()``.  The generators only generate: the ``[workspace]`` box is
+decided by the ``ik`` stage alone, which rejects the first sample outside
+it, by index, on the values it solves.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kinematics import WorkspaceLimits, outside_box
 from .postprocess import PoseSeries
 
 if TYPE_CHECKING:
@@ -37,10 +35,6 @@ ROTATION_MODES = ("oscillate", "continuous")
 INTERP_MODES = ("linear", "cosine")
 
 
-class TrajectoryBoundsWarning(UserWarning):
-    """Generated samples exceed the configured workspace box."""
-
-
 def sample_count(duration: float, dt: float) -> int:
     """Samples of a trajectory lasting duration seconds at step dt, both ends included."""
     return int(round(duration / dt)) + 1
@@ -54,16 +48,7 @@ def _time_grid(p: TrajectoryConfig, dt: float) -> np.ndarray:
     return np.arange(sample_count(seconds, dt)) * dt
 
 
-def _series(dt: float, positions, orientations, limits: WorkspaceLimits | None) -> PoseSeries:
-    # The generated samples, after warning of those outside the box.
-    count = 0 if limits is None else int(np.count_nonzero(outside_box(positions, orientations, limits)))
-    if count:
-        warnings.warn(f"{count} of {len(positions)} samples exceed the workspace box",
-                      TrajectoryBoundsWarning, stacklevel=3)
-    return PoseSeries(positions, orientations, dt)
-
-
-def gen_sine(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_sine(p: TrajectoryConfig, dt: float) -> PoseSeries:
     """Single-axis sinusoid: home plus offsets during wait_time, then a zero
     phase amplitude * sin(2 pi frequency t) on the selected axis for
     run_time.
@@ -83,20 +68,20 @@ def gen_sine(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = No
         positions[:, axis] += value
     else:
         orientations[:, axis] = value
-    return _series(dt, positions, orientations, limits)
+    return PoseSeries(positions, orientations, dt)
 
 
-def gen_step(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_step(p: TrajectoryConfig, dt: float) -> PoseSeries:
     """Home pose before step_time, step_target (x y z rx ry rz) from
     step_time on (right-continuous), until total_time."""
     t = _time_grid(p, dt)
     after = t >= p.step_time - 1e-12
     positions = np.where(after[:, None], p.step_target[:3], 0.0)
     orientations = np.where(after[:, None], p.step_target[3:], 0.0)
-    return _series(dt, positions, orientations, limits)
+    return PoseSeries(positions, orientations, dt)
 
 
-def gen_arbitrary(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_arbitrary(p: TrajectoryConfig, dt: float) -> PoseSeries:
     """Piecewise interpolation through the waypoints (x y z rx ry rz rows).
 
     segment_times[i] is the duration from waypoint i to i+1.  interp
@@ -114,10 +99,10 @@ def gen_arbitrary(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None
             u = 0.5 * (1.0 - np.cos(np.pi * u))
         values = channels[j] + u[:, None] * (channels[j + 1] - channels[j])
     positions, orientations = values[:, :3], values[:, 3:]
-    return _series(dt, positions, orientations, limits)
+    return PoseSeries(positions, orientations, dt)
 
 
-def gen_circular(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None = None) -> PoseSeries:
+def gen_circular(p: TrajectoryConfig, dt: float) -> PoseSeries:
     """Circle in the x-y plane with yaw motion: rounds full circles at
     circle_frequency, starting at (radius, 0); radius 0 holds the position
     at home.
@@ -139,7 +124,7 @@ def gen_circular(p: TrajectoryConfig, dt: float, limits: WorkspaceLimits | None 
         orientations[:, 2] = p.rot_angle_deg * np.sin(phase)
     else:
         orientations[:, 2] = np.degrees(np.mod(phase + math.pi, 2.0 * math.pi) - math.pi)
-    return _series(dt, positions, orientations, limits)
+    return PoseSeries(positions, orientations, dt)
 
 
 # The section's type -> its generator; the keys are the type's option list.

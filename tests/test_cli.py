@@ -8,7 +8,7 @@ import pytest
 
 from quadstage import cli, logio
 from quadstage.cli import main
-from quadstage.config import MAX_SAMPLES, Config
+from quadstage.config import MAX_SAMPLES, Config, load_config
 from quadstage.logio import REPORT_POSE_KEYS, read_log, read_trajectory, write_trajectory
 
 FAST_CFG = """
@@ -47,6 +47,43 @@ rounds = 2
 circle_frequency = 0.5
 """
 
+# CI's config-file runs: a 4-waypoint cosine arbitrary trajectory, a file
+# whose only clock setting is [sim] dt, and a +/-10 deg, 0.5 Hz roll sine
+# reconstructed with the center offset along the platform normal.
+ARBITRARY = """
+[trajectory]
+type = arbitrary
+interp = cosine
+waypoints = 0 0 0 0 0 0 ; 10 -5 3 2 1 -2 ; -4 2 0 0 0 5 ; 0 0 0 0 0 0
+segment_times = 0.5 0.75 0.6
+"""
+
+SIM_DT_ONLY = """
+[sim]
+dt = 0.002
+"""
+
+ROLL = """
+[postprocess]
+z_offset_mode = platform
+[trajectory]
+type = sine
+motion = rotation
+axis = x
+amplitude = 10
+frequency = 0.5
+"""
+
+# A sine whose peaks, 255.0000000004 mm, pass the 255 mm box face by less
+# than the 9 significant digits the trajectory is written with.
+BOX_BOUNDARY = """
+[trajectory]
+type = sine
+amplitude = 255.0000000004
+frequency = 0.25
+run_time = 3.0
+"""
+
 # Config text and flags of the runs that `all` and the single stages must
 # write alike.  1/240 s (--profile sim) is not written exactly with 9 digits.
 STAGEWISE_RUNS = {
@@ -54,6 +91,9 @@ STAGEWISE_RUNS = {
     "readme-circle": (README_CIRCLE, ()),
     "profile-sim": (FAST_CFG, ("--profile", "sim")),
     "continuous-yaw": (CONTINUOUS_YAW, ()),
+    "arbitrary": (ARBITRARY, ()),
+    "sim-dt-only": (SIM_DT_ONLY, ()),
+    "roll": (ROLL, ()),
 }
 
 ARTIFACTS = (
@@ -278,6 +318,24 @@ class TestPipeline:
         assert err.startswith("stage ik: UnreachableError: leg fl: ")
         assert err.rstrip().endswith(" at sample 3")
 
+    def test_box_decided_on_the_values_ik_solves(self, runs_root, tmp_path, capsys):
+        # The generated peaks pass the box face; as written (and solved by
+        # ik) they are 255 mm, inside it, so the run goes through silently.
+        path = tmp_path / "boundary.cfg"
+        path.write_text(BOX_BOUNDARY)
+        assert run_cli("all", "--config", str(path), "--run-id", "boundary") == 0
+        assert capsys.readouterr().err == ""
+        assert len(list((runs_root / "boundary").iterdir())) == 23
+
+    def test_ik_names_first_sample_outside_box(self, runs_root, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text("[trajectory]\ntype = sine\namplitude = 300\n")
+        assert run_cli("all", "--config", str(path), "--run-id", "wide") == 1
+        assert capsys.readouterr().err == ("stage ik: WorkspaceViolationError: pose outside workspace: "
+                                           "x_mm=+255.298 (bound 255.000) at sample 2081\n")
+        assert sorted(p.name for p in (runs_root / "wide").iterdir()) == ["config_snapshot.cfg",
+                                                                         "trajectory.csv"]
+
     def test_report_structure(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "rep") == 0
         lines = (runs_root / "rep" / "report.txt").read_text().splitlines()
@@ -366,11 +424,16 @@ class TestPipeline:
         assert "mismatch" in err
 
     def test_snapshot_is_loadable(self, runs_root, fast_config):
-        assert run_cli("gen", "--config", fast_config, "--run-id", "snap") == 0
-        from quadstage.config import load_config
-
-        cfg = load_config(runs_root / "snap" / "config_snapshot.cfg")
-        assert cfg.trajectory.run_time == 0.5
+        # A run's snapshot reloads to the same configuration, so rerunning
+        # it writes every file byte for byte again.
+        assert run_cli("all", "--config", fast_config, "--run-id", "snap") == 0
+        snapshot = runs_root / "snap" / "config_snapshot.cfg"
+        assert load_config(snapshot).trajectory.run_time == 0.5
+        assert run_cli("all", "--config", str(snapshot), "--run-id", "reload") == 0
+        names = sorted(p.name for p in (runs_root / "snap").iterdir())
+        assert names == sorted(p.name for p in (runs_root / "reload").iterdir())
+        for name in names:
+            assert (runs_root / "snap" / name).read_bytes() == (runs_root / "reload" / name).read_bytes(), name
 
     def test_gravity_offset_visible_in_log(self, runs_root, fast_config):
         assert run_cli("all", "--config", fast_config, "--run-id", "grav") == 0

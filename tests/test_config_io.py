@@ -2,7 +2,6 @@ import dataclasses
 import os
 import re
 import stat
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from quadstage.config import (
     dumps_config,
     load_config,
     loads_config,
-    write_config,
 )
 from quadstage.kinematics import LEG_NAMES, LegGeometry, PlatformGeometry, WorkspaceLimits
 from quadstage.logio import (
@@ -39,7 +37,7 @@ from quadstage.logio import (
     write_trajectory,
 )
 from quadstage.simenv import ActuatorParams, SimLog, SimParams
-from quadstage.trajectory import TrajectoryBoundsWarning, gen_sine, sample_count
+from quadstage.trajectory import gen_sine, sample_count
 
 MINIMAL = """
 [robot]
@@ -251,7 +249,7 @@ class TestConfig:
         cfg.sim.kp[:] = 123.456789012345
         cfg.trajectory.frequency = 0.1  # not exactly representable
         path = tmp_path / "out.cfg"
-        write_config(cfg, path)
+        path.write_text(dumps_config(cfg), encoding="utf-8")
         cfg2 = load_config(path)
         assert dumps_config(cfg) == dumps_config(cfg2)
         assert config_hash(cfg) == config_hash(cfg2)
@@ -278,9 +276,7 @@ class TestConfig:
         # Each generator samples the seconds that duration() gives, the
         # figure the load-time sample-count checks use.
         _, seconds = cfg.trajectory.duration()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TrajectoryBoundsWarning)
-            traj = cfg.build_trajectory()
+        traj = cfg.build_trajectory()
         assert len(traj) == sample_count(seconds, cfg.sim.dt)
 
     @pytest.mark.parametrize(

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from quadstage.config import TrajectoryConfig
-from quadstage.kinematics import PlatformPose, WorkspaceLimits
+from quadstage.kinematics import PlatformPose
 from quadstage.trajectory import (
-    TrajectoryBoundsWarning,
     gen_arbitrary,
     gen_circular,
     gen_sine,
@@ -85,17 +84,6 @@ class TestSine:
     def test_uniform_timestamps(self):
         traj = gen_sine(TrajectoryConfig(run_time=0.37, wait_time=0.21, frequency=3.0, amplitude=5.0), DT)
         assert all_timestamps_uniform(traj)
-
-    def test_workspace_warning(self):
-        limits = WorkspaceLimits()
-        params = TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=300.0)
-        with pytest.warns(TrajectoryBoundsWarning):
-            gen_sine(params, DT, limits)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gen_sine(TrajectoryConfig(run_time=1.0, wait_time=0.0, frequency=2.0, amplitude=20.0), DT, limits)
 
     def test_nan_parameters_rejected(self):
         with pytest.raises(ValueError, match="^frequency: must be positive$"):
