@@ -19,7 +19,6 @@ hands each stage its upstream data in memory, as read from the file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -173,17 +172,6 @@ STAGES = {
 }
 
 
-def _timestep(text: str) -> float:
-    """--dt: a finite, positive number of seconds."""
-    try:
-        dt = float(text)
-    except ValueError:
-        dt = math.nan
-    if not (math.isfinite(dt) and dt > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number of seconds, got {text!r}")
-    return dt
-
-
 def _run_id(text: str) -> str:
     """--run-id: one directory name, so the run stays inside the runs root."""
     if text in ("", ".", "..") or any(sep and sep in text for sep in (os.sep, os.altsep)):
@@ -218,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample/control rate preset: hw=1 kHz, sim=240 Hz")
         p.add_argument("--traj", choices=TYPES,
                        help="override trajectory.type from the config")
-        p.add_argument("--dt", type=_timestep, help="override sim.dt, the one sample clock")
+        p.add_argument("--dt", type=float, help="override sim.dt, the one sample clock")
     return parser
 
 

@@ -297,8 +297,11 @@ def leg_ik(p_target, geom: LegGeometry) -> np.ndarray:
             the target is closer to the hip axis than the lateral offset
             allows, beyond full extension, or inside the fold radius
             (tested in that order).
+        ValueError: p_target is not a finite 3-vector.
     """
     p = np.asarray(p_target, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"target must be (3,), got {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("target must be finite")
     return np.array(_leg_ik_floats(*(p - geom.hip_mount).tolist(), geom))
@@ -459,9 +462,12 @@ def workspace_check(
 
     Checks the translation box and per-axis rotation bounds; when q and the
     geometry are supplied it also reports the four ball-joint pivot angles
-    against the pivot cone and any soft joint-limit excursions.  A q that
-    is not a finite 12-vector raises ValueError, as in reconstruct_pose.
+    against the pivot cone and any soft joint-limit excursions.  A stacked
+    pose, or a q that is not a finite 12-vector, raises ValueError, as in
+    reconstruct_pose.
     """
+    if pose.position.shape != (3,):
+        raise ValueError(f"pose position must be (3,), got {pose.position.shape}")
     if q is not None:
         q = _joint_vector(q)
     trans, rot = check_pose_bounds(pose, limits)

@@ -14,6 +14,9 @@ column, the shared t = k * dt, once per process while it repeats; the
 bytes are those of formatting every value in turn.
 as_read gives the values a reader parses back from such a table, so that
 a pipeline run can hand them to the next stage without reading the file.
+A reader of a sampled table takes it only as written: every value finite
+and each t the written k * dt for the configured dt, or LogFormatError
+names the file, the row and (for a non-finite value) the column.
 Writes are atomic: a temp file in the same directory is renamed over the
 target, so readers never observe partial output.
 """
@@ -32,9 +35,6 @@ from .simenv import SimLog
 
 MAGIC = "# quadstage"
 FLOAT_FORMAT = ".9g"
-# One unit in the ninth significant digit: how far a written time may be
-# from the k * dt it was written from.
-TIME_RTOL = 1e-8
 # Every FLOAT_FORMAT text of a float64 fits in 16 characters
 # ("-1.23456789e-308"): each distinct value is written left-justified to
 # that width, the padding deleted once the rows are assembled.
@@ -208,32 +208,27 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
     return config_hash, columns, data
 
 
-def _sample_dt(path, t: np.ndarray, dt: float) -> None:
-    """Check the t column of a table sampled at t_k = k*dt against the
-    configured step dt.
-
-    Each written time must match k*dt to the precision it was written
-    with; LogFormatError names the file and the first row that does not.
-    Readers then derive t from dt, so a dt without a short decimal form
-    (1/240 s) survives the round trip.  The step is never inferred from
-    the t column, whose 9 digits need not give it back.
-    """
-    exact = np.arange(len(t)) * dt
-    bad = np.flatnonzero(np.abs(t - exact) > TIME_RTOL * np.abs(exact))
-    if bad.size:
-        k = int(bad[0])
-        raise LogFormatError(
-            f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}"
-        )
-
-
 def _read_samples(path, kind: str, columns, dt: float) -> tuple[str, np.ndarray]:
-    """(config_hash, data) of a non-empty table sampled at t_k = k*dt;
-    dt and the t column as in _sample_dt."""
+    """(config_hash, data) of a non-empty table sampled at t_k = k*dt for
+    the configured step dt, taken only as the writers write it: every field
+    finite, and each t the value written for k*dt (as_read of it).
+    LogFormatError names the file and the first row that is not, and the
+    column of a non-finite field.  Readers then rebuild t from dt, so a dt
+    without a short decimal form (1/240 s) survives the round trip; the step
+    is never inferred from the t column, whose 9 digits need not give it back.
+    """
     config_hash, _, data = read_table(path, kind, columns)
     if len(data) == 0:
         raise LogFormatError(f"{path}: empty {kind}")
-    _sample_dt(path, data[:, 0], dt)
+    finite = np.isfinite(data)
+    t = data[:, 0]
+    bad = np.flatnonzero(~finite.all(axis=1) | (t != as_read(np.arange(len(t)) * dt)))
+    if bad.size:
+        k = int(bad[0])
+        if not finite[k].all():
+            j = int(np.argmin(finite[k]))
+            raise LogFormatError(f"{path}: row {k}: {columns[j]} = {float(data[k, j])!r} is not finite")
+        raise LogFormatError(f"{path}: row {k}: t = {float(t[k])!r} is not {k} * dt for dt = {dt!r}")
     return config_hash, data
 
 
@@ -243,11 +238,8 @@ def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
 
 
 def read_trajectory(path, dt: float) -> tuple[str, PoseSeries]:
-    """Trajectory artifact at path.
-
-    dt is the configured time step; the t column is checked against it as
-    in _sample_dt.
-    """
+    """Trajectory artifact at path; dt is the configured time step, and
+    the table is checked against it as in _read_samples."""
     config_hash, data = _read_samples(path, TRAJECTORY_KIND, TRAJECTORY_COLUMNS, dt)
     return config_hash, PoseSeries(data[:, 1:4], data[:, 4:7], dt)
 

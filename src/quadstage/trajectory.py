@@ -110,7 +110,7 @@ def gen_circular(p: TrajectoryConfig, dt: float) -> PoseSeries:
     direction 'ccw' runs the phase forward and 'cw' flips its sign.
     rotation_mode 'oscillate' sweeps yaw as rot_angle_deg * sin(phase), so
     rot_angle_deg 0 holds the yaw at home; 'continuous' spins the yaw
-    through a full turn per round (wrapped to (-180, 180]), ignoring
+    through a full turn per round (wrapped to [-180, 180)), ignoring
     rot_angle_deg.
     """
     t = _time_grid(p, dt)

@@ -221,14 +221,35 @@ class TestPipeline:
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
     def test_bad_dt_rejected_at_parsing(self, runs_root, fast_config, capsys, dt):
-        # The flag is named, not a line of the config text it is merged into.
-        with pytest.raises(SystemExit) as exited:
-            run_cli("all", "--config", fast_config, "--run-id", "bad", "--dt", dt)
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert f"error: argument --dt: expected a finite positive number of seconds, got {dt!r}" in err
-        assert "config error" not in err
+        # [sim] dt's own check judges the flag, as it judges the key in a
+        # file, and names the key, not a line of the merged config text.
+        assert run_cli("all", "--config", fast_config, "--run-id", "bad", "--dt", dt) == 2
+        reason = "must be finite" if dt == "inf" else "must be positive"
+        assert capsys.readouterr().err == f"config error: sim.dt: {reason}\n"
         assert not (runs_root / "bad").exists()
+
+    @pytest.mark.parametrize("stage, upstream, name, column, output", [
+        ("sim", ["gen", "ik"], "joint_targets.csv", "q_2", "sim_log.csv"),
+        ("post", ["gen", "ik", "sim"], "sim_log.csv", "q_target_4", "report.txt"),
+    ], ids=["sim", "post"])
+    def test_single_stage_names_non_finite_field(self, runs_root, fast_config, capsys, stage, upstream, name,
+                                                 column, output):
+        # A NaN in an upstream table is the file's fault, not the stage's:
+        # the reader names the file, the row and the column, and the stage
+        # writes nothing.
+        for step in upstream:
+            assert run_cli(step, "--config", fast_config, "--run-id", "nan") == 0
+        path = runs_root / "nan" / name
+        lines = path.read_text().splitlines()
+        j = lines[1].split(",").index(column)
+        fields = lines[2 + 5].split(",")
+        fields[j] = "nan"
+        lines[2 + 5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(stage, "--config", fast_config, "--run-id", "nan") == 1
+        assert capsys.readouterr().err == f"stage {stage}: LogFormatError: {path}: row 5: {column} = nan is not finite\n"
+        assert not (runs_root / "nan" / output).exists()
 
     @pytest.mark.parametrize("run_id", ["", ".", "..", "../escape", "a/b", "ABSOLUTE"])
     def test_bad_run_id_rejected_at_parsing(self, runs_root, tmp_path, capsys, run_id):

@@ -411,6 +411,22 @@ def test_leg_geometry_rejects_nan_length():
         LegGeometry([0.0, 0.0, 0.0], float("nan"), 100.0)
 
 
+STACK = PlatformPose(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: workspace_check(STACK, None, cfg.limits), r"^pose position must be \(3,\), got \(2, 3\)$"),
+    (lambda cfg: workspace_check(STACK, np.zeros(12), cfg.limits, cfg.robot, cfg.platform),
+     r"^pose position must be \(3,\), got \(2, 3\)$"),
+    (lambda cfg: leg_ik(np.zeros((2, 3)), cfg.robot[0]), r"^target must be \(3,\), got \(2, 3\)$"),
+    (lambda cfg: leg_ik(np.zeros(2), cfg.robot[0]), r"^target must be \(3,\), got \(2,\)$"),
+], ids=["workspace_check-stack", "workspace_check-stack-with-q", "leg_ik-stack", "leg_ik-2-vector"])
+def test_one_pose_apis_name_a_wrong_shape(cfg, call, message):
+    # One-pose APIs take one pose or one target; any other shape is named.
+    with pytest.raises(ValueError, match=message):
+        call(cfg)
+
+
 # The scan box: the workspace box grown by 10%.
 SCAN_POSES = st.tuples(
     *(st.floats(-1.1 * bound, 1.1 * bound) for bound in (LIMITS.x_max, LIMITS.y_max, LIMITS.z_max)),

@@ -127,6 +127,17 @@ def test_joint_targets_time_column_names_first_bad_row(tmp_path):
         read_joint_targets(path, dt=1e-3)
     with pytest.raises(LogFormatError, match=r"targets\.csv: row 1: "):
         read_joint_targets(path, dt=2e-3)
+    # A t is the text written for k * dt, not a time near it: one unit off
+    # in the ninth digit is another time, and NaN is none.
+    t = np.arange(10) * 1e-3
+    t[6] = 0.00600000001
+    write_joint_targets(path, t, np.zeros((10, NUM_JOINTS)), DIGEST)
+    with pytest.raises(LogFormatError, match=r"targets\.csv: row 6: t = 0\.00600000001 is not 6 \* dt"):
+        read_joint_targets(path, dt=1e-3)
+    t[2] = np.nan
+    write_joint_targets(path, t, np.zeros((10, NUM_JOINTS)), DIGEST)
+    with pytest.raises(LogFormatError, match=r"targets\.csv: row 2: t = nan is not finite$"):
+        read_joint_targets(path, dt=1e-3)
 
 
 READERS = [

@@ -205,6 +205,10 @@ class TestCircular:
         traj = circle(radius=0.0, rot_angle_deg=0.0, rounds=3, circle_frequency=1.0, direction="ccw",
                       rotation_mode="continuous")
         assert abs(traj.orientation_deg[-1, 2] - traj.orientation_deg[0, 2]) < 1e-9
+        # The spin wraps yaw into [-180, 180): each round is at -180 half way.
+        yaw = traj.orientation_deg[:, 2]
+        assert np.all((yaw >= -180.0) & (yaw < 180.0))
+        assert np.count_nonzero(yaw == -180.0) == 3
 
     def test_disabled_channels_stay_home(self):
         # radius 0 holds the position at home in either rotation_mode;
