@@ -18,7 +18,8 @@ A reader of a sampled table takes it only as written: every value finite
 and each t the written k * dt for the configured dt, or LogFormatError
 names the file, the row and (for a non-finite value) the column.
 Writes are atomic: a temp file in the same directory is renamed over the
-target, so readers never observe partial output.
+target, so readers never observe partial output.  A table streams into its
+temp file in _BLOCK_BYTES blocks, and its whole text is never held.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ FLOAT_FORMAT = ".9g"
 # ("-1.23456789e-308"): each distinct value is written left-justified to
 # that width, the padding deleted once the rows are assembled.
 _CELL_WIDTH = 16
-# Bytes of cells assembled at once, and characters encoded at once when
-# writing: they bound the transient copies of a table's text.
+# Bytes of cells assembled and written at once: the bound on a table's transient copies.
 _BLOCK_BYTES = 1 << 16
-_WRITE_CHARS = 1 << 20
 
 TRAJECTORY_KIND = "trajectory"
 JOINT_TARGETS_KIND = "joint_targets"
@@ -63,23 +62,26 @@ class LogFormatError(ValueError):
     """Artifact file is malformed; the message names the offending row."""
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via temp file + rename."""
+def _atomic_write(path, blocks) -> None:
+    """Write the byte blocks to path in turn via temp file + rename."""
     path = os.fspath(path)
     # A fresh name in the same directory, created 0666 less the umask as
     # open() would; O_EXCL never takes over an existing file.
     tmp_path = os.path.join(os.path.dirname(path), f".tmp_{secrets.token_hex(8)}")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # In slices: one write of the whole text encodes a copy of all of it.
-            for start in range(0, len(text), _WRITE_CHARS):
-                fh.write(text[start:start + _WRITE_CHARS])
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(blocks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via temp file + rename."""
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 def _identity_line(kind: str, config_hash: str) -> str:
@@ -106,8 +108,9 @@ def _first_column_cells(data: bytes, sep: str) -> tuple[np.ndarray, np.ndarray]:
     return cells, inverse
 
 
-def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray) -> str:
-    text = [f"{_identity_line(kind, config_hash)}\n{','.join(columns)}\n"]
+def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray):
+    """The table's bytes: the identity and header lines, then _BLOCK_BYTES of rows at a time."""
+    yield f"{_identity_line(kind, config_hash)}\n{','.join(columns)}\n".encode("utf-8")
     if rows.size:
         rows = np.atleast_2d(rows)
         n_cols = rows.shape[1]
@@ -125,18 +128,14 @@ def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray) -> str
         pool = np.concatenate(pool)
         block_rows = max(1, _BLOCK_BYTES // pool.itemsize // n_cols)
         for start in range(0, len(rows), block_rows):
-            block = pool.take(index[start:start + block_rows]).tobytes()
-            text.append(block.translate(None, b" ").decode("ascii"))
-        # Free the pool before the join, which holds two copies of the text.
-        del pool, index
-    return "".join(text)
+            yield pool.take(index[start:start + block_rows]).tobytes().translate(None, b" ")
 
 
 def write_table(path, kind: str, config_hash: str, columns, rows) -> None:
     rows = np.asarray(rows, dtype=float)
-    if rows.size and rows.shape[-1] != len(columns):
-        raise ValueError(f"rows have {rows.shape[-1]} fields, header has {len(columns)}")
-    atomic_write_text(path, _format_table(kind, config_hash, columns, rows))
+    if rows.ndim > 2 or rows.size and rows.shape[-1] != len(columns):
+        raise ValueError(f"rows must be (N, {len(columns)}) for the header, got shape {rows.shape}")
+    _atomic_write(path, _format_table(kind, config_hash, columns, rows))
 
 
 def as_read(values) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""write -> read round trips of every table kind, the t column check, and
-the table writer against formatting every value in turn."""
+"""write -> read round trips of every table kind, the t column check, the
+table writer against formatting every value in turn, and its streamed,
+atomic write."""
 
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +361,49 @@ def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     logio.atomic_write_text(path, "text\n")
     assert path.read_text() == "text\n"
     assert os.listdir(tmp_path) == ["note.txt"]
+
+
+def test_table_streams_into_its_file(tmp_path):
+    # A sim-log-sized table: the write never holds the table's whole text,
+    # so its traced peak stays below the size of the file it writes.
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=200)
+    rows = np.column_stack([np.arange(10001) * 1e-3, values[rng.integers(0, 200, size=(10001, 60))]])
+    columns = [f"c{j}" for j in range(61)]
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, SIM_LOG_KIND, DIGEST, columns, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_failed_table_write_keeps_the_old_file(tmp_path, monkeypatch):
+    # A write that fails mid-table, after the header is in the temp file,
+    # leaves the target as it was and no temp file behind.
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old bytes\n")
+    cells = logio._column_cells
+    calls = []
+
+    def failing_column_cells(values, sep):
+        calls.append(sep)
+        if len(calls) == 5:
+            raise RuntimeError("formatting failed")
+        return cells(values, sep)
+
+    monkeypatch.setattr(logio, "_column_cells", failing_column_cells)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_table(path, PLOT_KIND, DIGEST, [f"c{j}" for j in range(8)], np.ones((20, 8)))
+    assert len(calls) == 5
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_write_table_rejects_rows_of_three_dimensions(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 2, 3)")):
+        write_table(path, PLOT_KIND, DIGEST, PLOT_COLUMNS, np.zeros((2, 2, 3)))
+    assert os.listdir(tmp_path) == []
