@@ -224,12 +224,31 @@ def sim_step(
     return out
 
 
+def _repeat_length(bits, k: int, lag: int) -> int:
+    # How many rows from k on have the bits of the row lag before, compared
+    # in doubling windows so that the search costs O(its result).
+    start, width = k, 64
+    while start < len(bits):
+        stop = min(start + width, len(bits))
+        differ = np.flatnonzero((bits[start:stop] != bits[start - lag:stop - lag]).any(axis=1))
+        if differ.size:
+            return start - k + int(differ[0])
+        start, width = stop, 2 * width
+    return len(bits) - k
+
+
 def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -> SimLog:
     """Track a joint-target sequence from rest at the first target.
 
     Returns one log record per target sample: record k holds the state at
     t_k together with the torque and current that sim_step applies over
     tick k.  A float array of targets is the log's q_target as is, not a copy.
+
+    A tick is a pure function of its (q, qdot, target) bits and the run's
+    constants.  So a tick that starts from the bits of an earlier one is
+    copied from it, bit for bit, and so is every following tick whose
+    target row equals the row the same lag before.  A new input to the tick
+    (a velocity reference, say) must join the key of that memo.
 
     Raises:
         SimulationUnstableError: a state went non-finite; .tick names the
@@ -244,6 +263,30 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     tau, current = np.empty((n, NUM_JOINTS)), np.empty((n, NUM_JOINTS))
     q[0], qdot[0] = targets[0], 0.0
     step = _stepper(params, actuator, robot)
-    for k, rows in enumerate(zip(q, qdot, targets, q[1:], qdot[1:], tau, current)):
-        step(*rows, k)
+    # A tick can only repeat an earlier one if its target row occurs twice, so
+    # only those ticks are keyed.  A row's hash is a wrapping sum of its 64-bit
+    # words times odd multipliers: equal bits hash alike, and -0.0 is not 0.0
+    # (it sets tau's sign bit).  Bytes are compared wherever a hash is matched.
+    bits = np.ascontiguousarray(targets).view(np.int64)
+    hashes = bits @ (np.arange(1, 2 * NUM_JOINTS, 2) * -0x61C8864680B583EB)
+    _, ids, counts = np.unique(hashes, return_inverse=True, return_counts=True)
+    repeats = (counts[ids] > 1).tolist()
+    first = {}  # hash of a tick's (q, qdot, target) bytes -> the first tick to start from them
+    k = 0
+    while k < n:  # step from tick k on until a tick repeats an earlier one, then copy
+        rows = zip(q[k:], qdot[k:], targets[k:], q[k + 1:], qdot[k + 1:], tau[k:], current[k:])
+        for k, tick in enumerate(rows, k):
+            if repeats[k]:
+                start = tick[0].tobytes() + tick[1].tobytes() + tick[2].tobytes()
+                j = first.setdefault(hash(start), k)
+                if j < k and q[j].tobytes() + qdot[j].tobytes() + targets[j].tobytes() == start:
+                    run = _repeat_length(bits, k, k - j)
+                    src = j + np.arange(run) % (k - j)
+                    q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]
+                    tau[k:k + run], current[k:k + run] = tau[src], current[src]
+                    k += run
+                    break
+            step(*tick, k)
+        else:
+            break
     return SimLog(params.dt, targets, q[:n], qdot[:n], tau, current)

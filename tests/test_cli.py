@@ -90,6 +90,7 @@ STAGEWISE_RUNS = {
     "sine": (FAST_CFG, ()),
     "readme-circle": (README_CIRCLE, ()),
     "profile-sim": (FAST_CFG, ("--profile", "sim")),
+    "step": (FAST_CFG, ("--traj", "step")),
     "continuous-yaw": (CONTINUOUS_YAW, ()),
     "arbitrary": (ARBITRARY, ()),
     "sim-dt-only": (SIM_DT_ONLY, ()),

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from quadstage import simenv
+from quadstage.cli import build_parser, effective_config
 from quadstage.config import TrajectoryConfig, default_config, loads_config
 from quadstage.kinematics import LegGeometry, PlatformPose, leg_jacobian, solve_platform_ik
+from quadstage.logio import as_read
+from quadstage.postprocess import PoseSeries
 from quadstage.simenv import (
     GRAVITY,
     ActuatorParams,
@@ -34,6 +38,16 @@ gravity_compensation = true
 """
 
 
+# CI's 4-waypoint cosine arbitrary trajectory.
+ARBITRARY = """\
+[trajectory]
+type = arbitrary
+interp = cosine
+waypoints = 0 0 0 0 0 0 ; 10 -5 3 2 1 -2 ; -4 2 0 0 0 5 ; 0 0 0 0 0 0
+segment_times = 0.5 0.75 0.6
+"""
+
+
 def home_targets(cfg, n):
     q0 = solve_platform_ik(PlatformPose.home(), cfg.robot, cfg.platform)
     return np.tile(q0, (n, 1))
@@ -45,6 +59,65 @@ def sine_targets(cfg, params):
     for k in range(len(traj)):
         q[k] = solve_platform_ik(traj.pose(k), cfg.robot, cfg.platform)
     return q
+
+
+def solved(cfg):
+    return cfg, solve_platform_ik(cfg.build_trajectory(), cfg.robot, cfg.platform, cfg.limits)
+
+
+def as_run(cfg):
+    # The joint targets `all` hands run_sim: the IK of the trajectory as its
+    # file holds it, itself as its file holds it.
+    traj = cfg.build_trajectory()
+    traj = PoseSeries(as_read(traj.position), as_read(traj.orientation_deg), cfg.sim.dt)
+    return cfg, as_read(solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits))
+
+
+def flagged(*flags):
+    return effective_config(build_parser().parse_args(["all", *flags]))
+
+
+def perturbed_mid_cycle():
+    # Unperturbed, ticks 3203-5000 of the default sine as run are copies;
+    # perturbed, copying stops at tick 4000 and starts again at 4303.
+    cfg, targets = as_run(default_config())
+    targets[4000, 4] += 1e-9
+    return cfg, targets
+
+
+def signed_zeros():
+    # Unloaded on zero targets the state stays +0.0, but a -0.0 target sets
+    # the sign bit of tau and current: the rows are equal as floats, not as bits.
+    targets = np.zeros((1000, 12))
+    targets[500::7, 5] = -0.0
+    return loads_config("[sim]\npayload_mass = 0\nplatform_mass = 0\n"), targets
+
+
+def short_repeats():
+    cfg = default_config()
+    q0 = home_targets(cfg, 1)[0]
+    return cfg, np.array([q0, q0 + 0.01, q0, q0 - 0.01] * 500)
+
+
+def strided():
+    cfg, targets = as_run(default_config())
+    return cfg, np.repeat(targets, 2, axis=0)[::2]
+
+
+# run_sim copies the ticks that repeat earlier ones; its log must still be
+# that of a sim_step loop.  Each case gives a config and its joint targets.
+LOOP_CASES = {
+    "default sine": lambda: solved(default_config()),
+    "README circle": lambda: solved(loads_config(README_CIRCLE)),
+    "README circle as run": lambda: as_run(loads_config(README_CIRCLE)),
+    "--traj step": lambda: as_run(flagged("--traj", "step")),
+    "--profile sim": lambda: as_run(flagged("--profile", "sim")),
+    "CI arbitrary": lambda: as_run(loads_config(ARBITRARY)),
+    "perturbed mid-cycle": perturbed_mid_cycle,
+    "signed zeros": signed_zeros,
+    "strided": strided,
+    "short repeats": short_repeats,
+}
 
 
 class TestGravityTorque:
@@ -271,14 +344,15 @@ class TestRunSim:
             with np.errstate(over="ignore"):
                 assert not np.isfinite(np.dot(log.q[-1], log.qdot[-1]))
 
-    @pytest.mark.parametrize("config", ["default sine", "README circle"])
+    @pytest.mark.parametrize("config", list(LOOP_CASES))
     def test_equals_a_sim_step_loop_bit_for_bit(self, config):
-        # The README circle carries 1.2 kg with the gravity feed-forward on;
-        # the default sine runs without it.
-        cfg = default_config() if config == "default sine" else loads_config(README_CIRCLE)
-        assert cfg.sim.gravity_compensation == (config == "README circle")
-        targets = solve_platform_ik(cfg.build_trajectory(), cfg.robot, cfg.platform, cfg.limits)
+        cfg, targets = LOOP_CASES[config]()
+        if config in ("default sine", "README circle"):
+            # The README circle carries 1.2 kg with the gravity feed-forward
+            # on; the default sine runs without it.
+            assert cfg.sim.gravity_compensation == (config == "README circle")
         log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        assert log.q_target is targets
         q, qdot = targets[0], np.zeros(12)
         expected = {name: [] for name in ("q", "qdot", "tau", "current")}
         for k, target in enumerate(targets):
@@ -291,6 +365,44 @@ class TestRunSim:
             got, want = getattr(log, name), np.array(rows)
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+    @pytest.mark.parametrize("config", ["--profile sim", "signed zeros"])
+    def test_memo_hits_are_checked_byte_for_byte(self, monkeypatch, config):
+        # With every memo hash equal, a tick may still only be copied from
+        # one that started from its very bits.
+        cfg, targets = LOOP_CASES[config]()
+        want = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        monkeypatch.setattr(simenv, "hash", lambda key: 0, raising=False)
+        got = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        for name in ("q", "qdot", "tau", "current"):
+            assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64)), name
+
+    def test_instability_inside_a_copied_stretch_reports_its_tick(self):
+        # Unperturbed, ticks 3203-5000 of the default sine as run are copies.
+        cfg, targets = as_run(default_config())
+        targets[4000, 7] = np.nan
+        with pytest.raises(SimulationUnstableError, match="^simulation diverged at tick 4000$") as err:
+            run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        assert err.value.tick == 4000
+
+    @pytest.mark.parametrize("config, share", [("README circle", 0.30), ("default sine", 0.40)])
+    def test_repeating_ticks_are_copied_not_stepped(self, monkeypatch, config, share):
+        # As run, these settle into cycles that repeat bit for bit; a change
+        # to the tick or its key that stops the copies fails here.
+        stepper, ticks = simenv._stepper, []
+
+        def counting(*args):
+            step = stepper(*args)
+
+            def counted(*rows):
+                ticks.append(rows[-1])
+                step(*rows)
+            return counted
+
+        monkeypatch.setattr(simenv, "_stepper", counting)
+        cfg, targets = as_run(loads_config(README_CIRCLE) if config == "README circle" else default_config())
+        run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        assert 0 < len(ticks) <= share * len(targets)
 
     def test_rejects_empty_trajectory(self, cfg):
         with pytest.raises(ValueError):
