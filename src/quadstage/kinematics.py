@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import _CLIP_UNIT, _check, _dot, _euler_rows, at_sample, euler_to_rotation
+from .geometry import _CLIP_UNIT, _check, _distinct_rows, _dot, _euler_rows, at_sample, euler_to_rotation
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -364,12 +364,12 @@ def _foot_z_row(q_aa, q_hip, q_knee, geom: LegGeometry, lib):
 def platform_corners(pose: PlatformPose, geom: PlatformGeometry) -> np.ndarray:
     """Body-frame positions of the corner ball joints for a pose: (4, 3)
     for one pose, (N, 4, 3) for a stacked pose of N samples."""
-    return _corners(pose, pose.rotation(), geom)
+    return _corners(pose.position, pose.rotation(), geom)
 
 
-def _corners(pose: PlatformPose, r, geom: PlatformGeometry) -> np.ndarray:
-    # platform_corners with the pose's rotation r already built.
-    return ((geom.home_center + pose.position)[..., None, :]
+def _corners(position, r, geom: PlatformGeometry) -> np.ndarray:
+    # platform_corners of a pose's position, with its rotation r already built.
+    return ((geom.home_center + position)[..., None, :]
             + geom.corner_offsets @ np.swapaxes(r, -1, -2))
 
 
@@ -503,10 +503,11 @@ def solve_platform_ik(
     the cone, on pivot_angles_deg's bits.
 
     A stacked pose (position and orientation_deg (N, 3)), such as a
-    postprocess.PoseSeries passed as is, gives (N, 12) in one array pass:
-    one box mask, an (N, 3, 3) rotation stack, (N, 4, 3) corners, one
+    postprocess.PoseSeries passed as is, gives (N, 12) in one array pass
+    over its D distinct rows (by their bits), whose q each sample takes:
+    one box mask, a (D, 3, 3) rotation stack, (D, 4, 3) corners, one
     closed-form IK pass and one leg_fk re-check per leg, and with
-    check_pivot one (N, 4) pivot_angles_deg pass.  The samples these
+    check_pivot one (D, 4) pivot_angles_deg pass.  The samples these
     masks flag (NaN included) are solved again one at a time by the
     one-pose path, in sample order: a stack raises what its first failing
     sample raises alone, with " at sample k" added to the message, and a
@@ -527,7 +528,7 @@ def solve_platform_ik(
         if trans or rot:
             raise WorkspaceViolationError(trans + rot)
     r = pose.rotation()
-    corners = _corners(pose, r, platform).tolist()
+    corners = _corners(pose.position, r, platform).tolist()
     legs = [(geom, corner, geom.hip_mount.tolist()) for geom, corner in zip(robot, corners)]
     q = []
     for i, (geom, (cx, cy, cz), (hx, hy, hz)) in enumerate(legs):
@@ -552,14 +553,18 @@ def solve_platform_ik(
 
 
 def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.ndarray:
-    # The stacked case of solve_platform_ik.
-    n = len(pose.position)
-    flagged = np.zeros(n, dtype=bool)
+    # The stacked case of solve_platform_ik, its array passes run once per distinct pose row.
+    first, inverse = _distinct_rows(np.hstack((pose.position, pose.orientation_deg)))
+    position, orientation = pose.position[first], pose.orientation_deg[first]
+    flagged = np.zeros(len(first), dtype=bool)
     if limits is not None:
-        flagged |= outside_box(pose.position, pose.orientation_deg, limits)
-    r = pose.rotation()
-    corners = _corners(pose, r, platform)
-    q = np.empty((n, NUM_JOINTS))
+        flagged |= outside_box(position, orientation, limits)
+    try:
+        r = euler_to_rotation(orientation)
+    except ValueError:  # an array edited to NaN after its check: name the sample
+        r = euler_to_rotation(pose.orientation_deg)
+    corners = _corners(position, r, platform)
+    q = np.empty((len(first), NUM_JOINTS))
     for i, geom in enumerate(robot):
         q_leg, unreachable = _leg_ik_stack(corners[:, i], geom)
         err = np.linalg.norm(leg_fk(q_leg, geom) - corners[:, i], axis=-1)
@@ -569,6 +574,7 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
     if check_pivot:
         pivot = _pivot_angles(q, robot, platform, r)
         flagged |= np.logical_not(pivot.max(axis=-1) <= limits.ball_pivot_max)
+    q, flagged = q[inverse], flagged[inverse]
     for k in np.flatnonzero(flagged):
         one = PlatformPose(pose.position[k], pose.orientation_deg[k])
         try:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _dot, _euler_deg,
-                       _midpoint, _sub, align_vectors, line_closest_midpoint, rotation_to_euler)
+from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _distinct_rows, _dot,
+                       _euler_deg, _midpoint, _sub, align_vectors, line_closest_midpoint, rotation_to_euler)
 from .kinematics import (NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core,
                          check_fields, leg_fk)
 
@@ -196,13 +196,15 @@ def reconstruct_series(
 ) -> PoseSeries:
     """reconstruct_pose applied to every row of an (N, 12) joint log.
 
-    The whole log is reconstructed in one array pass: one call per leg to
-    leg_fk and one to each geometry function.  A failing check (ValueError
-    for a non-finite row or a zero diagonal, ParallelLinesError,
+    The log's distinct rows (by their bits) are reconstructed in one array
+    pass, whose result each sample takes: one call per leg to leg_fk and
+    one to each geometry function.  A failing check (ValueError for a
+    non-finite row or a zero diagonal, ParallelLinesError,
     DegenerateInputError, a non-rotation) raises the same exception type
     and message as reconstruct_pose, with the first offending sample index
     added; a GimbalLockWarning is issued once and names the first locked
-    sample.
+    sample.  (So a pass that raises runs again on all rows, and the Euler
+    step, which checks and warns last, takes every sample's rotation.)
     """
     q = np.asarray(q_series, dtype=float)
     if q.ndim != 2 or q.shape[1] != NUM_JOINTS:
@@ -210,6 +212,18 @@ def reconstruct_series(
     _check(np.logical_not(np.all(np.isfinite(q), axis=-1)), ValueError, "q must be finite")
     if z_offset_mode not in Z_OFFSET_MODES:
         raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
+    first, inverse = _distinct_rows(q)
+    try:
+        position, rotation = _reconstruct_rows(q[first], robot, platform, z_offset_mode)
+    except ValueError:  # raise it naming a sample, not a distinct row
+        position, rotation = _reconstruct_rows(q, robot, platform, z_offset_mode)
+    else:
+        position, rotation = position[inverse], rotation[inverse]
+    return PoseSeries(position, rotation_to_euler(rotation), dt)
+
+
+def _reconstruct_rows(q, robot, platform: PlatformGeometry, z_offset_mode: str):
+    # reconstruct_series' pass on finite (N, 12) rows to (N, 3) positions and (N, 3, 3) rotations.
     feet = np.stack([leg_fk(q[:, 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
                     axis=-2)
     fl, fr, bl, br = np.moveaxis(feet, -2, 0)
@@ -221,7 +235,7 @@ def reconstruct_series(
     else:
         offset_dir = np.array([0.0, 0.0, 1.0])
     center = center_corners + platform.z_offset * offset_dir
-    return PoseSeries(center - platform.home_center, rotation_to_euler(rotation), dt)
+    return center - platform.home_center, rotation
 
 
 def _butter(order: int, cutoff_hz: float, fs: float):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _distinct_rows
 from .kinematics import NUM_JOINTS, _foot_z_row, check_fields
 from .kinematics import leg_jacobian  # not called here: perfbench/layers.py wraps simenv.leg_jacobian
 
@@ -264,13 +265,12 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     q[0], qdot[0] = targets[0], 0.0
     step = _stepper(params, actuator, robot)
     # A tick can only repeat an earlier one if its target row occurs twice, so
-    # only those ticks are keyed.  A row's hash is a wrapping sum of its 64-bit
-    # words times odd multipliers: equal bits hash alike, and -0.0 is not 0.0
-    # (it sets tau's sign bit).  Bytes are compared wherever a hash is matched.
+    # only those ticks are keyed.  Rows are told apart by their bits, as
+    # geometry._distinct_rows does: -0.0 is not 0.0 (it sets tau's sign bit).
+    # Bytes are compared wherever a memo hash is matched.
     bits = np.ascontiguousarray(targets).view(np.int64)
-    hashes = bits @ (np.arange(1, 2 * NUM_JOINTS, 2) * -0x61C8864680B583EB)
-    _, ids, counts = np.unique(hashes, return_inverse=True, return_counts=True)
-    repeats = (counts[ids] > 1).tolist()
+    ids = _distinct_rows(bits)[1]
+    repeats = (np.bincount(ids)[ids] > 1).tolist()
     first = {}  # hash of a tick's (q, qdot, target) bytes -> the first tick to start from them
     k = 0
     while k < n:  # step from tick k on until a tick repeats an earlier one, then copy
