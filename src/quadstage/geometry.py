@@ -104,22 +104,13 @@ def _check(bad, error: type, message: str) -> None:
 def _distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     # (first, inverse) by bits over the rows of an (N, C) array of 8-byte
     # words: each distinct row's first index, increasing, and each row's id,
-    # so rows[first][inverse] equals rows byte for byte.  _row_hashes proposes
-    # the ids and the bytes decide: a row unlike its hash's first gets its own.
-    bits = np.ascontiguousarray(rows).view(np.int64)
-    _, first, ids = np.unique(_row_hashes(bits), return_index=True, return_inverse=True)
-    rep, own = first[ids], np.arange(len(bits))
-    rep = np.where((bits[rep] == bits).all(axis=1), rep, own)
-    is_first = rep == own
-    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[rep]
-
-
-def _row_hashes(bits) -> np.ndarray:
-    # Each word mod the Mersenne prime 2**31 - 1 folds its high bits (a sign,
-    # an exponent step) down, where the wrapping sum of its products with odd
-    # multipliers (powers of 0x9E3779B97F4A7C15) sees them; 2**63 * odd does not.
-    multipliers = [pow(0x9E3779B97F4A7C15, j + 1, 2**64) for j in range(bits.shape[1])]
-    return (bits % (2**31 - 1)) @ np.array(multipliers, dtype=np.uint64).view(np.int64)
+    # so rows[first][inverse] equals rows byte for byte.  np.unique sorts the
+    # rows as raw bytes, so -0.0 is not 0.0 and NaN payloads stay apart; its
+    # ids, in byte order, are renumbered by first use.
+    rows = np.ascontiguousarray(rows)
+    _, first, inverse = np.unique(rows.view(f"V{8 * rows.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 # The formula cores below take a 3-vector as its three components, floats

@@ -140,11 +140,10 @@ def write_table(path, kind: str, config_hash: str, columns, rows) -> None:
 
 def as_read(values) -> np.ndarray:
     """values as read_table parses them from a written table: each distinct
-    value (by bit pattern) formatted with FLOAT_FORMAT and parsed once."""
+    value (by bit pattern) formatted into its table cell and parsed once."""
     values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = (f"%{FLOAT_FORMAT} " * len(bits) % tuple(bits.view(np.float64).tolist())).split()
-    return np.array(text, dtype=float)[inverse].reshape(values.shape)
+    cells, inverse = _column_cells(values.ravel(), " ")
+    return np.array(cells.tobytes().split(), dtype=float)[inverse].reshape(values.shape)
 
 
 def _identity_hash(path, line: str, kind: str) -> str:

@@ -225,17 +225,17 @@ def sim_step(
     return out
 
 
-def _repeat_length(bits, k: int, lag: int) -> int:
-    # How many rows from k on have the bits of the row lag before, compared
+def _repeat_length(ids, k: int, lag: int) -> int:
+    # How many rows from k on have the id of the row lag before, compared
     # in doubling windows so that the search costs O(its result).
     start, width = k, 64
-    while start < len(bits):
-        stop = min(start + width, len(bits))
-        differ = np.flatnonzero((bits[start:stop] != bits[start - lag:stop - lag]).any(axis=1))
+    while start < len(ids):
+        stop = min(start + width, len(ids))
+        differ = np.flatnonzero(ids[start:stop] != ids[start - lag:stop - lag])
         if differ.size:
             return start - k + int(differ[0])
         start, width = stop, 2 * width
-    return len(bits) - k
+    return len(ids) - k
 
 
 def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -> SimLog:
@@ -265,11 +265,10 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     q[0], qdot[0] = targets[0], 0.0
     step = _stepper(params, actuator, robot)
     # A tick can only repeat an earlier one if its target row occurs twice, so
-    # only those ticks are keyed.  Rows are told apart by their bits, as
-    # geometry._distinct_rows does: -0.0 is not 0.0 (it sets tau's sign bit).
-    # Bytes are compared wherever a memo hash is matched.
-    bits = np.ascontiguousarray(targets).view(np.int64)
-    ids = _distinct_rows(bits)[1]
+    # only those ticks are keyed.  Target rows share an id exactly when their
+    # bytes are equal (geometry._distinct_rows): -0.0 is not 0.0, as it sets
+    # tau's sign bit.  Bytes are compared wherever a memo hash is matched.
+    ids = _distinct_rows(targets)[1]
     repeats = (np.bincount(ids)[ids] > 1).tolist()
     first = {}  # hash of a tick's (q, qdot, target) bytes -> the first tick to start from them
     k = 0
@@ -280,7 +279,7 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
                 start = tick[0].tobytes() + tick[1].tobytes() + tick[2].tobytes()
                 j = first.setdefault(hash(start), k)
                 if j < k and q[j].tobytes() + qdot[j].tobytes() + targets[j].tobytes() == start:
-                    run = _repeat_length(bits, k, k - j)
+                    run = _repeat_length(ids, k, k - j)
                     src = j + np.arange(run) % (k - j)
                     q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]
                     tau[k:k + run], current[k:k + run] = tau[src], current[src]

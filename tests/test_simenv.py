@@ -93,6 +93,17 @@ def signed_zeros():
     return loads_config("[sim]\npayload_mass = 0\nplatform_mass = 0\n"), targets
 
 
+def signed_zero_in_a_later_period():
+    # Unloaded, joint 0 swings with period 4 and joint 5 stays at +0.0, so
+    # the ticks soon repeat and are copied; one row of a later period holds
+    # -0.0 on joint 5, which sets that tick's tau sign bit.  The copy must
+    # stop at that row: its target equals the row 4 before as floats, not as bits.
+    targets = np.zeros((2000, 12))
+    targets[:, 0] = np.tile([0.0, 0.01, 0.0, -0.01], 500)
+    targets[1501, 5] = -0.0
+    return loads_config("[sim]\npayload_mass = 0\nplatform_mass = 0\n"), targets
+
+
 def short_repeats():
     cfg = default_config()
     q0 = home_targets(cfg, 1)[0]
@@ -115,6 +126,7 @@ LOOP_CASES = {
     "CI arbitrary": lambda: as_run(loads_config(ARBITRARY)),
     "perturbed mid-cycle": perturbed_mid_cycle,
     "signed zeros": signed_zeros,
+    "signed zero in a later period": signed_zero_in_a_later_period,
     "strided": strided,
     "short repeats": short_repeats,
 }
