@@ -34,7 +34,6 @@ from .config import (
 )
 from .kinematics import solve_platform_ik
 from .postprocess import (
-    PoseSeries,
     differentiate,
     filter_series,
     joint_rmse,
@@ -89,12 +88,12 @@ UPSTREAM = {
 
 
 def _upstream(stage: str, cfg: Config, run_dir: str, name: str, digest: str, handed):
-    """Upstream artifact `name` as its reader parses it.  In `all`, each
-    stage leaves in the dict `handed` what later stages use of its output,
-    as logio.as_read gives it.  A single stage (handed is None) reads the
+    """Upstream artifact `name` as its reader parses it.  Each stage leaves
+    in the dict `handed` what later stages use of its output, as its logio
+    writer hands it back; `all` finds it there.  A single stage reads the
     file once it exists and carries config hash `digest`, checked before
     any row is parsed, so a changed config is reported as such."""
-    if handed is not None:
+    if name in handed:
         return handed[name]
     path = os.path.join(run_dir, name)
     kind, producer, read = UPSTREAM[name]
@@ -112,10 +111,7 @@ def stage_gen(cfg: Config, run_dir: str, digest: str, handed) -> list:
     snapshot = os.path.join(run_dir, SNAPSHOT_FILE)
     logio.atomic_write_text(snapshot, dumps_config(cfg))
     path = os.path.join(run_dir, TRAJECTORY_FILE)
-    logio.write_trajectory(path, traj, digest)
-    if handed is not None:
-        handed[TRAJECTORY_FILE] = PoseSeries(logio.as_read(traj.position), logio.as_read(traj.orientation_deg),
-                                             cfg.sim.dt)
+    handed[TRAJECTORY_FILE] = logio.write_trajectory(path, traj, digest)
     return [snapshot, path]
 
 
@@ -123,9 +119,7 @@ def stage_ik(cfg: Config, run_dir: str, digest: str, handed) -> list:
     traj = _upstream("ik", cfg, run_dir, TRAJECTORY_FILE, digest, handed)
     q = solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits)
     path = os.path.join(run_dir, JOINT_TARGETS_FILE)
-    logio.write_joint_targets(path, traj.t, q, digest)
-    if handed is not None:
-        handed[JOINT_TARGETS_FILE] = logio.as_read(q)
+    handed[JOINT_TARGETS_FILE] = logio.write_joint_targets(path, traj.t, q, digest)
     return [path]
 
 
@@ -133,10 +127,8 @@ def stage_sim(cfg: Config, run_dir: str, digest: str, handed) -> list:
     q_targets = _upstream("sim", cfg, run_dir, JOINT_TARGETS_FILE, digest, handed)
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
     path = os.path.join(run_dir, SIM_LOG_FILE)
-    logio.write_log(path, log, digest)
-    if handed is not None:
-        # q_target holds the targets as read, which as_read leaves as they are.
-        handed[SIM_LOG_FILE] = log.q_target, logio.as_read(log.q)
+    # q_target holds the targets as read, which a write leaves as they are.
+    handed[SIM_LOG_FILE] = log.q_target, logio.write_log(path, log, digest)
     return [path]
 
 
@@ -239,7 +231,7 @@ def main(argv=None) -> int:
         return 2
     digest = config_hash(cfg)  # once per command; each stage writes and checks it
 
-    stages, handed = (list(STAGES), {}) if args.stage == "all" else ([args.stage], None)
+    stages, handed = list(STAGES) if args.stage == "all" else [args.stage], {}
     for stage in stages:
         try:
             artifacts = STAGES[stage](cfg, run_dir, digest, handed)

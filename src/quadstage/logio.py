@@ -12,8 +12,9 @@ The writer formats each distinct value of a column once (distinct by bit
 pattern, so -0.0, 0.0 and every nan stay apart), and a table's first
 column, the shared t = k * dt, once per process while it repeats; the
 bytes are those of formatting every value in turn.
-as_read gives the values a reader parses back from such a table, so that
-a pipeline run can hand them to the next stage without reading the file.
+A writer takes a table as 1-D columns and hands back the columns a later
+stage uses as a reader parses them, each distinct cell parsed once, so a
+pipeline run reads no file.  as_read gives such values for the t check.
 A reader of a sampled table takes it only as written: every value finite
 and each t the written k * dt for the configured dt, or LogFormatError
 names the file, the row and (for a non-finite value) the column.
@@ -108,42 +109,59 @@ def _first_column_cells(data: bytes, sep: str) -> tuple[np.ndarray, np.ndarray]:
     return cells, inverse
 
 
-def _format_table(kind: str, config_hash: str, columns, rows: np.ndarray):
-    """The table's bytes: the identity and header lines, then _BLOCK_BYTES of rows at a time."""
-    yield f"{_identity_line(kind, config_hash)}\n{','.join(columns)}\n".encode("utf-8")
-    if rows.size:
-        rows = np.atleast_2d(rows)
-        n_cols = rows.shape[1]
+def _parsed(cells: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Each row's value as a reader parses its cell, each distinct cell
+    parsed once.  A separator becomes a space: deleting it would join a
+    text that fills its cell (-6.96287338e-253) to the next."""
+    text = cells.tobytes().translate(bytes.maketrans(b",\n", b"  "))
+    return np.array(text.split(), dtype=float)[inverse]
+
+
+def _format_table(kind: str, config_hash: str, names, columns, handed):
+    """The table's bytes: the identity and header lines, then _BLOCK_BYTES
+    of rows at a time.  For each j in the dict handed, handed[j] is filled
+    with column j as a reader parses it."""
+    yield f"{_identity_line(kind, config_hash)}\n{','.join(names)}\n".encode("utf-8")
+    if columns and len(columns[0]):
+        n_rows, n_cols = len(columns[0]), len(columns)
         # Row i is pool[index[i]] with the padding deleted: the cells of
-        # every column in one pool, index[i, j] the cell of rows[i, j].
-        index = np.empty(rows.shape, np.int32 if rows.size < 2**31 else np.int64)
+        # every column in one pool, index[i, j] the cell of columns[j][i].
+        index = np.empty((n_rows, n_cols), np.int32 if n_rows * n_cols < 2**31 else np.int64)
         pool, offset = [], 0
-        for j in range(n_cols):
+        for j, column in enumerate(columns):
             sep = "," if j < n_cols - 1 else "\n"
-            cells, inverse = (_first_column_cells(rows[:, 0].tobytes(), sep) if j == 0
-                              else _column_cells(rows[:, j], sep))
+            cells, inverse = (_first_column_cells(column.tobytes(), sep) if j == 0
+                              else _column_cells(column, sep))
+            if j in handed:
+                handed[j][:] = _parsed(cells, inverse)
             index[:, j] = inverse + offset
             pool.append(cells)
             offset += len(cells)
         pool = np.concatenate(pool)
         block_rows = max(1, _BLOCK_BYTES // pool.itemsize // n_cols)
-        for start in range(0, len(rows), block_rows):
+        for start in range(0, n_rows, block_rows):
             yield pool.take(index[start:start + block_rows]).tobytes().translate(None, b" ")
 
 
-def write_table(path, kind: str, config_hash: str, columns, rows) -> None:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim > 2 or rows.size and rows.shape[-1] != len(columns):
-        raise ValueError(f"rows must be (N, {len(columns)}) for the header, got shape {rows.shape}")
-    _atomic_write(path, _format_table(kind, config_hash, columns, rows))
+def write_table(path, kind: str, config_hash: str, names, columns, handed=()) -> np.ndarray:
+    """Write the table whose column j is the 1-D columns[j], headed names[j].
+    Returns (N, len(handed)): column k is column handed[k] as a reader
+    parses it back from the file."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if len(columns) != len(names) or any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        raise ValueError(f"columns must be {len(names)} 1-D arrays of one length for the header, "
+                         f"got shapes {[c.shape for c in columns]}")
+    out = np.empty((len(columns[0]) if columns else 0, len(handed)))
+    # Each out.T row is a view of one column of out, filled while formatting.
+    _atomic_write(path, _format_table(kind, config_hash, names, columns, dict(zip(handed, out.T))))
+    return out
 
 
 def as_read(values) -> np.ndarray:
-    """values as read_table parses them from a written table: each distinct
-    value (by bit pattern) formatted into its table cell and parsed once."""
+    """values as read_table parses them from a written table, through the
+    writer's own formatting and parse: kept for the reader's t check."""
     values = np.ascontiguousarray(values, dtype=float)
-    cells, inverse = _column_cells(values.ravel(), " ")
-    return np.array(cells.tobytes().split(), dtype=float)[inverse].reshape(values.shape)
+    return _parsed(*_column_cells(values.ravel(), " ")).reshape(values.shape)
 
 
 def _identity_hash(path, line: str, kind: str) -> str:
@@ -230,9 +248,11 @@ def _read_samples(path, kind: str, columns, dt: float) -> tuple[str, np.ndarray]
     return config_hash, data
 
 
-def write_trajectory(path, traj: PoseSeries, config_hash: str) -> None:
-    rows = np.column_stack([traj.t, traj.position, traj.orientation_deg])
-    write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS, rows)
+def write_trajectory(path, traj: PoseSeries, config_hash: str) -> PoseSeries:
+    """Writes traj and returns it as read_trajectory parses it back."""
+    poses = write_table(path, TRAJECTORY_KIND, config_hash, TRAJECTORY_COLUMNS,
+                        [traj.t, *traj.position.T, *traj.orientation_deg.T], range(1, 7))
+    return PoseSeries(poses[:, :3], poses[:, 3:], traj.dt)
 
 
 def read_trajectory(path, dt: float) -> tuple[str, PoseSeries]:
@@ -242,9 +262,10 @@ def read_trajectory(path, dt: float) -> tuple[str, PoseSeries]:
     return config_hash, PoseSeries(data[:, 1:4], data[:, 4:7], dt)
 
 
-def write_joint_targets(path, t, q, config_hash: str) -> None:
-    write_table(path, JOINT_TARGETS_KIND, config_hash, JOINT_TARGET_COLUMNS,
-                np.column_stack([t, q]))
+def write_joint_targets(path, t, q, config_hash: str) -> np.ndarray:
+    """Writes the joint targets q and returns them as read_joint_targets parses them."""
+    return write_table(path, JOINT_TARGETS_KIND, config_hash, JOINT_TARGET_COLUMNS,
+                       [t, *np.transpose(q)], range(1, 1 + NUM_JOINTS))
 
 
 def read_joint_targets(path, dt: float) -> tuple[str, np.ndarray]:
@@ -254,9 +275,11 @@ def read_joint_targets(path, dt: float) -> tuple[str, np.ndarray]:
     return config_hash, data[:, 1:]
 
 
-def write_log(path, log: SimLog, config_hash: str) -> None:
-    rows = np.column_stack([log.t] + [getattr(log, name) for name, _ in SIM_LOG_BLOCKS])
-    write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, rows)
+def write_log(path, log: SimLog, config_hash: str) -> np.ndarray:
+    """Writes log and returns its q as read_log parses it (q_target is the targets as read)."""
+    columns = [log.t] + [column for name, _ in SIM_LOG_BLOCKS for column in getattr(log, name).T]
+    return write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, columns,
+                       range(1 + NUM_JOINTS, 1 + 2 * NUM_JOINTS))
 
 
 def read_log(path, dt: float) -> tuple[str, SimLog]:
@@ -267,8 +290,7 @@ def read_log(path, dt: float) -> tuple[str, SimLog]:
 
 
 def write_plot_channel(path, t, target, actual, config_hash: str) -> None:
-    write_table(path, PLOT_KIND, config_hash, PLOT_COLUMNS,
-                np.column_stack([t, target, actual]))
+    write_table(path, PLOT_KIND, config_hash, PLOT_COLUMNS, [t, target, actual])
 
 
 REPORT_POSE_KEYS = tuple(f"{kind}_{axis}_{unit}" for kind, unit in (("translation", "mm"), ("rotation", "deg"))

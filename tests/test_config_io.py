@@ -672,7 +672,7 @@ class TestGeometrySections:
 class TestTables:
     def test_empty_table_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_table(path, "plot", "0" * 16, ["t", "target", "actual"], np.empty((0, 3)))
+        write_table(path, "plot", "0" * 16, ["t", "target", "actual"], [np.empty(0)] * 3)
         digest, columns, data = read_table(path, "plot")
         assert digest == "0" * 16
         assert columns == ["t", "target", "actual"]
@@ -700,7 +700,7 @@ class TestTables:
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         columns = ["t"] + [f"q_{i}" for i in range(13)]
-        write_table(path, "joint_targets", "b" * 16, columns, np.zeros((2, 14)))
+        write_table(path, "joint_targets", "b" * 16, columns, [np.zeros(2)] * 14)
         with pytest.raises(LogFormatError, match="header mismatch"):
             read_table(path, "joint_targets", JOINT_TARGET_COLUMNS)
 
@@ -758,7 +758,7 @@ class TestTables:
         path = tmp_path / "plot.csv"
         old = os.umask(umask)
         try:
-            write_table(path, "plot", "0" * 16, ["t", "target", "actual"], np.zeros((2, 3)))
+            write_table(path, "plot", "0" * 16, ["t", "target", "actual"], [np.zeros(2)] * 3)
         finally:
             os.umask(old)
         assert stat.S_IMODE(os.stat(path).st_mode) == mode

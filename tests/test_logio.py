@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadstage import cli, logio
-from quadstage.kinematics import NUM_JOINTS
+from quadstage.config import loads_config
+from quadstage.kinematics import NUM_JOINTS, solve_platform_ik
 from quadstage.logio import (
     JOINT_TARGET_COLUMNS,
     JOINT_TARGETS_KIND,
@@ -38,7 +39,7 @@ from quadstage.logio import (
     write_trajectory,
 )
 from quadstage.postprocess import PoseSeries
-from quadstage.simenv import SimLog
+from quadstage.simenv import SimLog, run_sim
 
 DIGEST = "0123456789abcdef"
 # 1 ms has a short decimal form; 1/240 s does not survive 9 digits as is.
@@ -153,7 +154,7 @@ READERS = [
 def test_reader_rejects_table_without_rows(tmp_path, reader, kind, header):
     # A header and no rows names the file.
     path = tmp_path / "table.csv"
-    write_table(path, kind, DIGEST, header, np.empty((0, len(header))))
+    write_table(path, kind, DIGEST, header, [np.empty(0)] * len(header))
     with pytest.raises(LogFormatError, match=rf"^{re.escape(str(path))}: empty {kind}$"):
         reader(path, dt=1e-3)
 
@@ -273,7 +274,7 @@ def tables(elements):
 def test_write_table_matches_value_by_value_text(tmp_path, rows):
     path = tmp_path / "table.csv"
     columns = [f"c{j}" for j in range(rows.shape[1])]
-    write_table(path, PLOT_KIND, DIGEST, columns, rows)
+    write_table(path, PLOT_KIND, DIGEST, columns, rows.T)
     assert path.read_bytes() == reference_text(PLOT_KIND, DIGEST, columns, rows).encode()
 
 
@@ -302,7 +303,7 @@ def test_as_read_equals_reading_the_written_table(tmp_path, rows):
     # The values `all` hands a stage are those it would read from the file.
     path = tmp_path / "table.csv"
     columns = [f"c{j}" for j in range(rows.shape[1])]
-    write_table(path, PLOT_KIND, DIGEST, columns, rows)
+    write_table(path, PLOT_KIND, DIGEST, columns, rows.T)
     _, _, back = read_table(path, PLOT_KIND, columns)
     handed = as_read(rows)
     assert handed.shape == back.shape == rows.shape
@@ -317,6 +318,61 @@ def test_as_read_leaves_its_result_as_it_is(rows):
     assert np.array_equal(as_read(once).view(np.int64), once.view(np.int64))
 
 
+# Finite values whose text is hard to parse back: both zeros, subnormals,
+# and texts that fill the whole 16-character cell, such as
+# -6.96287338e-253, which a parse that deletes the separator joins to the
+# next cell.
+FULL_CELLS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, -6.96287338e-253, -1.23456789e-308, -1.7976931348623157e308,
+     1.23456789e-100, 1234567885.0, -123456789.5]
+)
+FINITE = st.one_of(FULL_CELLS, st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                                 np.ascontiguousarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("dt", DTS)
+@ROUND_TRIP
+@given(q=st.integers(1, 40).flatmap(lambda n: arrays(float, (n, NUM_JOINTS), elements=FINITE)))
+def test_writers_hand_back_what_readers_parse(tmp_path, dt, q):
+    # What `all` hands on equals, bit for bit, what a single stage reads
+    # from the file that the writer wrote.
+    traj = write_trajectory(tmp_path / "traj.csv", PoseSeries(q[:, :3], q[:, 3:6], dt), DIGEST)
+    _, back = read_trajectory(tmp_path / "traj.csv", dt)
+    assert same_bits(traj.position, back.position)
+    assert same_bits(traj.orientation_deg, back.orientation_deg)
+    assert traj.dt == back.dt
+    t = np.arange(len(q)) * dt
+    targets = write_joint_targets(tmp_path / "targets.csv", t, q, DIGEST)
+    assert same_bits(targets, read_joint_targets(tmp_path / "targets.csv", dt)[1])
+    logged = write_log(tmp_path / "log.csv", SimLog(dt, -q, q[::-1], q, q[::-1], -q), DIGEST)
+    assert same_bits(logged, read_log(tmp_path / "log.csv", dt)[1].q)
+
+
+def test_write_log_holds_no_stacked_copy(tmp_path):
+    # The README circle's 10,001-row log: writing it, the handed q
+    # included, peaks below 1.5 times one (N, 61) float64 copy of the log.
+    cfg = loads_config("[trajectory]\ntype = circular\nradius = 20.0\nrot_angle_deg = 10.0\nrounds = 20\n"
+                       "circle_frequency = 2.0\ndirection = cw\n"
+                       "[sim]\npayload_mass = 1.2\ngravity_compensation = true\n")
+    traj = cfg.build_trajectory()
+    q_targets = as_read(solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits))
+    log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
+    copy_bytes = len(log) * len(SIM_LOG_COLUMNS) * 8
+    tracemalloc.start()
+    try:
+        q = write_log(tmp_path / "log.csv", log, DIGEST)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(log), copy_bytes) == (10001, 4880488)
+    assert q.shape == (10001, NUM_JOINTS)
+    assert peak < 1.5 * copy_bytes, (peak, copy_bytes)
+
+
 def test_first_column_text_is_never_stale(tmp_path):
     # Tables written back to back, each against its own reference: the
     # same n at another dt, another n at the same dt, the same t ending a
@@ -329,19 +385,20 @@ def test_first_column_text_is_never_stale(tmp_path):
     for t, width in zip(firsts, widths):
         rows = np.column_stack([t, rng.normal(size=(len(t), width - 1))])
         columns = [f"c{j}" for j in range(width)]
-        write_table(path, PLOT_KIND, DIGEST, columns, rows)
+        write_table(path, PLOT_KIND, DIGEST, columns, rows.T)
         assert path.read_bytes() == reference_text(PLOT_KIND, DIGEST, columns, rows).encode()
 
 
 def test_all_writes_every_table_value_by_value(tmp_path, monkeypatch):
     # The default run, in process: each table file holds the text of the
-    # rows its write_table call was given.
+    # columns its write_table call was given.
     calls = []
     write = logio.write_table
 
-    def recording_write_table(path, kind, config_hash, columns, rows):
-        calls.append((os.fspath(path), kind, config_hash, list(columns), np.array(rows, dtype=float)))
-        write(path, kind, config_hash, columns, rows)
+    def recording_write_table(path, kind, config_hash, names, columns, *handed):
+        rows = np.column_stack([np.array(column, dtype=float) for column in columns])
+        calls.append((os.fspath(path), kind, config_hash, list(names), rows))
+        return write(path, kind, config_hash, names, columns, *handed)
 
     monkeypatch.setattr(logio, "write_table", recording_write_table)
     assert cli.main(["all", "--runs-root", str(tmp_path), "--run-id", "tables"]) == 0
@@ -373,7 +430,7 @@ def test_table_streams_into_its_file(tmp_path):
     path = tmp_path / "log.csv"
     tracemalloc.start()
     try:
-        write_table(path, SIM_LOG_KIND, DIGEST, columns, rows)
+        write_table(path, SIM_LOG_KIND, DIGEST, columns, rows.T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -396,14 +453,17 @@ def test_failed_table_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(logio, "_column_cells", failing_column_cells)
     with pytest.raises(RuntimeError, match="formatting failed"):
-        write_table(path, PLOT_KIND, DIGEST, [f"c{j}" for j in range(8)], np.ones((20, 8)))
+        write_table(path, PLOT_KIND, DIGEST, [f"c{j}" for j in range(8)], [np.ones(20)] * 8)
     assert len(calls) == 5
     assert path.read_bytes() == b"old bytes\n"
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
-def test_write_table_rejects_rows_of_three_dimensions(tmp_path):
+def test_write_table_rejects_columns_not_1d_or_of_unequal_length(tmp_path):
     path = tmp_path / "table.csv"
-    with pytest.raises(ValueError, match=re.escape("got shape (2, 2, 3)")):
-        write_table(path, PLOT_KIND, DIGEST, PLOT_COLUMNS, np.zeros((2, 2, 3)))
+    for columns, shapes in (([np.zeros(2), np.zeros((2, 1)), np.zeros(2)], "[(2,), (2, 1), (2,)]"),
+                            ([np.zeros(2), np.zeros(3), np.zeros(2)], "[(2,), (3,), (2,)]"),
+                            ([np.zeros(2)] * 2, "[(2,), (2,)]")):  # fewer columns than names
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+            write_table(path, PLOT_KIND, DIGEST, PLOT_COLUMNS, columns)
     assert os.listdir(tmp_path) == []
