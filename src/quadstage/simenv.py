@@ -14,10 +14,10 @@ keeps stiff PD gains stable at 1 kHz without a solver.
 
 run_sim owns the loop.  It binds a run's constants (gains, clamps, load,
 leg geometry) once into a tick, which maps (q, qdot) at tick k to the
-state at tick k + 1 and the torque and current applied over the tick.
-Each tick writes these in place into the rows of the log; sim_step,
-pd_control and gravity_torque run the same code on fresh arrays.  Two
-runs over the same inputs produce bit-identical logs.
+state at tick k + 1 and the torque applied over the tick, in place in the
+rows of the log; the motor current follows from the logged torque.
+sim_step, pd_control and gravity_torque run the same code on fresh
+arrays.  Two runs over the same inputs produce bit-identical logs.
 """
 
 from __future__ import annotations
@@ -177,21 +177,19 @@ def pd_control(q_target, q, qdot, params: SimParams, actuator: ActuatorParams,
 
 
 def _stepper(params: SimParams, actuator: ActuatorParams, robot):
-    # A run's tick, step(q, qdot, q_target, q_next, qdot_next, tau, current,
-    # tick), with its constants bound once; it writes its results in place.
+    # A run's tick, step(q, qdot, q_target, q_next, qdot_next, tau, tick), with
+    # its constants bound once, writes the new state and the torque in place.
     # Scalars are bound as 12-vectors, which ufuncs take faster than floats.
     kp, kd, fz = params.kp, params.kd, -params.total_mass * GRAVITY / 4.0
-    dt, inertia, nm_per_amp, high = (np.full(NUM_JOINTS, value) for value in (
-        params.dt, actuator.reflected_inertia, actuator.gear_ratio * actuator.kt_motor,
-        actuator.torque_limit))
+    dt, inertia, high = (np.full(NUM_JOINTS, value) for value in (
+        params.dt, actuator.reflected_inertia, actuator.torque_limit))
     low, tau_g, scratch = -high, np.empty(NUM_JOINTS), np.empty(NUM_JOINTS)
     tau_ff = tau_g if params.gravity_compensation else None
     legs = [(3 * i, geom) for i, geom in enumerate(robot)]
 
-    def step(q, qdot, q_target, q_next, qdot_next, tau, current, tick):
+    def step(q, qdot, q_target, q_next, qdot_next, tau, tick):
         tau_g[:] = _gravity_rows(q.tolist(), fz, legs)
         _pd_clamp(tau, q_target, q, qdot, kp, kd, tau_ff, low, high, scratch)
-        np.divide(tau, nm_per_amp, out=current)
         # qddot = (tau - tau_g) / J; then qdot + dt qddot, and q + dt qdot.
         np.divide(np.subtract(tau, tau_g, out=scratch), inertia, out=scratch)
         np.add(qdot, np.multiply(dt, scratch, out=scratch), out=qdot_next)
@@ -212,17 +210,19 @@ def sim_step(
 
     qddot = (tau_applied - tau_gravity_load) / reflected_inertia, then a
     semi-implicit Euler update of velocity and position.  Returns the new
-    (q, qdot) and the (tau, current) applied over the tick, as new arrays:
-    this is run_sim's tick, run once on fresh arrays.
+    (q, qdot), the tau applied over the tick and the current it draws, as
+    new arrays: run_sim's tick and current, run once on fresh arrays.
 
     Raises:
-        SimulationUnstableError: the new state is not finite; .tick is the
-            tick index passed in.
+        SimulationUnstableError: the given or the new state is not finite;
+            .tick is the tick index passed in.
     """
-    out = tuple(np.empty(NUM_JOINTS) for _ in range(4))
+    out = tuple(np.empty(NUM_JOINTS) for _ in range(3))
     q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(qdot).all()):  # the tick checks only its new state
+        raise SimulationUnstableError(tick)
     _stepper(params, actuator, robot)(q, qdot, q_target, *out, tick)
-    return out
+    return (*out, actuator.current_from_torque(out[2]))
 
 
 def _repeat_length(ids, k: int, lag: int) -> int:
@@ -242,8 +242,8 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     """Track a joint-target sequence from rest at the first target.
 
     Returns one log record per target sample: record k holds the state at
-    t_k together with the torque and current that sim_step applies over
-    tick k.  A float array of targets is the log's q_target as is, not a copy.
+    t_k, the torque that sim_step applies over tick k and the current it
+    draws.  A float array of targets is the log's q_target as is, not a copy.
 
     A tick is a pure function of its (q, qdot, target) bits and the run's
     constants.  So a tick that starts from the bits of an earlier one is
@@ -253,15 +253,17 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
 
     Raises:
         SimulationUnstableError: a state went non-finite; .tick names the
-            failing sample.
+            failing sample, 0 for a non-finite first target.
     """
     targets = np.asarray(joint_targets, dtype=float)
     if targets.ndim != 2 or targets.shape[1] != NUM_JOINTS or len(targets) == 0:
         raise ValueError("joint_targets must be a non-empty (N, 12) array")
+    if not np.isfinite(targets[0]).all():  # the start state: a tick checks only its new state
+        raise SimulationUnstableError(0)
     # Tick k writes row k + 1 of q and qdot; the last rows are never logged.
     n = len(targets)
     q, qdot = np.empty((n + 1, NUM_JOINTS)), np.empty((n + 1, NUM_JOINTS))
-    tau, current = np.empty((n, NUM_JOINTS)), np.empty((n, NUM_JOINTS))
+    tau = np.empty((n, NUM_JOINTS))
     q[0], qdot[0] = targets[0], 0.0
     step = _stepper(params, actuator, robot)
     # A tick can only repeat an earlier one if its target row occurs twice, so
@@ -272,20 +274,17 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     repeats = (np.bincount(ids)[ids] > 1).tolist()
     first = {}  # hash of a tick's (q, qdot, target) bytes -> the first tick to start from them
     k = 0
-    while k < n:  # step from tick k on until a tick repeats an earlier one, then copy
-        rows = zip(q[k:], qdot[k:], targets[k:], q[k + 1:], qdot[k + 1:], tau[k:], current[k:])
-        for k, tick in enumerate(rows, k):
-            if repeats[k]:
-                start = tick[0].tobytes() + tick[1].tobytes() + tick[2].tobytes()
-                j = first.setdefault(hash(start), k)
-                if j < k and q[j].tobytes() + qdot[j].tobytes() + targets[j].tobytes() == start:
-                    run = _repeat_length(ids, k, k - j)
-                    src = j + np.arange(run) % (k - j)
-                    q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]
-                    tau[k:k + run], current[k:k + run] = tau[src], current[src]
-                    k += run
-                    break
-            step(*tick, k)
-        else:
-            break
-    return SimLog(params.dt, targets, q[:n], qdot[:n], tau, current)
+    while k < n:  # copy the run of ticks from k on that repeats earlier ones, or step tick k
+        if repeats[k]:
+            start = q[k].tobytes() + qdot[k].tobytes() + targets[k].tobytes()
+            j = first.setdefault(hash(start), k)
+            if j < k and q[j].tobytes() + qdot[j].tobytes() + targets[j].tobytes() == start:
+                run = _repeat_length(ids, k, k - j)
+                src = j + np.arange(run) % (k - j)
+                q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]
+                tau[k:k + run] = tau[src]
+                k += run
+                continue
+        step(q[k], qdot[k], targets[k], q[k + 1], qdot[k + 1], tau[k], k)
+        k += 1
+    return SimLog(params.dt, targets, q[:n], qdot[:n], tau, actuator.current_from_torque(tau))

@@ -337,6 +337,17 @@ class TestRunSim:
             run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert err.value.tick == 40
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_start_state_reports_its_tick(self, cfg, value):
+        # A tick checks only the state it makes; an infinite angle would
+        # otherwise reach math.sin in the gravity load.
+        targets = home_targets(cfg, 20)
+        targets[0, 4] = value
+        with pytest.raises(SimulationUnstableError, match="^simulation diverged at tick 0$"):
+            run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        with pytest.raises(SimulationUnstableError, match="^simulation diverged at tick 7$"):
+            sim_step(targets[0], np.zeros(12), targets[1], cfg.sim, cfg.actuator, cfg.robot, 7)
+
     @pytest.mark.parametrize("sample", [57, 99])
     def test_instability_reports_first_diverging_sample(self, cfg, sample):
         # The last sample's new state is never logged, but still checked.
@@ -377,6 +388,10 @@ class TestRunSim:
             got, want = getattr(log, name), np.array(rows)
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        # The log's current is its torque's, bit for bit: no tick writes it.
+        derived = cfg.actuator.current_from_torque(log.tau)
+        assert np.array_equal(log.current, derived)
+        assert np.array_equal(np.signbit(log.current), np.signbit(derived))
 
     @pytest.mark.parametrize("config", ["--profile sim", "signed zeros"])
     def test_memo_hits_are_checked_byte_for_byte(self, monkeypatch, config):
