@@ -307,13 +307,14 @@ def leg_ik(p_target, geom: LegGeometry) -> np.ndarray:
     return np.array(_leg_ik_floats(*(p - geom.hip_mount).tolist(), geom))
 
 
-def _leg_ik_floats(x, y, z, geom: LegGeometry) -> list:
-    # leg_ik on a finite target (x, y, z) from the hip mount, Python floats:
-    # the joint angles as a list of floats, or leg_ik's UnreachableError.
+def _leg_ik_floats(x, y, z, geom: LegGeometry, leg: int | None = None) -> list:
+    # leg_ik on a finite target (x, y, z) from the hip mount, Python floats: the
+    # joint angles, or leg_ik's UnreachableError, led by "leg <name>: " for a leg index.
     q_aa, q_hip, q_knee, rho, r, cos_knee = _leg_ik_core(x, y, z, geom, math)
     for failed, deficit, message, distance, limit in _reach_tests(rho, r, cos_knee, geom):
         if failed:
-            raise UnreachableError(message.format(distance, limit), deficit_mm=deficit)
+            message = message.format(distance, limit)
+            raise UnreachableError(message if leg is None else f"leg {LEG_NAMES[leg]}: {message}", deficit, leg)
     return [q_aa, q_hip, q_knee]
 
 
@@ -532,12 +533,7 @@ def solve_platform_ik(
     legs = [(geom, corner, geom.hip_mount.tolist()) for geom, corner in zip(robot, corners)]
     q = []
     for i, (geom, (cx, cy, cz), (hx, hy, hz)) in enumerate(legs):
-        try:
-            q += _leg_ik_floats(cx - hx, cy - hy, cz - hz, geom)
-        except UnreachableError as err:
-            raise UnreachableError(
-                f"leg {LEG_NAMES[i]}: {err}", deficit_mm=err.deficit_mm, leg=i
-            ) from err
+        q += _leg_ik_floats(cx - hx, cy - hy, cz - hz, geom, i)
     for i, (geom, (cx, cy, cz), (hx, hy, hz)) in enumerate(legs):
         # leg_fk(q_leg, geom) - corner, in leg_fk's order of operations
         fx, fy, fz = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, math)
@@ -565,12 +561,13 @@ def _solve_platform_ik_stack(pose, robot, platform, limits, check_pivot) -> np.n
         r = euler_to_rotation(pose.orientation_deg)
     corners = _corners(position, r, platform)
     q = np.empty((len(first), NUM_JOINTS))
-    for i, geom in enumerate(robot):
-        q_leg, unreachable = _leg_ik_stack(corners[:, i], geom)
-        err = np.linalg.norm(leg_fk(q_leg, geom) - corners[:, i], axis=-1)
-        # not (err <= bound) also flags a NaN error
-        flagged |= unreachable | np.logical_not(err <= 1e-6)
-        q[:, 3 * i : 3 * i + 3] = q_leg
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is flagged, then solved alone
+        for i, geom in enumerate(robot):
+            q_leg, unreachable = _leg_ik_stack(corners[:, i], geom)
+            err = np.linalg.norm(leg_fk(q_leg, geom) - corners[:, i], axis=-1)
+            # not (err <= bound) also flags a NaN error
+            flagged |= unreachable | np.logical_not(err <= 1e-6)
+            q[:, 3 * i : 3 * i + 3] = q_leg
     if check_pivot:
         pivot = _pivot_angles(q, robot, platform, r)
         flagged |= np.logical_not(pivot.max(axis=-1) <= limits.ball_pivot_max)

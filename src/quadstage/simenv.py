@@ -248,8 +248,8 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     A tick is a pure function of its (q, qdot, target) bits and the run's
     constants.  So a tick that starts from the bits of an earlier one is
     copied from it, bit for bit, and so is every following tick whose
-    target row equals the row the same lag before.  A new input to the tick
-    (a velocity reference, say) must join the key of that memo.
+    target row equals the row the same lag before.  A new per-tick input (a
+    velocity reference, say) joins the rows of the one _distinct_rows call.
 
     Raises:
         SimulationUnstableError: a state went non-finite; .tick names the
@@ -269,16 +269,16 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     # A tick can only repeat an earlier one if its target row occurs twice, so
     # only those ticks are keyed.  Target rows share an id exactly when their
     # bytes are equal (geometry._distinct_rows): -0.0 is not 0.0, as it sets
-    # tau's sign bit.  Bytes are compared wherever a memo hash is matched.
+    # tau's sign bit.  A memo hash match is checked on (row id, state bytes).
     ids = _distinct_rows(targets)[1]
     repeats = (np.bincount(ids)[ids] > 1).tolist()
-    first = {}  # hash of a tick's (q, qdot, target) bytes -> the first tick to start from them
+    first = {}  # hash of a tick's input -> the first tick to start from it
     k = 0
     while k < n:  # copy the run of ticks from k on that repeats earlier ones, or step tick k
         if repeats[k]:
-            start = q[k].tobytes() + qdot[k].tobytes() + targets[k].tobytes()
+            start = (ids[k], q[k].tobytes() + qdot[k].tobytes())
             j = first.setdefault(hash(start), k)
-            if j < k and q[j].tobytes() + qdot[j].tobytes() + targets[j].tobytes() == start:
+            if j < k and (ids[j], q[j].tobytes() + qdot[j].tobytes()) == start:
                 run = _repeat_length(ids, k, k - j)
                 src = j + np.arange(run) % (k - j)
                 q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]

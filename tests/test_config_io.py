@@ -236,6 +236,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 3"):
             loads_config("[robot]\nl_upper = 375\nnot a key value line\n")
 
+    def test_key_outside_any_section_reports_line(self):
+        with pytest.raises(ConfigError, match=r"^line 1: key outside any \[section\]$"):
+            loads_config("x = 1\n[sim]\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             loads_config("[robot]\nl_upper = 1\nl_upper = 2\n")
@@ -297,6 +301,10 @@ class TestConfig:
             ("trajectory", "frequency", "-1"),
             ("trajectory", "axis", "w"),
             ("postprocess", "z_offset_mode", "body"),
+            # Values that do not parse, reported with their line.
+            ("trajectory", "rounds", "1.5"),
+            ("sim", "gravity_compensation", "yes"),
+            ("trajectory", "waypoints", ";"),
         ],
     )
     def test_bad_value_names_section_and_key(self, section, key, value):
@@ -329,6 +337,8 @@ class TestConfig:
             TrajectoryConfig(type="circular", axis="w")
         with pytest.raises(ValueError, match=r"^waypoints: must be x y z rx ry rz numbers, got shape \(2, 5\)$"):
             TrajectoryConfig(waypoints=np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="^waypoints: need at least one waypoint$"):
+            TrajectoryConfig(waypoints=np.zeros((0, 6)))
 
     def test_waypoint_row_of_three_numbers_rejected(self):
         text = "[trajectory]\ntype = arbitrary\nwaypoints = 0 0 0 0 0 0 ; 1 2 3\nsegment_times = 1\n"
@@ -727,6 +737,12 @@ class TestTables:
         write_trajectory(path, traj, "e" * 16)
         with pytest.raises(LogFormatError, match="expected a 'sim_log'"):
             read_log(path, dt=1e-3)
+
+    def test_missing_header_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("# quadstage plot config=" + "f" * 16 + "\n")
+        with pytest.raises(LogFormatError, match=rf"^{re.escape(str(path))}: missing header row$"):
+            read_table(path, "plot")
 
     def test_missing_identity_line(self, tmp_path):
         path = tmp_path / "plain.csv"

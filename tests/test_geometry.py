@@ -33,6 +33,17 @@ def compose_euler(rx: float, ry: float, rz: float) -> np.ndarray:
     return single_axis(0, rx) @ single_axis(1, ry) @ single_axis(2, rz)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: euler_to_rotation(np.zeros(2)), r"^expected 3 Euler angles, got shape \(2,\)$"),
+    (lambda: rotation_to_euler(np.zeros((3, 2))), r"^input is not a rotation matrix "),
+    (lambda: align_vectors(np.zeros((3, 3)), np.zeros((2, 3))),
+     r"^source/target must both be \(\.\.\., n, 3\), got \(3, 3\) and \(2, 3\)$"),
+], ids=["euler_to_rotation-2-vector", "rotation_to_euler-3x2", "align_vectors-3-against-2"])
+def test_apis_name_a_wrong_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestEulerRotation:
     def test_identity(self):
         assert np.allclose(euler_to_rotation([0, 0, 0]), np.eye(3))

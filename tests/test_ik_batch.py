@@ -22,6 +22,7 @@ from quadstage.kinematics import (
     PlatformPose,
     UnreachableError,
     WorkspaceLimits,
+    WorkspaceViolationError,
     check_pose_bounds,
     outside_box,
     platform_corners,
@@ -175,6 +176,20 @@ class TestStackedSolve:
         corners = platform_corners(PlatformPose(positions, np.zeros((2, 3))), cfg.platform)
         assert np.array_equal(corners[1, 0], cfg.robot[0].hip_mount)
         assert_matches_loop(positions, np.zeros((2, 3)), cfg, None)
+
+    @pytest.mark.parametrize("limits, error, message", [
+        (LIMITS, WorkspaceViolationError, r"^pose outside workspace: x_mm=\+9\d+\.000 .* at sample 3$"),
+        (None, UnreachableError, r"^leg fl: target inf mm from hip exceeds reach .* at sample 3$"),
+    ], ids=["box", "reach"])
+    def test_overflowing_row_raises_its_own_error(self, cfg, limits, error, message):
+        # x = 1e200 mm overflows the stacked IK's x * x and its re-check's
+        # norm.  pytest turns a RuntimeWarning into an error, so this checks
+        # that the row is flagged quietly and its one-pose solve decides.
+        positions = np.zeros((5, 3))
+        positions[3, 0] = 1e200
+        with pytest.raises(error, match=message):
+            solve_platform_ik(PlatformPose(positions, np.zeros((5, 3))), cfg.robot, cfg.platform, limits)
+        assert_matches_loop(positions, np.zeros((5, 3)), cfg, limits)
 
     def test_lateral_offset_failure_names_leg_and_sample(self):
         cfg = robot_with(hip_offset_y=400.0)  # wider than the 340 mm drop to the corners

@@ -411,6 +411,16 @@ def test_leg_geometry_rejects_nan_length():
         LegGeometry([0.0, 0.0, 0.0], float("nan"), 100.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"hip_mount": [0.0, 0.0]}, r"^hip_mount must be a 3-vector$"),
+    ({"side": "up"}, r"^side must be 'left' or 'right', got 'up'$"),
+    ({"knee_sign": 0}, r"^knee_sign must be \+1 or -1$"),
+], ids=["hip_mount-2-vector", "side", "knee_sign"])
+def test_leg_geometry_names_a_bad_field(fields, message):
+    with pytest.raises(ValueError, match=message):
+        LegGeometry(**{"hip_mount": [0.0, 0.0, 0.0], "l_upper": 375.0, "l_lower": 375.0, **fields})
+
+
 STACK = PlatformPose(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
@@ -420,9 +430,12 @@ STACK = PlatformPose(np.zeros((2, 3)), np.zeros((2, 3)))
      r"^pose position must be \(3,\), got \(2, 3\)$"),
     (lambda cfg: leg_ik(np.zeros((2, 3)), cfg.robot[0]), r"^target must be \(3,\), got \(2, 3\)$"),
     (lambda cfg: leg_ik(np.zeros(2), cfg.robot[0]), r"^target must be \(3,\), got \(2,\)$"),
-], ids=["workspace_check-stack", "workspace_check-stack-with-q", "leg_ik-stack", "leg_ik-2-vector"])
+    (lambda cfg: leg_ik([np.nan, 0.0, 0.0], cfg.robot[0]), r"^target must be finite$"),
+], ids=["workspace_check-stack", "workspace_check-stack-with-q", "leg_ik-stack", "leg_ik-2-vector",
+        "leg_ik-nan"])
 def test_one_pose_apis_name_a_wrong_shape(cfg, call, message):
-    # One-pose APIs take one pose or one target; any other shape is named.
+    # One-pose APIs take one pose or one target; any other shape is named,
+    # and so is a target that is not finite.
     with pytest.raises(ValueError, match=message):
         call(cfg)
 

@@ -17,6 +17,7 @@ from quadstage.postprocess import (
     filter_series,
     joint_rmse,
     reconstruct_pose,
+    reconstruct_series,
     rmse_report,
     unwrap_deg,
 )
@@ -31,6 +32,33 @@ def measured_gain_db(freq, params, fs=FS, seconds=4.0):
     steady = slice(len(t) // 2, None)
     amplitude = math.sqrt(2.0) * np.std(y[steady])
     return 20.0 * math.log10(amplitude)
+
+
+def home_q(cfg):
+    return solve_platform_ik(PlatformPose.home(), cfg.robot, cfg.platform)
+
+
+def still_series(dt, **rates):
+    return PoseSeries(np.zeros((4, 3)), np.zeros((4, 3)), dt, **rates)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: reconstruct_pose(home_q(cfg), cfg.robot, cfg.platform, "body"),
+     r"^unknown z_offset_mode 'body'$"),
+    (lambda cfg: reconstruct_series(np.tile(home_q(cfg), (3, 1)), cfg.robot, cfg.platform, 1e-3, "body"),
+     r"^unknown z_offset_mode 'body'$"),
+    (lambda cfg: reconstruct_series(np.zeros((3, 11)), cfg.robot, cfg.platform, 1e-3),
+     r"^q_series must be \(N, 12\)$"),
+    (lambda cfg: butterworth_filter(np.zeros((30, 2, 2)), FS, FilterParams()),
+     r"^series must be \(N,\) or \(N, k\)$"),
+    (lambda cfg: still_series(1e-3, lin_vel=np.zeros((3, 3))), r"^lin_vel must match the pose sample count$"),
+    (lambda cfg: rmse_report(still_series(1e-3), still_series(2e-3)),
+     r"^dt mismatch: target 0\.001 vs actual 0\.002$"),
+], ids=["reconstruct_pose-mode", "reconstruct_series-mode", "reconstruct_series-11-joints",
+        "butterworth_filter-3d", "pose_series-rate-length", "rmse_report-dt"])
+def test_apis_name_a_bad_input(cfg, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(cfg)
 
 
 class TestReconstructPose:
