@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _distinct_rows, _dot,
-                       _euler_deg, _midpoint, _sub, align_vectors, line_closest_midpoint, rotation_to_euler)
-from .kinematics import (NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core,
-                         check_fields, leg_fk)
+                       _euler_deg, _midpoint, _sub, rotation_to_euler)
+from .geometry import align_vectors, line_closest_midpoint  # not called here: perfbench/layers.py wraps them
+from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core, check_fields
+from .kinematics import leg_fk  # not called here: perfbench/layers.py wraps postprocess.leg_fk
 
 Z_OFFSET_WORLD = "world"  # center offset applied along the world z axis
 Z_OFFSET_PLATFORM = "platform"  # center offset applied along the platform normal
@@ -114,12 +115,6 @@ def _triad(fl, fr, bl) -> tuple:
     return x_axis, y_axis, _cross(x_axis, y_axis)
 
 
-def _triads(points) -> np.ndarray:
-    # _triad of corner points (..., 4, 3) ordered FL/FR/BL/BR, as (..., 3, 3).
-    triad = _triad(*np.moveaxis(points, (-2, -1), (0, 1))[:3])
-    return np.moveaxis(np.array(triad), (0, 1), (-2, -1))
-
-
 def reconstruct_pose(
     q,
     robot,
@@ -136,55 +131,68 @@ def reconstruct_pose(
     (FL->BL, FL->FR, and their cross product) onto the measured one.
 
     One pose runs on Python floats, several times faster than the array
-    pass of reconstruct_series on a single row.  Both paths share their
-    formula cores: the one-pose path calls the cores of leg_fk,
-    line_closest_midpoint, the corner triad and rotation_to_euler on math
-    floats, and runs align_vectors' steps in its order, with numpy only for
-    the 3x3 Kabsch SVD and its determinant-sign correction.  It gives
-    reconstruct_series' row to float round-off and raises the same errors,
-    without a sample index.
+    pass of reconstruct_series on a single row.  Both run one formula core
+    on the twelve joint angles as components, floats here and columns
+    there, with numpy only for the Kabsch SVD and its determinant-sign
+    correction.  The position equals reconstruct_series' row bit for bit,
+    the angles to float round-off (math against numpy asin and atan2), and
+    the errors are the same, without a sample index.
     """
     q = _joint_vector(q)
-    return PlatformPose(*_reconstruct_floats(q.tolist(), robot, platform, z_offset_mode))
+    position, rotation = _reconstruct(q.tolist(), robot, platform, z_offset_mode, math)
+    return PlatformPose(position, _euler_deg(rotation, math))
 
 
-def _reconstruct_floats(q: list, robot, platform: PlatformGeometry, z_offset_mode: str):
-    # reconstruct_pose on the twelve finite joint angles as floats: position
-    # and Euler angles, through reconstruct_series' checks and order of
-    # operations (the formula cores of leg_fk, line_closest_midpoint, the
-    # triad and rotation_to_euler on math, align_vectors written out).
+def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str, lib):
+    # Position and rotation rows of the pose from the twelve finite joint
+    # angles as components: floats (lib = math) or columns over rows (np).
     if z_offset_mode not in Z_OFFSET_MODES:
         raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
-    feet = []
-    for i, geom in enumerate(robot):
-        foot = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, math)
-        feet.append([f + h for f, h in zip(foot, geom.hip_mount.tolist())])
-    fl, fr, bl, br = feet
-    center = _midpoint(fl, _sub(br, fl), fr, _sub(bl, fr), math)
-    # align_vectors(_triads(corner_offsets), _triads(feet))
-    triads = [_triad(c_fl, c_fr, c_bl) for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet)]
-    norms = [[math.sqrt(_dot(v, v)) for v in triad] for triad in triads]
-    if min(norms[0] + norms[1]) < DEGENERACY_EPS:
-        raise DegenerateInputError("zero-length vector in input set")
-    s, t = ([[c / nv for c in v] for v, nv in zip(triad, nt)] for triad, nt in zip(triads, norms))
-    h = [[s[0][i] * t[0][j] + s[1][i] * t[1][j] + s[2][i] * t[2][j] for j in range(3)]
-         for i in range(3)]
-    u, sing, vt = np.linalg.svd(h)
-    sing = sing.tolist()
-    if sing[1] <= DEGENERACY_EPS * max(sing[0], 1.0):
-        raise DegenerateInputError("vector set is collinear; rotation is not unique")
-    v, u_t = vt.T, u.T
-    rotation = (v @ u_t).tolist()
-    if _det(rotation) < 0.0:  # R = V diag(1, 1, -1) U^T, as align_vectors
-        v[:, 2] *= -1.0
-        rotation = (v @ u_t).tolist()
-    if z_offset_mode == Z_OFFSET_PLATFORM:
-        offset_dir = [row[2] for row in rotation]  # R @ z_hat
-    else:
-        offset_dir = [0.0, 0.0, 1.0]
+    center, s, t = _center_and_triads(q, robot, platform, lib)
+    rotation = _kabsch(s, t, lib)
+    offset_dir = [row[2] for row in rotation] if z_offset_mode == Z_OFFSET_PLATFORM else [0.0, 0.0, 1.0]
     position = [c + platform.z_offset * d - home for c, d, home in
                 zip(center, offset_dir, platform.home_center.tolist())]
-    return position, _euler_deg(rotation, math)
+    return position, rotation
+
+
+def _center_and_triads(q, robot, platform: PlatformGeometry, lib):
+    # The feet by leg FK, the closest-point midpoint of their diagonals, and
+    # the nominal and measured corner triads unit-normalized, as align_vectors
+    # does.
+    feet = []
+    for i, geom in enumerate(robot):
+        foot = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, lib)
+        feet.append([f + h for f, h in zip(foot, geom.hip_mount.tolist())])
+    fl, fr, bl, br = feet
+    center = _midpoint(fl, _sub(br, fl), fr, _sub(bl, fr), lib)
+    triads = [_triad(c_fl, c_fr, c_bl) for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet)]
+    norms = [[lib.sqrt(_dot(v, v)) for v in triad] for triad in triads]
+    _check(sum(n < DEGENERACY_EPS for n in norms[0] + norms[1]) > 0, DegenerateInputError,
+           "zero-length vector in input set")
+    s, t = ([[c / nv for c in v] for v, nv in zip(triad, nt)] for triad, nt in zip(triads, norms))
+    return center, s, t
+
+
+def _kabsch(s, t, lib):
+    # align_vectors' rotation rows from unit triads s (nominal) and t: the
+    # SVD of h = S^T T, stacked over rows for arrays.  The nominal triad is
+    # a signed permutation, so these sums give numpy matmul's bits.  h is
+    # built as the rows of its transpose, so that .T gives h or its stack.
+    h_t = [[s[0][i] * t[0][j] + s[1][i] * t[1][j] + s[2][i] * t[2][j] for i in range(3)]
+           for j in range(3)]
+    u, sing, vt = np.linalg.svd(np.array(h_t).T)
+    _check(sing[..., 1] <= DEGENERACY_EPS * np.maximum(sing[..., 0], 1.0),
+           DegenerateInputError, "vector set is collinear; rotation is not unique")
+    # R = V diag(1, 1, d) U^T with d = sign(det(V U^T)) = sign(det(V) det(U)), per row.
+    v = vt.swapaxes(-1, -2)
+    v[..., 2] *= np.where(_det(_rows(vt, lib)) * _det(_rows(u, lib)) < 0.0, -1.0, 1.0)[..., None]
+    return _rows(v @ u.swapaxes(-1, -2), lib)
+
+
+def _rows(m, lib):
+    # The rows of a 3x3 matrix, or of a stack of them, as _det and _euler_deg take them.
+    return m.tolist() if lib is math else np.moveaxis(m, (-2, -1), (0, 1))
 
 
 def reconstruct_series(
@@ -197,45 +205,27 @@ def reconstruct_series(
     """reconstruct_pose applied to every row of an (N, 12) joint log.
 
     The log's distinct rows (by their bits) are reconstructed in one array
-    pass, whose result each sample takes: one call per leg to leg_fk and
-    one to each geometry function.  A failing check (ValueError for a
-    non-finite row or a zero diagonal, ParallelLinesError,
-    DegenerateInputError, a non-rotation) raises the same exception type
-    and message as reconstruct_pose, with the first offending sample index
-    added; a GimbalLockWarning is issued once and names the first locked
-    sample.  (So a pass that raises runs again on all rows, and the Euler
-    step, which checks and warns last, takes every sample's rotation.)
+    pass, reconstruct_pose's core on their twelve columns, whose result
+    each sample takes.  A failing check (ValueError for a non-finite row
+    or a zero diagonal, ParallelLinesError, DegenerateInputError, a
+    non-rotation) raises the same exception type and message as
+    reconstruct_pose, with the first offending sample index added; a
+    GimbalLockWarning is issued once and names the first locked sample.
+    (So a pass that raises runs again on all rows, and the Euler step,
+    which checks and warns last, takes every sample's rotation.)
     """
     q = np.asarray(q_series, dtype=float)
     if q.ndim != 2 or q.shape[1] != NUM_JOINTS:
         raise ValueError("q_series must be (N, 12)")
     _check(np.logical_not(np.all(np.isfinite(q), axis=-1)), ValueError, "q must be finite")
-    if z_offset_mode not in Z_OFFSET_MODES:
-        raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
     first, inverse = _distinct_rows(q)
     try:
-        position, rotation = _reconstruct_rows(q[first], robot, platform, z_offset_mode)
+        position, rotation = _reconstruct(q[first].T, robot, platform, z_offset_mode, np)
     except ValueError:  # raise it naming a sample, not a distinct row
-        position, rotation = _reconstruct_rows(q, robot, platform, z_offset_mode)
-    else:
-        position, rotation = position[inverse], rotation[inverse]
-    return PoseSeries(position, rotation_to_euler(rotation), dt)
-
-
-def _reconstruct_rows(q, robot, platform: PlatformGeometry, z_offset_mode: str):
-    # reconstruct_series' pass on finite (N, 12) rows to (N, 3) positions and (N, 3, 3) rotations.
-    feet = np.stack([leg_fk(q[:, 3 * i : 3 * i + 3], geom) for i, geom in enumerate(robot)],
-                    axis=-2)
-    fl, fr, bl, br = np.moveaxis(feet, -2, 0)
-    center_corners = line_closest_midpoint(fl, br - fl, fr, bl - fr)
-    # align_vectors unit-normalizes both triads itself.
-    rotation = align_vectors(_triads(platform.corner_offsets), _triads(feet))
-    if z_offset_mode == Z_OFFSET_PLATFORM:
-        offset_dir = rotation[..., 2]  # R @ z_hat
-    else:
-        offset_dir = np.array([0.0, 0.0, 1.0])
-    center = center_corners + platform.z_offset * offset_dir
-    return center - platform.home_center, rotation
+        _reconstruct(q.T, robot, platform, z_offset_mode, np)
+        raise
+    rotation = np.moveaxis(rotation, (0, 1), (-2, -1))
+    return PoseSeries(np.stack(position, axis=-1)[inverse], rotation_to_euler(rotation[inverse]), dt)
 
 
 def _butter(order: int, cutoff_hz: float, fs: float):

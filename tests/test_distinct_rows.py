@@ -225,18 +225,20 @@ class TestFirstFailingSample:
          "pitch at +/-90 deg: roll/yaw are not separable, reporting yaw = 0 at sample 4"),
     ], ids=["not a rotation", "gimbal lock"])
     def test_rotation_of_row(self, cfg, monkeypatch, matrix, error, message):
-        # align_vectors gives X's rows the matrix; X is tilted 5 deg in
-        # pitch, so its triad alone is not the home one (A and B only move).
+        # The Kabsch step gives X's rows the matrix; X is tilted 5 deg in
+        # pitch, so its unit triad alone is not the nominal one (A and B
+        # only move).
         bad = solve_platform_ik(PlatformPose(np.zeros(3), [0.0, 5.0, 0.0]), cfg.robot, cfg.platform)
-        align = postprocess.align_vectors
-        home_triad = postprocess._triads(cfg.platform.home_center + cfg.platform.corner_offsets)
+        kabsch = postprocess._kabsch
 
-        def aligned(source, target):
-            rotation = align(source, target)
-            rotation[np.any(np.abs(target - home_triad) > 1e-3, axis=(-2, -1))] = matrix
+        def aligned(s, t, lib):
+            rotation = kabsch(s, t, lib)
+            tilted = np.any([np.abs(tc - sc) > 1e-3 for tv, sv in zip(t, s) for tc, sc in zip(tv, sv)],
+                            axis=0)
+            np.moveaxis(rotation, (0, 1), (-2, -1))[tilted] = matrix
             return rotation
 
-        monkeypatch.setattr(postprocess, "align_vectors", aligned)
+        monkeypatch.setattr(postprocess, "_kabsch", aligned)
         q = self.joint_rows(cfg, bad)
         if error is GimbalLockWarning:
             with pytest.warns(GimbalLockWarning) as record:
@@ -251,22 +253,23 @@ class TestFirstFailingSample:
 def test_circle_passes_see_each_distinct_row_once(tmp_path, monkeypatch):
     # As `all` hands them over, the README circle's 10,001 samples hold 577
     # distinct poses and 862 distinct logged joint rows; a change that stops
-    # evaluating each distinct row once fails here.
-    ik_rows, fk_rows = [], []
-    leg_ik_stack, leg_fk = kinematics._leg_ik_stack, postprocess.leg_fk
+    # evaluating each distinct row once fails here.  The reconstruction
+    # takes them in one pass of its core, on the twelve joint columns.
+    ik_rows, recon_rows = [], []
+    leg_ik_stack, reconstruct = kinematics._leg_ik_stack, postprocess._reconstruct
 
     def counted_ik(p, geom):
         ik_rows.append(len(p))
         return leg_ik_stack(p, geom)
 
-    def counted_fk(q, geom):
-        fk_rows.append(len(q))
-        return leg_fk(q, geom)
+    def counted_reconstruct(q, robot, platform, z_offset_mode, lib):
+        recon_rows.append(len(q[0]))
+        return reconstruct(q, robot, platform, z_offset_mode, lib)
 
     monkeypatch.setattr(kinematics, "_leg_ik_stack", counted_ik)
-    monkeypatch.setattr(postprocess, "leg_fk", counted_fk)
+    monkeypatch.setattr(postprocess, "_reconstruct", counted_reconstruct)
     path = tmp_path / "circle.cfg"
     path.write_text(README_CIRCLE)
     assert main(["all", "--config", str(path), "--run-id", "circle", "--runs-root", str(tmp_path)]) == 0
     assert len(ik_rows) == 4 and 0 < max(ik_rows) <= 600
-    assert len(fk_rows) == 4 and 0 < max(fk_rows) <= 900
+    assert len(recon_rows) == 1 and 0 < recon_rows[0] <= 900

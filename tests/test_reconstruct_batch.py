@@ -5,7 +5,9 @@ The reference below is the original one-sample-at-a-time reconstruction
 Euler extraction).  The batched reconstruct_series reorders float
 operations, so the two agree to a tolerance fixed here from float64
 round-off, not bit for bit.  The one-pose reconstruct_pose runs the same
-formulas on Python floats; it is held to its series row more tightly.
+core as reconstruct_series, on Python floats where the series runs on
+columns: its position equals the series row bit for bit, and its angles
+differ only by math against numpy asin and atan2.
 """
 
 import dataclasses
@@ -36,9 +38,8 @@ from quadstage.postprocess import reconstruct_pose, reconstruct_series
 
 POSITION_TOL_MM = 1e-9
 ANGLE_TOL_DEG = 1e-9
-# reconstruct_pose against its reconstruct_series row: measured 0 mm and
+# reconstruct_pose's angles against its reconstruct_series row: measured
 # 7.1e-15 deg apart (math against numpy atan2/asin) over 18000 noisy rows.
-ONE_POSE_TOL_MM = 1e-12
 ONE_POSE_TOL_DEG = 1e-12
 
 LIMITS = default_config().limits
@@ -183,7 +184,8 @@ def test_series_of_stacked_solve_recovers_poses(poses, knee_front, knee_back):
 )
 def test_one_pose_matches_series_row(poses, knee_front, knee_back, hip_offset_y, noise_rad, mode,
                                      seed):
-    # reconstruct_pose runs on Python floats, reconstruct_series on arrays.
+    # reconstruct_pose runs the core on Python floats, reconstruct_series on
+    # arrays; the position comes from one formula in both.
     cfg = default_config()
     cfg.robot = dataclasses.replace(cfg.robot, knee_sign_front=knee_front, knee_sign_back=knee_back,
                                     hip_offset_y=hip_offset_y)
@@ -196,8 +198,37 @@ def test_one_pose_matches_series_row(poses, knee_front, knee_back, hip_offset_y,
     series = reconstruct_series(q, cfg.robot, cfg.platform, 1e-3, mode)
     for k, row in enumerate(q):
         one = reconstruct_pose(row, cfg.robot, cfg.platform, mode)
-        assert np.max(np.abs(one.position - series.position[k])) <= ONE_POSE_TOL_MM
+        assert np.array_equal(one.position, series.position[k])
         assert np.max(np.abs(one.orientation_deg - series.orientation_deg[k])) <= ONE_POSE_TOL_DEG
+
+
+@pytest.mark.parametrize("mode", ["world", "platform"])
+def test_determinant_sign_correction_is_per_row(stage, monkeypatch, mode):
+    # The third row of a resolvable triad is the cross product of the first
+    # two, so det(h) > 0 and the Kabsch SVD never needs its sign correction.
+    # Negating U's last column, on every other row of a stack and on the
+    # one pose, makes det(V U^T) = -1 there, and the correction must undo
+    # it row by row, to the same bits.
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-1.0, 1.0, (8, 6)) * [10.0, 10.0, 10.0, 5.0, 5.0, 5.0]
+    q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), stage.robot, stage.platform)
+    q = q + 1e-3 * rng.standard_normal(q.shape)
+    series = reconstruct_series(q, stage.robot, stage.platform, 1e-3, mode)
+    one = reconstruct_pose(q[1], stage.robot, stage.platform, mode)
+    svd = np.linalg.svd
+
+    def flipped(a):
+        u, sing, vt = svd(a)
+        (u[1::2] if u.ndim == 3 else u)[..., 2] *= -1.0
+        return u, sing, vt
+
+    monkeypatch.setattr(np.linalg, "svd", flipped)
+    flipped_series = reconstruct_series(q, stage.robot, stage.platform, 1e-3, mode)
+    flipped_one = reconstruct_pose(q[1], stage.robot, stage.platform, mode)
+    assert np.array_equal(flipped_series.position, series.position)
+    assert np.array_equal(flipped_series.orientation_deg, series.orientation_deg)
+    assert np.array_equal(flipped_one.position, one.position)
+    assert np.array_equal(flipped_one.orientation_deg, one.orientation_deg)
 
 
 @pytest.mark.parametrize("case, error", [
