@@ -11,7 +11,9 @@ Conventions used throughout the package:
 All functions are pure and safe to call from multiple threads.  The
 array-first ones (euler_to_rotation, rotation_to_euler, align_vectors,
 line_closest_midpoint) also take stacks over leading axes; a check that
-fails on a stack names the first offending sample index.
+fails on a stack names the first offending sample index.  Each is the
+public entry point of a core that the pipeline runs: align_vectors is the
+pose reconstruction's Kabsch step, _kabsch.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ def _det(rows):
     return _dot(rows[0], _cross(rows[1], rows[2]))
 
 
+def _rows(m, lib):
+    # The rows of a 3x3 matrix, or of a stack of them, as _det and _euler_deg take them.
+    return m.tolist() if lib is math else np.moveaxis(m, (-2, -1), (0, 1))
+
+
 def _euler_rows(rx, ry, rz, lib) -> tuple:
     # Rx(rx) @ Ry(ry) @ Rz(rz) in closed form, as its rows, for angles in radians.
     cx, sx = lib.cos(rx), lib.sin(rx)
@@ -197,14 +204,16 @@ def rotation_to_euler(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
         raise ValueError(_NOT_ROTATION)
-    return np.stack(_euler_deg(np.moveaxis(r, (-2, -1), (0, 1)), np), axis=-1)
+    return np.stack(_euler_deg(_rows(r, np), np), axis=-1)
 
 
 def align_vectors(source, target) -> np.ndarray:
     """Best-fit rotation mapping each source vector onto its target.
 
     Solves the orthogonal Procrustes problem min_R sum ||R s_i - t_i||^2
-    over proper rotations via SVD with determinant correction (Kabsch).
+    over proper rotations via SVD with determinant correction (Kabsch),
+    on the unit-normalized vectors: the Kabsch step that the pose
+    reconstruction runs on its corner triads.
 
     Args:
         source: (..., n, 3) array-like of source vectors, n >= 2.
@@ -233,14 +242,21 @@ def align_vectors(source, target) -> np.ndarray:
            DegenerateInputError, "zero-length vector in input set")
     # Unit-normalize so the rank test is scale independent.
     h = np.swapaxes(s / ns[..., None], -1, -2) @ (t / nt[..., None])
+    return _kabsch(h, np)
+
+
+def _kabsch(h, lib) -> np.ndarray:
+    # The Kabsch step of align_vectors and the pose reconstruction on
+    # h = S^T T, one 3x3 or a stack: the SVD, the rank check, and
+    # R = V diag(1, 1, d) U^T with d = sign(det(V U^T)) = sign(det(V) det(U))
+    # per matrix, the determinants as triple products on floats (lib = math)
+    # or arrays.
     u, sing, vt = np.linalg.svd(h)
     _check(sing[..., 1] <= DEGENERACY_EPS * np.maximum(sing[..., 0], 1.0),
            DegenerateInputError, "vector set is collinear; rotation is not unique")
-    v = np.swapaxes(vt, -1, -2)
-    u_t = np.swapaxes(u, -1, -2)
-    # R = V diag(1, 1, d) U^T with d = sign(det(V U^T)).
-    v[..., 2] *= np.sign(np.linalg.det(v @ u_t))[..., None]
-    return v @ u_t
+    v = vt.swapaxes(-1, -2)
+    v[..., 2] *= np.where(_det(_rows(vt, lib)) * _det(_rows(u, lib)) < 0.0, -1.0, 1.0)[..., None]
+    return v @ u.swapaxes(-1, -2)
 
 
 def line_closest_midpoint(p1, d1, p2, d2) -> np.ndarray:

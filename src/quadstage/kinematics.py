@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import _CLIP_UNIT, _check, _distinct_rows, _dot, _euler_rows, at_sample, euler_to_rotation
+from .geometry import (DEGENERACY_EPS, _CLIP_UNIT, _check, _distinct_rows, _dot, _euler_rows, at_sample,
+                       euler_to_rotation)
 
 LEG_NAMES = ("fl", "fr", "bl", "br")
 JOINT_NAMES = ("hip_aa", "hip_fe", "knee_fe")
@@ -151,6 +152,11 @@ class PlatformGeometry:
 
     def __post_init__(self):
         check_fields(self, positive=("length_x", "width_y", "home_height"), non_negative=("z_offset",))
+        # The reconstruction normalizes the corner triad, of lengths length_x, width_y and their product.
+        if min(self.length_x, self.width_y, self.length_x * self.width_y) < DEGENERACY_EPS:
+            side = "length_x" if self.length_x <= self.width_y else "width_y"
+            raise ValueError(f"{side}: corner rectangle too small to reconstruct "
+                             f"(side or area below {DEGENERACY_EPS:g})")
         hx, hy, z0 = self.length_x / 2.0, self.width_y / 2.0, self.z_offset
         corners = np.array([[hx, hy, -z0], [hx, -hy, -z0], [-hx, hy, -z0], [-hx, -hy, -z0]])
         center = np.array([0.0, 0.0, -self.home_height + z0])

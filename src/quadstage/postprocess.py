@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _det, _distinct_rows, _dot,
-                       _euler_deg, _midpoint, _sub, rotation_to_euler)
+from .geometry import (DEGENERACY_EPS, DegenerateInputError, _check, _cross, _distinct_rows, _dot, _euler_deg,
+                       _kabsch, _midpoint, _sub, rotation_to_euler)
 from .geometry import align_vectors, line_closest_midpoint  # not called here: perfbench/layers.py wraps them
 from .kinematics import NUM_JOINTS, PlatformGeometry, PlatformPose, _joint_vector, _leg_fk_core, check_fields
 from .kinematics import leg_fk  # not called here: perfbench/layers.py wraps postprocess.leg_fk
@@ -140,17 +140,22 @@ def reconstruct_pose(
     """
     q = _joint_vector(q)
     position, rotation = _reconstruct(q.tolist(), robot, platform, z_offset_mode, math)
-    return PlatformPose(position, _euler_deg(rotation, math))
+    return PlatformPose(position, _euler_deg(rotation.tolist(), math))
 
 
 def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str, lib):
-    # Position and rotation rows of the pose from the twelve finite joint
-    # angles as components: floats (lib = math) or columns over rows (np).
+    # Position components and rotation matrix of the pose from the twelve
+    # finite joint angles as components: floats (lib = math) or columns over
+    # rows (np), whose rotations are an (N, 3, 3) stack.
     if z_offset_mode not in Z_OFFSET_MODES:
         raise ValueError(f"unknown z_offset_mode {z_offset_mode!r}")
     center, s, t = _center_and_triads(q, robot, platform, lib)
-    rotation = _kabsch(s, t, lib)
-    offset_dir = [row[2] for row in rotation] if z_offset_mode == Z_OFFSET_PLATFORM else [0.0, 0.0, 1.0]
+    # h = S^T T, built as the rows of its transpose so that .T gives h or its
+    # stack.  The nominal triad is a signed permutation, so these sums give
+    # numpy matmul's bits.
+    h_t = [[s[0][i] * t[0][j] + s[1][i] * t[1][j] + s[2][i] * t[2][j] for i in range(3)] for j in range(3)]
+    rotation = _kabsch(np.array(h_t).T, lib)
+    offset_dir = rotation[..., 2].T if z_offset_mode == Z_OFFSET_PLATFORM else [0.0, 0.0, 1.0]
     position = [c + platform.z_offset * d - home for c, d, home in
                 zip(center, offset_dir, platform.home_center.tolist())]
     return position, rotation
@@ -159,7 +164,7 @@ def _reconstruct(q, robot, platform: PlatformGeometry, z_offset_mode: str, lib):
 def _center_and_triads(q, robot, platform: PlatformGeometry, lib):
     # The feet by leg FK, the closest-point midpoint of their diagonals, and
     # the nominal and measured corner triads unit-normalized, as align_vectors
-    # does.
+    # does.  Only the measured triad can be degenerate (see PlatformGeometry).
     feet = []
     for i, geom in enumerate(robot):
         foot = _leg_fk_core(*q[3 * i : 3 * i + 3], geom, lib)
@@ -168,31 +173,10 @@ def _center_and_triads(q, robot, platform: PlatformGeometry, lib):
     center = _midpoint(fl, _sub(br, fl), fr, _sub(bl, fr), lib)
     triads = [_triad(c_fl, c_fr, c_bl) for c_fl, c_fr, c_bl, _ in (platform.corner_offsets.tolist(), feet)]
     norms = [[lib.sqrt(_dot(v, v)) for v in triad] for triad in triads]
-    _check(sum(n < DEGENERACY_EPS for n in norms[0] + norms[1]) > 0, DegenerateInputError,
+    _check(sum(n < DEGENERACY_EPS for n in norms[1]) > 0, DegenerateInputError,
            "zero-length vector in input set")
     s, t = ([[c / nv for c in v] for v, nv in zip(triad, nt)] for triad, nt in zip(triads, norms))
     return center, s, t
-
-
-def _kabsch(s, t, lib):
-    # align_vectors' rotation rows from unit triads s (nominal) and t: the
-    # SVD of h = S^T T, stacked over rows for arrays.  The nominal triad is
-    # a signed permutation, so these sums give numpy matmul's bits.  h is
-    # built as the rows of its transpose, so that .T gives h or its stack.
-    h_t = [[s[0][i] * t[0][j] + s[1][i] * t[1][j] + s[2][i] * t[2][j] for i in range(3)]
-           for j in range(3)]
-    u, sing, vt = np.linalg.svd(np.array(h_t).T)
-    _check(sing[..., 1] <= DEGENERACY_EPS * np.maximum(sing[..., 0], 1.0),
-           DegenerateInputError, "vector set is collinear; rotation is not unique")
-    # R = V diag(1, 1, d) U^T with d = sign(det(V U^T)) = sign(det(V) det(U)), per row.
-    v = vt.swapaxes(-1, -2)
-    v[..., 2] *= np.where(_det(_rows(vt, lib)) * _det(_rows(u, lib)) < 0.0, -1.0, 1.0)[..., None]
-    return _rows(v @ u.swapaxes(-1, -2), lib)
-
-
-def _rows(m, lib):
-    # The rows of a 3x3 matrix, or of a stack of them, as _det and _euler_deg take them.
-    return m.tolist() if lib is math else np.moveaxis(m, (-2, -1), (0, 1))
 
 
 def reconstruct_series(
@@ -224,7 +208,6 @@ def reconstruct_series(
     except ValueError:  # raise it naming a sample, not a distinct row
         _reconstruct(q.T, robot, platform, z_offset_mode, np)
         raise
-    rotation = np.moveaxis(rotation, (0, 1), (-2, -1))
     return PoseSeries(np.stack(position, axis=-1)[inverse], rotation_to_euler(rotation[inverse]), dt)
 
 

@@ -288,6 +288,17 @@ class TestPipeline:
             assert capsys.readouterr().err == f"config error: line 8: unknown key trajectory.{key}\n"
             assert not (runs_root / "old").exists()
 
+    @pytest.mark.parametrize("text", ["length_x = 1e-300\n", "length_x = 1e-7\nwidth_y = 1e-7\n"])
+    def test_unresolvable_corner_rectangle_stops_before_run_dir(self, runs_root, tmp_path, capsys, text):
+        # Unchecked at load, both would run gen, ik and sim, then stop at
+        # post on the nominal corner triad with a DegenerateInputError.
+        path = tmp_path / "thin.cfg"
+        path.write_text("[platform]\n" + text)
+        assert run_cli("all", "--config", str(path), "--run-id", "thin") == 2
+        assert capsys.readouterr().err == ("config error: platform.length_x: corner rectangle too small "
+                                           "to reconstruct (side or area below 1e-12)\n")
+        assert not (runs_root / "thin").exists()
+
     def test_removed_gravity_key_rejected(self, runs_root, tmp_path, capsys):
         # g = 9.81 m/s^2 is the fixed simenv.GRAVITY, no longer a key.
         path = tmp_path / "old.cfg"

@@ -153,6 +153,7 @@ INTS = {
     "rounds": st.integers(1, 1000),
 }
 POSITIVE = st.floats(1e-3, 1e4)
+THIN_RECTANGLE = "corner rectangle too small to reconstruct (side or area below 1e-12)"
 
 
 def _value(name, default, sim_dt):
@@ -322,6 +323,9 @@ class TestConfig:
             ("robot", RobotGeometry, "hip_mount_fl", "200 150", np.array([200.0, 150.0]),
              "must be x y z numbers, got shape (2,)"),
             ("sim", SimParams, "kp", "1 2 3", np.array([1.0, 2.0, 3.0]), "must be a scalar or a 12-vector"),
+            # The shorter side of a corner rectangle too small to reconstruct.
+            ("platform", PlatformGeometry, "length_x", "1e-300", 1e-300, THIN_RECTANGLE),
+            ("platform", PlatformGeometry, "width_y", "1e-13", 1e-13, THIN_RECTANGLE),
         ],
     )
     def test_one_check_per_value(self, section, cls, key, text, value, reason):
@@ -330,6 +334,20 @@ class TestConfig:
             loads_config(f"[{section}]\n{key} = {text}\n")
         with pytest.raises(ValueError, match=rf"^{key}: {re.escape(reason)}$"):
             cls(**{key: value})
+
+    @pytest.mark.parametrize("text, loads", [
+        ("length_x = 1e-7\nwidth_y = 1e-7\n", False),  # sides of 1e-7 mm, area 1e-14
+        ("length_x = 1e-3\nwidth_y = 1e-3\n", True),  # the configs() strategy's floor
+        ("width_y = 1e-10\n", True),  # by 400 mm: area 4e-8
+    ])
+    def test_corner_rectangle_bound_on_sides_and_area(self, text, loads):
+        # The reconstruction normalizes the nominal corner triad, of lengths
+        # length_x, width_y and their product: each must reach 1e-12.
+        if loads:
+            loads_config("[platform]\n" + text)
+        else:
+            with pytest.raises(ConfigError, match=rf"^platform\.length_x: {re.escape(THIN_RECTANGLE)}$"):
+                loads_config("[platform]\n" + text)
 
     def test_choices_and_poses_checked_whatever_the_type(self):
         # Each of these values would give a snapshot that does not load.

@@ -226,16 +226,14 @@ class TestFirstFailingSample:
     ], ids=["not a rotation", "gimbal lock"])
     def test_rotation_of_row(self, cfg, monkeypatch, matrix, error, message):
         # The Kabsch step gives X's rows the matrix; X is tilted 5 deg in
-        # pitch, so its unit triad alone is not the nominal one (A and B
-        # only move).
+        # pitch, so its h = S^T T alone is not the identity (A and B only
+        # move, and the nominal triad is a signed permutation).
         bad = solve_platform_ik(PlatformPose(np.zeros(3), [0.0, 5.0, 0.0]), cfg.robot, cfg.platform)
         kabsch = postprocess._kabsch
 
-        def aligned(s, t, lib):
-            rotation = kabsch(s, t, lib)
-            tilted = np.any([np.abs(tc - sc) > 1e-3 for tv, sv in zip(t, s) for tc, sc in zip(tv, sv)],
-                            axis=0)
-            np.moveaxis(rotation, (0, 1), (-2, -1))[tilted] = matrix
+        def aligned(h, lib):
+            rotation = kabsch(h, lib)
+            rotation[np.any(np.abs(h - np.eye(3)) > 1e-3, axis=(-2, -1))] = matrix
             return rotation
 
         monkeypatch.setattr(postprocess, "_kabsch", aligned)

@@ -24,6 +24,7 @@ from quadstage.geometry import (
     GimbalLockWarning,
     ParallelLinesError,
     _euler_deg,
+    align_vectors,
     euler_to_rotation,
     rot_x,
     rotation_to_euler,
@@ -31,6 +32,7 @@ from quadstage.geometry import (
 from quadstage.kinematics import (
     PlatformPose,
     UnreachableError,
+    leg_fk,
     leg_ik,
     solve_platform_ik,
 )
@@ -200,6 +202,26 @@ def test_one_pose_matches_series_row(poses, knee_front, knee_back, hip_offset_y,
         one = reconstruct_pose(row, cfg.robot, cfg.platform, mode)
         assert np.array_equal(one.position, series.position[k])
         assert np.max(np.abs(one.orientation_deg - series.orientation_deg[k])) <= ONE_POSE_TOL_DEG
+
+
+def test_align_vectors_is_the_reconstruction_step(stage):
+    # align_vectors of the nominal corner triad (FL->BL, FL->FR and their
+    # cross product) onto the one of the leg FK feet runs the pipeline's
+    # Kabsch step: its angles are reconstruct_series' bit for bit.
+    rng = np.random.default_rng(3)
+    bounds = [LIMITS.x_max, LIMITS.y_max, LIMITS.z_max] + [LIMITS.rot_max] * 3
+    values = rng.uniform(-1.0, 1.0, (300, 6)) * bounds
+    q = solve_platform_ik(PlatformPose(values[:, :3], values[:, 3:]), stage.robot, stage.platform)
+    q = q + 1e-2 * rng.standard_normal(q.shape)
+    feet = np.stack([leg_fk(q[:, 3 * i : 3 * i + 3], geom) for i, geom in enumerate(stage.robot)], axis=-2)
+
+    def triad(points):
+        x_axis, y_axis = points[..., 2, :] - points[..., 0, :], points[..., 1, :] - points[..., 0, :]
+        return np.stack([x_axis, y_axis, np.cross(x_axis, y_axis)], axis=-2)
+
+    rotation = align_vectors(triad(stage.platform.corner_offsets), triad(feet))
+    series = reconstruct_series(q, stage.robot, stage.platform, 1e-3)
+    assert np.array_equal(rotation_to_euler(rotation), series.orientation_deg)
 
 
 @pytest.mark.parametrize("mode", ["world", "platform"])
