@@ -396,11 +396,18 @@ def load_config(path) -> Config:
     """Load, parse, and validate a config file.
 
     Raises:
-        ConfigError: parse errors (with line numbers), unknown keys, or
-            invariant violations (with the field path).
+        ConfigError: parse errors (with line numbers), unknown keys,
+            invariant violations (with the field path), or a byte that is
+            not UTF-8 (with the file and line: a comment is never parsed).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len((data[:err.start] + b"_").decode("utf-8").splitlines())
+        raise ConfigError(f"{path}: line {line}: not valid UTF-8") from None
+    return loads_config(text)
 
 
 def dumps_config(cfg: Config) -> str:

@@ -8,8 +8,8 @@ and the 16-hex-digit hash of the configuration that produced it::
 Tables (trajectories, joint targets, simulation logs, plot data) follow
 with a comma-separated header row naming every column and one row per
 sample, numbers written with 9 significant digits (round-half-even).
-The writer formats each distinct value of a column once (distinct by bit
-pattern, so -0.0, 0.0 and every nan stay apart), and a table's first
+The writer formats each distinct text of a column once (one value per
+run of values with one rounded 9-digit decimal), and a table's first
 column, the shared t = k * dt, once per process while it repeats; the
 bytes are those of formatting every value in turn.
 A writer takes a table as 1-D columns and hands back the columns a later
@@ -17,7 +17,9 @@ stage uses as a reader parses them, each distinct cell parsed once, so a
 pipeline run reads no file.  as_read gives such values for the t check.
 A reader of a sampled table takes it only as written: every value finite
 and each t the written k * dt for the configured dt, or LogFormatError
-names the file, the row and (for a non-finite value) the column.
+names the file, the row and (for a non-finite value) the column.  A byte
+that is not UTF-8 is read as a lone surrogate, which no identity line,
+header or number holds, so the check of its line names it.
 Writes are atomic: a temp file in the same directory is renamed over the
 target, so readers never observe partial output.  A table streams into its
 temp file in _BLOCK_BYTES blocks, and its whole text is never held.
@@ -37,6 +39,7 @@ from .simenv import SimLog
 
 MAGIC = "# quadstage"
 FLOAT_FORMAT = ".9g"
+_SIGNIFICANT_DIGITS = int(FLOAT_FORMAT[1:-1])
 # Every FLOAT_FORMAT text of a float64 fits in 16 characters
 # ("-1.23456789e-308"): each distinct value is written left-justified to
 # that width, the padding deleted once the rows are assembled.
@@ -90,13 +93,27 @@ def _identity_line(kind: str, config_hash: str) -> str:
 
 
 def _column_cells(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, inverse) of one column: its distinct values by bit pattern,
-    each formatted once into a cell of _CELL_WIDTH characters and sep, and
-    the index of each row's cell."""
+    """(cells, inverse) of one column: each distinct text once, in a cell of
+    _CELL_WIDTH characters and sep, and the index of each row's cell."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    template = f"%-{_CELL_WIDTH}{FLOAT_FORMAT}{sep}" * len(bits)
-    text = template % tuple(bits.view(np.float64).tolist())
-    return np.frombuffer(text.encode("ascii"), f"V{_CELL_WIDTH + 1}"), inverse
+    x = bits.view(np.float64)
+    # %.9g depends only on x's correctly rounded 9-digit decimal: exponent e
+    # and signed mantissa rint(s).  That pair is x's key where s is clear of
+    # a rounding tie and of [1e8, 1e9)'s ends by more than its error (<= ~5e-7),
+    # else nan, as for 0, inf, nan and |x| < 1e-300 (whose s is nan or inf).
+    # Sorted bits order each sign's magnitudes, so equal keys are adjacent.
+    with np.errstate(all="ignore"):
+        magnitude = np.abs(x)
+        e = np.floor(np.log10(magnitude))
+        s = magnitude * 10.0 ** (_SIGNIFICANT_DIGITS - 1 - e)
+        mantissa = np.rint(s)
+        safe = (1e8 + 1 <= s) & (s <= 1e9 - 1) & (np.abs(s - mantissa) < 0.5 - 1e-5)
+        key = np.where(safe, np.copysign(mantissa, x), np.nan)
+    new = np.ones(len(x), bool)
+    new[1:] = (key[1:] != key[:-1]) | (e[1:] != e[:-1])
+    template = f"%-{_CELL_WIDTH}{FLOAT_FORMAT}{sep}" * int(new.sum())
+    text = template % tuple(x[new].tolist())
+    return np.frombuffer(text.encode("ascii"), f"V{_CELL_WIDTH + 1}"), (np.cumsum(new) - 1)[inverse]
 
 
 @functools.lru_cache(maxsize=1)
@@ -175,7 +192,7 @@ def _identity_hash(path, line: str, kind: str) -> str:
 
 def read_config_hash(path, kind: str) -> str:
     """Config hash on the identity line of a `kind` artifact; reads no rows."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _identity_hash(path, fh.readline().rstrip("\r\n"), kind)
 
 
@@ -189,7 +206,7 @@ def read_table(path, kind: str, expected_columns=None) -> tuple[str, list, np.nd
         LogFormatError: missing/incorrect identity line, header mismatch,
             or malformed data row (reported with its index).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     config_hash = _identity_hash(path, lines[0] if lines else "", kind)
     if len(lines) < 2:

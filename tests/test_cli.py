@@ -252,6 +252,25 @@ class TestPipeline:
         assert capsys.readouterr().err == f"stage {stage}: LogFormatError: {path}: row 5: {column} = nan is not finite\n"
         assert not (runs_root / "nan" / output).exists()
 
+    def test_byte_not_utf8_named_with_its_file(self, runs_root, fast_config, tmp_path, capsys):
+        # A trajectory overwritten with bytes that are not UTF-8, one such
+        # byte ending its row 0, and one in a config file: each ends in one
+        # line that names the file and the line at fault.
+        assert run_cli("gen", "--config", fast_config, "--run-id", "bytes") == 0
+        path = runs_root / "bytes" / "trajectory.csv"
+        lines = path.read_bytes().split(b"\n")
+        for data, message in ((b"\xff\xfe garbage", "missing '# quadstage' identity line"),
+                              (b"\n".join(lines[:2] + [lines[2] + b"\xe9"] + lines[3:]), "row 0: non-numeric field")):
+            path.write_bytes(data)
+            capsys.readouterr()
+            assert run_cli("ik", "--config", fast_config, "--run-id", "bytes") == 1
+            assert capsys.readouterr().err == f"stage ik: LogFormatError: {path}: {message}\n"
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[sim]\ndt = 0.001 \xe9\n")
+        assert run_cli("gen", "--config", str(bad), "--run-id", "bad-bytes") == 2
+        assert capsys.readouterr().err == f"config error: {bad}: line 2: not valid UTF-8\n"
+        assert not (runs_root / "bad-bytes").exists()
+
     @pytest.mark.parametrize("run_id", ["", ".", "..", "../escape", "a/b", "ABSOLUTE"])
     def test_bad_run_id_rejected_at_parsing(self, runs_root, tmp_path, capsys, run_id):
         # A run id is one directory name inside the runs root: a path would

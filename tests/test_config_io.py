@@ -28,7 +28,9 @@ from quadstage.logio import (
     FLOAT_FORMAT,
     JOINT_TARGET_COLUMNS,
     SIM_LOG_COLUMNS,
+    TRAJECTORY_KIND,
     LogFormatError,
+    read_config_hash,
     read_log,
     read_table,
     read_trajectory,
@@ -36,6 +38,7 @@ from quadstage.logio import (
     write_table,
     write_trajectory,
 )
+from quadstage.postprocess import PoseSeries
 from quadstage.simenv import ActuatorParams, SimLog, SimParams
 from quadstage.trajectory import gen_sine, sample_count
 
@@ -232,6 +235,17 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             loads_config("[motor]\nx = 1\n")
+
+    @pytest.mark.parametrize("data, line", [
+        (b"[sim]\ndt = 0.001 \xe9\n", 2),
+        (b"# caf\xe9\n[sim]\n", 1),  # a comment is never parsed, and is still named
+        (b"[sim]\r\n\r\ndt = 0.001\r\n\xff", 4),  # lines counted as loads_config counts them
+    ])
+    def test_byte_not_utf8_names_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line {line}: not valid UTF-8$"):
+            load_config(path)
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -767,6 +781,31 @@ class TestTables:
         path.write_text("t,target,actual\n0,1,2\n")
         with pytest.raises(LogFormatError, match="identity line"):
             read_table(path, "plot")
+
+    def test_byte_not_utf8_named_by_its_line(self, tmp_path):
+        # Such a byte fails the check of its own line, which the message
+        # names.  The identity line is read alone, so a bad byte in a row
+        # (here also past the first 8 KiB) leaves the config hash readable;
+        # one that ends the hash makes it another hash, which is no config's.
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, PoseSeries(np.zeros((1000, 3)), np.zeros((1000, 3)), 1e-3), "f" * 16)
+        lines = path.read_bytes().split(b"\n")
+        where = re.escape(str(path))
+        for index, message in ((1, "header mismatch"), (2, "row 0: non-numeric field"),
+                               (902, "row 900: non-numeric field")):
+            path.write_bytes(b"\n".join(lines[:index] + [lines[index] + b"\xe9"] + lines[index + 1:]))
+            assert read_config_hash(path, TRAJECTORY_KIND) == "f" * 16
+            with pytest.raises(LogFormatError, match=rf"^{where}: {message}"):
+                read_trajectory(path, dt=1e-3)
+        path.write_bytes(b"\n".join([lines[0] + b"\xe9"] + lines[1:]))
+        assert read_config_hash(path, TRAJECTORY_KIND) == "f" * 16 + "\udce9"
+        path.write_bytes(b"\n".join([lines[0].replace(b"traj", b"tr\xe9j")] + lines[1:]))
+        with pytest.raises(LogFormatError, match=rf"^{where}: expected a 'trajectory' artifact"):
+            read_config_hash(path, TRAJECTORY_KIND)
+        path.write_bytes(b"\xff\xfe garbage")
+        for read in (lambda: read_config_hash(path, TRAJECTORY_KIND), lambda: read_trajectory(path, dt=1e-3)):
+            with pytest.raises(LogFormatError, match=rf"^{where}: missing '# quadstage' identity line$"):
+                read()
 
     def test_trajectory_round_trip(self, tmp_path):
         traj = gen_sine(TrajectoryConfig(run_time=0.25, wait_time=0.1, frequency=4.0, amplitude=12.0), 1e-3)

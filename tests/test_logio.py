@@ -45,6 +45,10 @@ DIGEST = "0123456789abcdef"
 # 1 ms has a short decimal form; 1/240 s does not survive 9 digits as is.
 DTS = [1e-3, 1.0 / 240.0]
 VALUES = st.floats(-1e6, 1e6, allow_subnormal=False)
+# The README's 20 mm circle with +/-10 deg yaw and a 1.2 kg load.
+README_CIRCLE = ("[trajectory]\ntype = circular\nradius = 20.0\nrot_angle_deg = 10.0\nrounds = 20\n"
+                 "circle_frequency = 2.0\ndirection = cw\n"
+                 "[sim]\npayload_mass = 1.2\ngravity_compensation = true\n")
 ROUND_TRIP = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -269,8 +273,75 @@ def tables(elements):
     return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
 
 
+# Where the writer's grouping of values by their 9-digit text is hardest:
+# ties of the ninth digit, (k + 0.5) * 10**j for 10**8 <= k < 10**9 (exact
+# for 0 <= j <= 6, near otherwise), powers of ten, s near 1e9 - 0.5, 1e+-300,
+# both zeros, the smallest subnormal and infinity, whose bit neighbours
+# are nans with payloads.
+ANCHORS = st.one_of(
+    st.builds(lambda k, j: (k + 0.5) * 10.0**j, st.integers(10**8, 10**9 - 1), st.integers(-20, 20)),
+    st.builds(lambda j: 10.0**j, st.integers(-323, 308)),
+    st.builds(lambda j: (1e9 - 0.5) * 10.0**j, st.integers(-308, 299)),
+    st.sampled_from([1e300, 1e-300, 0.0, 5e-324, math.inf]),
+)
+
+
+@st.composite
+def bit_runs(draw, max_runs=4):
+    """A column of runs of bit-consecutive floats, each starting a few ulps
+    below an anchor (of either sign or both) and running 1..16 patterns:
+    0..max_runs runs, so empty and one-value columns too."""
+    patterns = []
+    for _ in range(draw(st.integers(0, max_runs))):
+        anchor, below, length = draw(ANCHORS), draw(st.integers(0, 8)), draw(st.integers(1, 16))
+        # A run and its mirror meet where the sorted bits change sign.
+        for sign in draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)])):
+            start = int(np.float64(sign * anchor).view(np.int64)) - below
+            patterns += [(start + i) % 2**64 for i in range(length)]
+    return np.array(patterns, np.uint64).view(np.float64)
+
+
+def run_tables(max_columns):
+    """Strategy for (n, k) tables whose columns are bit runs, k in 1..max_columns."""
+    return st.tuples(bit_runs(), st.integers(1, max_columns)).map(
+        lambda drawn: drawn[0][:len(drawn[0]) // drawn[1] * drawn[1]].reshape(drawn[1], -1).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=bit_runs(max_runs=8))
+def test_column_cells_give_each_value_its_own_text(values):
+    # However the grouping merges values, each row's cell is its value's text.
+    for sep in (",", "\n", " "):
+        cells, inverse = logio._column_cells(values, sep)
+        assert cells[inverse].tobytes() == "".join("%-16.9g" % v + sep for v in values.tolist()).encode()
+        assert len(cells) <= len(np.unique(values.view(np.int64)))
+
+
+def test_column_cells_format_each_text_once():
+    # 1,000 bit-consecutive floats from 1.5 are all "1.5": one cell.
+    run = (np.float64(1.5).view(np.int64) + np.arange(1000)).view(np.float64)
+    cells, inverse = logio._column_cells(run, ",")
+    assert cells.tobytes() == b"1.5             ,"
+    assert np.array_equal(inverse, np.zeros(1000))
+    # Across the tie 123456788.5, values clear of it take the two texts
+    # they round to; the tie itself (half to even: "123456788") is
+    # formatted alone, as is every value within the margin of a tie.
+    clear = 123456788.5 + np.array([-0.4, -0.3, -0.1, 0.1, 0.3, 0.4])
+    cells, inverse = logio._column_cells(clear, ",")
+    assert cells.tobytes() == b"123456788       ,123456789       ,"
+    assert inverse.tolist() == [0, 0, 0, 1, 1, 1]
+    cells, inverse = logio._column_cells(np.append(clear, 123456788.5), ",")
+    assert cells.tobytes() == b"123456788       ,123456788       ,123456789       ,"
+    assert inverse.tolist() == [0, 0, 0, 2, 2, 2, 1]
+    # A value and its negation are two texts, even where they sit together
+    # as the last negative and first positive of the sorted bits.
+    cells, inverse = logio._column_cells(np.array([1.5, -1.5]), ",")
+    assert cells.tobytes() == b"-1.5            ,1.5             ,"
+    assert inverse.tolist() == [1, 0]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.one_of(tables(ANY_FLOAT), tables(REPEATED), tables(st.one_of(ANY_FLOAT, REPEATED))))
+@given(rows=st.one_of(tables(ANY_FLOAT), tables(REPEATED), tables(st.one_of(ANY_FLOAT, REPEATED)), run_tables(8)))
 def test_write_table_matches_value_by_value_text(tmp_path, rows):
     path = tmp_path / "table.csv"
     columns = [f"c{j}" for j in range(rows.shape[1])]
@@ -294,7 +365,8 @@ def stacks(elements):
     return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
 
 
-STACKS = st.one_of(stacks(ANY_FLOAT), stacks(HARD), stacks(st.one_of(ANY_FLOAT, HARD, REPEATED)))
+STACKS = st.one_of(stacks(ANY_FLOAT), stacks(HARD), stacks(st.one_of(ANY_FLOAT, HARD, REPEATED)),
+                   run_tables(13))
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -355,9 +427,7 @@ def test_writers_hand_back_what_readers_parse(tmp_path, dt, q):
 def test_write_log_holds_no_stacked_copy(tmp_path):
     # The README circle's 10,001-row log: writing it, the handed q
     # included, peaks below 1.5 times one (N, 61) float64 copy of the log.
-    cfg = loads_config("[trajectory]\ntype = circular\nradius = 20.0\nrot_angle_deg = 10.0\nrounds = 20\n"
-                       "circle_frequency = 2.0\ndirection = cw\n"
-                       "[sim]\npayload_mass = 1.2\ngravity_compensation = true\n")
+    cfg = loads_config(README_CIRCLE)
     traj = cfg.build_trajectory()
     q_targets = as_read(solve_platform_ik(traj, cfg.robot, cfg.platform, cfg.limits))
     log = run_sim(q_targets, cfg.sim, cfg.actuator, cfg.robot)
@@ -390,8 +460,11 @@ def test_first_column_text_is_never_stale(tmp_path):
 
 
 def test_all_writes_every_table_value_by_value(tmp_path, monkeypatch):
-    # The default run, in process: each table file holds the text of the
-    # columns its write_table call was given.
+    # The default run and the README circle, in process: each table file
+    # holds the text of the columns its write_table call was given.  The
+    # writer formats one cell per distinct text, not per distinct bit
+    # pattern: on the circle the plot channels repeat at 9 digits but not
+    # in their last bits.
     calls = []
     write = logio.write_table
 
@@ -401,10 +474,18 @@ def test_all_writes_every_table_value_by_value(tmp_path, monkeypatch):
         return write(path, kind, config_hash, names, columns, *handed)
 
     monkeypatch.setattr(logio, "write_table", recording_write_table)
-    assert cli.main(["all", "--runs-root", str(tmp_path), "--run-id", "tables"]) == 0
-    assert len(calls) == len({path for path, *_ in calls}) == 21
-    for path, kind, digest, columns, rows in calls:
-        assert Path(path).read_bytes() == reference_text(kind, digest, columns, rows).encode(), path
+    (tmp_path / "circle.cfg").write_text(README_CIRCLE)
+    for flags, most_cells in (([], 63_000), (["--config", str(tmp_path / "circle.cfg")], 75_000)):
+        calls.clear()
+        assert cli.main(["all", *flags, "--runs-root", str(tmp_path), "--run-id", "tables"]) == 0
+        assert len(calls) == len({path for path, *_ in calls}) == 21
+        patterns = cells = 0
+        for path, kind, digest, columns, rows in calls:
+            assert Path(path).read_bytes() == reference_text(kind, digest, columns, rows).encode(), path
+            for column in rows[:, 1:].T:
+                patterns += len(np.unique(column.view(np.int64)))
+                cells += len(logio._column_cells(column, ",")[0])
+        assert cells <= most_cells < patterns, flags
 
 
 def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
