@@ -5,13 +5,17 @@ and the 16-hex-digit hash of the configuration that produced it::
 
     # quadstage <kind> config=<hash>
 
+Any other hash is a corrupt file (LogFormatError), not another config's.
 Tables (trajectories, joint targets, simulation logs, plot data) follow
 with a comma-separated header row naming every column and one row per
 sample, numbers written with 9 significant digits (round-half-even).
 The writer formats each distinct text of a column once (one value per
 run of values with one rounded 9-digit decimal), and a table's first
 column, the shared t = k * dt, once per process while it repeats; the
-bytes are those of formatting every value in turn.
+bytes are those of formatting every value in turn.  Given a sim log's
+origin (SimLog.origin) with a copied record, it formats, parses and
+assembles each distinct record once: a row is its t text and its
+record's, and only the texts of records that occur twice or more are kept.
 A writer takes a table as 1-D columns and hands back the columns a later
 stage uses as a reader parses them, each distinct cell parsed once, so a
 pipeline run reads no file.  as_read gives such values for the t check.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import secrets
 
 import numpy as np
@@ -134,43 +139,94 @@ def _parsed(cells: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return np.array(text.split(), dtype=float)[inverse]
 
 
-def _format_table(kind: str, config_hash: str, names, columns, handed):
+def _pool(columns, handed, start, rows=slice(None), record=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(pool, index) of columns[start:] at the rows: their cells in one pool,
+    and index[i, j - start] the cell of columns[j][rows][i].  handed[j] is
+    filled as in _format_table, row r with the cell of index row record[r]."""
+    n_cols = len(columns)
+    n_rows = len(columns[0][rows])
+    index = np.empty((n_rows, n_cols - start), np.int32 if n_rows * n_cols < 2**31 else np.int64)
+    pool, offset = [], 0
+    for j in range(start, n_cols):
+        sep = "," if j < n_cols - 1 else "\n"
+        cells, inverse = (_first_column_cells(columns[0].tobytes(), sep) if j == 0
+                          else _column_cells(columns[j][rows], sep))
+        if j in handed:
+            handed[j][:] = _parsed(cells, inverse[record])
+        index[:, j - start] = inverse + offset
+        pool.append(cells)
+        offset += len(cells)
+    return np.concatenate(pool), index
+
+
+def _row_blocks(columns, handed):
+    """_format_table's rows, _BLOCK_BYTES of cells at a time: row i is
+    pool[index[i]] with the padding deleted."""
+    pool, index = _pool(columns, handed, 0)
+    block_rows = max(1, _BLOCK_BYTES // pool.itemsize // len(columns))
+    for start in range(0, len(index), block_rows):
+        yield pool.take(index[start:start + block_rows]).tobytes().translate(None, b" ")
+
+
+def _record_blocks(columns, handed, fresh, origin):
+    """_format_table's rows given write_table's origin, whose records are
+    the rows with fresh[i] (origin[i] == i).  The cells after t of each
+    record are formatted, parsed and taken once; row i is its t text, a
+    comma and its record's text.  The texts of records that occur more than
+    once stay in one buffer, the others' only while their block is assembled."""
+    first = np.flatnonzero(fresh)
+    record = (np.cumsum(fresh) - 1)[origin]  # each row's record
+    pool, index = _pool(columns, handed, 1, first, record)
+    t_cells, t_inverse = _first_column_cells(columns[0].tobytes(), ",")
+    kept = np.bincount(record) > 1
+    begin, end = np.empty(len(first), np.int64), np.empty(len(first), np.int64)  # of a record's text in store
+    store = bytearray()
+    block_rows = max(1, _BLOCK_BYTES // pool.itemsize // len(columns))
+    for start in range(0, len(origin), block_rows):
+        ids = record[start:start + block_rows]
+        # The block's new records go on the store, those kept first: the
+        # others' text is cut off once the block's rows are assembled.
+        new = np.arange(*np.searchsorted(first, [start, start + len(ids)]))
+        new = np.concatenate([new[kept[new]], new[~kept[new]]])
+        text = pool.take(index[new]).tobytes().translate(None, b" ")
+        bounds = len(store) + np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+        begin[new], end[new] = bounds[:-1], bounds[1:]
+        store += text
+        t_text = t_cells.take(t_inverse[start:start + len(ids)]).tobytes().translate(None, b" ")
+        pieces = [b","] * (3 * len(ids))
+        pieces[0::3] = t_text[:-1].split(b",")
+        pieces[2::3] = map(store.__getitem__, map(slice, begin[ids].tolist(), end[ids].tolist()))
+        del store[bounds[np.count_nonzero(kept[new])]:]
+        yield b"".join(pieces)
+
+
+def _format_table(kind: str, config_hash: str, names, columns, handed, origin):
     """The table's bytes: the identity and header lines, then _BLOCK_BYTES
     of rows at a time.  For each j in the dict handed, handed[j] is filled
-    with column j as a reader parses it."""
+    with column j as a reader parses it.  origin is write_table's; a table
+    with no repeated record is written row by row, which is faster there."""
     yield f"{_identity_line(kind, config_hash)}\n{','.join(names)}\n".encode("utf-8")
     if columns and len(columns[0]):
-        n_rows, n_cols = len(columns[0]), len(columns)
-        # Row i is pool[index[i]] with the padding deleted: the cells of
-        # every column in one pool, index[i, j] the cell of columns[j][i].
-        index = np.empty((n_rows, n_cols), np.int32 if n_rows * n_cols < 2**31 else np.int64)
-        pool, offset = [], 0
-        for j, column in enumerate(columns):
-            sep = "," if j < n_cols - 1 else "\n"
-            cells, inverse = (_first_column_cells(column.tobytes(), sep) if j == 0
-                              else _column_cells(column, sep))
-            if j in handed:
-                handed[j][:] = _parsed(cells, inverse)
-            index[:, j] = inverse + offset
-            pool.append(cells)
-            offset += len(cells)
-        pool = np.concatenate(pool)
-        block_rows = max(1, _BLOCK_BYTES // pool.itemsize // n_cols)
-        for start in range(0, n_rows, block_rows):
-            yield pool.take(index[start:start + block_rows]).tobytes().translate(None, b" ")
+        fresh = None if origin is None else origin == np.arange(len(origin))
+        if fresh is None or fresh.all():
+            yield from _row_blocks(columns, handed)
+        else:
+            yield from _record_blocks(columns, handed, fresh, origin)
 
 
-def write_table(path, kind: str, config_hash: str, names, columns, handed=()) -> np.ndarray:
+def write_table(path, kind: str, config_hash: str, names, columns, handed=(), origin=None) -> np.ndarray:
     """Write the table whose column j is the 1-D columns[j], headed names[j].
     Returns (N, len(handed)): column k is column handed[k] as a reader
-    parses it back from the file."""
+    parses it back from the file.  origin, if given, holds for each row i a
+    row origin[i] <= i with its bits after the first column and
+    origin[origin[i]] == origin[i] (SimLog.origin)."""
     columns = [np.asarray(column, dtype=float) for column in columns]
     if len(columns) != len(names) or any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
         raise ValueError(f"columns must be {len(names)} 1-D arrays of one length for the header, "
                          f"got shapes {[c.shape for c in columns]}")
     out = np.empty((len(columns[0]) if columns else 0, len(handed)))
     # Each out.T row is a view of one column of out, filled while formatting.
-    _atomic_write(path, _format_table(kind, config_hash, names, columns, dict(zip(handed, out.T))))
+    _atomic_write(path, _format_table(kind, config_hash, names, columns, dict(zip(handed, out.T)), origin))
     return out
 
 
@@ -187,7 +243,10 @@ def _identity_hash(path, line: str, kind: str) -> str:
     head = line.split()
     if len(head) != 4 or head[2] != kind or not head[3].startswith("config="):
         raise LogFormatError(f"{path}: expected a '{kind}' artifact, got {line!r}")
-    return head[3].removeprefix("config=")
+    digest = head[3].removeprefix("config=")
+    if not re.fullmatch("[0-9a-f]{16}", digest):
+        raise LogFormatError(f"{path}: config hash {digest!r} is not 16 lowercase hex digits")
+    return digest
 
 
 def read_config_hash(path, kind: str) -> str:
@@ -296,7 +355,7 @@ def write_log(path, log: SimLog, config_hash: str) -> np.ndarray:
     """Writes log and returns its q as read_log parses it (q_target is the targets as read)."""
     columns = [log.t] + [column for name, _ in SIM_LOG_BLOCKS for column in getattr(log, name).T]
     return write_table(path, SIM_LOG_KIND, config_hash, SIM_LOG_COLUMNS, columns,
-                       range(1 + NUM_JOINTS, 1 + 2 * NUM_JOINTS))
+                       range(1 + NUM_JOINTS, 1 + 2 * NUM_JOINTS), log.origin)
 
 
 def read_log(path, dt: float) -> tuple[str, SimLog]:

@@ -106,7 +106,10 @@ class SimParams:
 @dataclass(eq=False)
 class SimLog:
     """One record per target sample: target, state, and actuation; record k
-    is at t = k * dt."""
+    is at t = k * dt.  origin, when known, holds for each record k the
+    record origin[k] <= k that it repeats bit for bit in all five blocks, or
+    k itself, and origin[origin[k]] == origin[k]; None says nothing of
+    repeats."""
 
     dt: float
     q_target: np.ndarray
@@ -114,6 +117,7 @@ class SimLog:
     qdot: np.ndarray
     tau: np.ndarray
     current: np.ndarray
+    origin: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.q_target)
@@ -244,6 +248,7 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     Returns one log record per target sample: record k holds the state at
     t_k, the torque that sim_step applies over tick k and the current it
     draws.  A float array of targets is the log's q_target as is, not a copy.
+    The log's origin gives each copied record the stepped tick it copies.
 
     A tick is a pure function of its (q, qdot, target) bits and the run's
     constants.  So a tick that starts from the bits of an earlier one is
@@ -272,6 +277,7 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
     # tau's sign bit.  A memo hash match is checked on (row id, state bytes).
     ids = _distinct_rows(targets)[1]
     repeats = (np.bincount(ids)[ids] > 1).tolist()
+    origin = np.arange(n)
     first = {}  # hash of a tick's input -> the first tick to start from it
     k = 0
     while k < n:  # copy the run of ticks from k on that repeats earlier ones, or step tick k
@@ -283,8 +289,9 @@ def run_sim(joint_targets, params: SimParams, actuator: ActuatorParams, robot) -
                 src = j + np.arange(run) % (k - j)
                 q[k + 1:k + run + 1], qdot[k + 1:k + run + 1] = q[src + 1], qdot[src + 1]
                 tau[k:k + run] = tau[src]
+                origin[k:k + run] = origin[src]  # src < k, so its origins are final
                 k += run
                 continue
         step(q[k], qdot[k], targets[k], q[k + 1], qdot[k + 1], tau[k], k)
         k += 1
-    return SimLog(params.dt, targets, q[:n], qdot[:n], tau, actuator.current_from_torque(tau))
+    return SimLog(params.dt, targets, q[:n], qdot[:n], tau, actuator.current_from_torque(tau), origin)

@@ -254,13 +254,21 @@ class TestPipeline:
 
     def test_byte_not_utf8_named_with_its_file(self, runs_root, fast_config, tmp_path, capsys):
         # A trajectory overwritten with bytes that are not UTF-8, one such
-        # byte ending its row 0, and one in a config file: each ends in one
-        # line that names the file and the line at fault.
+        # byte ending its row 0, one (and a plain "g") in place of the first
+        # digit of its config hash, and one in a config file: each ends in
+        # one line that names the file and the line at fault.  A corrupt
+        # hash is no config's hash, so it is not reported as a config change.
         assert run_cli("gen", "--config", fast_config, "--run-id", "bytes") == 0
         path = runs_root / "bytes" / "trajectory.csv"
         lines = path.read_bytes().split(b"\n")
+        head, digits = lines[0][:30], lines[0][31:].decode()
+        assert head == b"# quadstage trajectory config="
+        hashes = [(b"\n".join([head + byte + digits.encode()] + lines[1:]),
+                   f"config hash {shown + digits!r} is not 16 lowercase hex digits")
+                  for byte, shown in ((b"\xe9", "\udce9"), (b"g", "g"))]
         for data, message in ((b"\xff\xfe garbage", "missing '# quadstage' identity line"),
-                              (b"\n".join(lines[:2] + [lines[2] + b"\xe9"] + lines[3:]), "row 0: non-numeric field")):
+                              (b"\n".join(lines[:2] + [lines[2] + b"\xe9"] + lines[3:]), "row 0: non-numeric field"),
+                              *hashes):
             path.write_bytes(data)
             capsys.readouterr()
             assert run_cli("ik", "--config", fast_config, "--run-id", "bytes") == 1

@@ -786,7 +786,8 @@ class TestTables:
         # Such a byte fails the check of its own line, which the message
         # names.  The identity line is read alone, so a bad byte in a row
         # (here also past the first 8 KiB) leaves the config hash readable;
-        # one that ends the hash makes it another hash, which is no config's.
+        # one in the hash makes it no hash at all, so the file is named as
+        # corrupt, not as written under another config.
         path = tmp_path / "traj.csv"
         write_trajectory(path, PoseSeries(np.zeros((1000, 3)), np.zeros((1000, 3)), 1e-3), "f" * 16)
         lines = path.read_bytes().split(b"\n")
@@ -798,7 +799,8 @@ class TestTables:
             with pytest.raises(LogFormatError, match=rf"^{where}: {message}"):
                 read_trajectory(path, dt=1e-3)
         path.write_bytes(b"\n".join([lines[0] + b"\xe9"] + lines[1:]))
-        assert read_config_hash(path, TRAJECTORY_KIND) == "f" * 16 + "\udce9"
+        with pytest.raises(LogFormatError, match=rf"^{where}: config hash '{'f' * 16}\\udce9' is not 16 lowercase hex"):
+            read_config_hash(path, TRAJECTORY_KIND)
         path.write_bytes(b"\n".join([lines[0].replace(b"traj", b"tr\xe9j")] + lines[1:]))
         with pytest.raises(LogFormatError, match=rf"^{where}: expected a 'trajectory' artifact"):
             read_config_hash(path, TRAJECTORY_KIND)

@@ -424,6 +424,42 @@ def test_writers_hand_back_what_readers_parse(tmp_path, dt, q):
     assert same_bits(logged, read_log(tmp_path / "log.csv", dt)[1].q)
 
 
+@st.composite
+def repeating_logs(draw):
+    """(records, origin) of a log drawn from a pool of records, each row a
+    new pick from the pool or a copy of the row a random lag before; the
+    pool holds twins of its records that differ in one entry by 0.0 against
+    -0.0 or by one ulp.  origin[i] is the first row with row i's pick."""
+    base = draw(arrays(float, (draw(st.integers(1, 4)), 5 * NUM_JOINTS), elements=FULL_CELLS | ANY_FLOAT))
+    j = draw(st.integers(0, 5 * NUM_JOINTS - 1))
+    zero, ulp = base.copy(), base.copy()
+    zero[:, j] = 0.0
+    negative_zero = zero.copy()
+    negative_zero[:, j] = -0.0
+    ulp[:, j] = np.nextafter(ulp[:, j], 0.0)  # toward 0, which never overflows
+    pool = np.concatenate([base, zero, negative_zero, ulp])
+    picks = []
+    for k in range(draw(st.integers(1, 60))):
+        lag = draw(st.integers(0, k))
+        picks.append(picks[k - lag] if lag else draw(st.integers(0, len(pool) - 1)))
+    firsts = {}
+    return pool[picks], np.array([firsts.setdefault(pick, k) for k, pick in enumerate(picks)])
+
+
+@pytest.mark.parametrize("dt", DTS)
+@ROUND_TRIP
+@given(drawn=repeating_logs())
+def test_write_log_from_repeats_writes_every_row(tmp_path, dt, drawn):
+    # Written from one text per distinct record, the log has the bytes and
+    # the handed q of the same log written row by row.
+    records, origin = drawn
+    blocks = np.split(records, len(logio.SIM_LOG_BLOCKS), axis=1)
+    q = write_log(tmp_path / "records.csv", SimLog(dt, *blocks, origin), DIGEST)
+    rows = write_log(tmp_path / "rows.csv", SimLog(dt, *blocks), DIGEST)
+    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert same_bits(q, rows)
+
+
 def test_write_log_holds_no_stacked_copy(tmp_path):
     # The README circle's 10,001-row log: writing it, the handed q
     # included, peaks below 1.5 times one (N, 61) float64 copy of the log.
@@ -501,21 +537,35 @@ def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["note.txt"]
 
 
-def test_table_streams_into_its_file(tmp_path):
-    # A sim-log-sized table: the write never holds the table's whole text,
-    # so its traced peak stays below the size of the file it writes.
+def test_table_streams_into_its_file(tmp_path, monkeypatch):
+    # A sim-log-sized table, the same rows as a log without copies, and as
+    # one whose last record copies the first, the only log of the three
+    # written from its records: no write holds the table's whole text, so
+    # its traced peak stays below the size of the file it writes.
     rng = np.random.default_rng(7)
     values = rng.normal(size=200)
     rows = np.column_stack([np.arange(10001) * 1e-3, values[rng.integers(0, 200, size=(10001, 60))]])
-    columns = [f"c{j}" for j in range(61)]
+    rows[-1, 1:] = rows[0, 1:]
+    blocks = np.split(rows[:, 1:], len(logio.SIM_LOG_BLOCKS), axis=1)
+    record_blocks, by_records = logio._record_blocks, []
+
+    def counted(*args):
+        by_records.append(len(by_records))
+        return record_blocks(*args)
+
+    monkeypatch.setattr(logio, "_record_blocks", counted)
     path = tmp_path / "log.csv"
-    tracemalloc.start()
-    try:
-        write_table(path, SIM_LOG_KIND, DIGEST, columns, rows.T)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+    for write in (lambda: write_table(path, SIM_LOG_KIND, DIGEST, SIM_LOG_COLUMNS, rows.T),
+                  *(lambda origin=origin: write_log(path, SimLog(1e-3, *blocks, origin), DIGEST)
+                    for origin in (np.arange(10001), np.append(np.arange(10000), 0)))):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size, (peak, path.stat().st_size)
+    assert len(by_records) == 1
 
 
 def test_failed_table_write_keeps_the_old_file(tmp_path, monkeypatch):

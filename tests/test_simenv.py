@@ -412,10 +412,14 @@ class TestRunSim:
             run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert err.value.tick == 4000
 
-    @pytest.mark.parametrize("config, share", [("README circle", 0.30), ("default sine", 0.40)])
+    @pytest.mark.parametrize("config, share", [("README circle", 0.30), ("default sine", 0.40),
+                                               ("noisy circle", 1.0)])
     def test_repeating_ticks_are_copied_not_stepped(self, monkeypatch, config, share):
-        # As run, these settle into cycles that repeat bit for bit; a change
-        # to the tick or its key that stops the copies fails here.
+        # As run, the circle and the sine settle into cycles that repeat bit
+        # for bit; a change to the tick or its key that stops the copies
+        # fails here.  The log's origin names the stepped ticks, and each
+        # record has the bits of its origin's (-0.0 is not 0.0).  Targets
+        # with noise never repeat a row, so there every record is its own.
         stepper, ticks = simenv._stepper, []
 
         def counting(*args):
@@ -427,9 +431,18 @@ class TestRunSim:
             return counted
 
         monkeypatch.setattr(simenv, "_stepper", counting)
-        cfg, targets = as_run(loads_config(README_CIRCLE) if config == "README circle" else default_config())
-        run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
+        cfg, targets = as_run(default_config() if config == "default sine" else loads_config(README_CIRCLE))
+        if config == "noisy circle":
+            targets = targets + np.random.default_rng(3).normal(scale=1e-6, size=targets.shape)
+        log = run_sim(targets, cfg.sim, cfg.actuator, cfg.robot)
         assert 0 < len(ticks) <= share * len(targets)
+        assert np.flatnonzero(log.origin == np.arange(len(log))).tolist() == ticks
+        assert (log.origin <= np.arange(len(log))).all() and np.array_equal(log.origin[log.origin], log.origin)
+        for name in ("q_target", "q", "qdot", "tau", "current"):
+            bits = np.ascontiguousarray(getattr(log, name)).view(np.int64)
+            assert np.array_equal(bits[log.origin], bits), name
+        if config == "noisy circle":
+            assert np.array_equal(log.origin, np.arange(len(log)))
 
     def test_rejects_empty_trajectory(self, cfg):
         with pytest.raises(ValueError):
